@@ -54,7 +54,6 @@ from .errors import (
 from .features import (
     FeatureAttribution,
     attribute_features,
-    feature_strata,
     greedy_feature_pruning,
     relation_product,
     variation_of_information,
@@ -64,7 +63,6 @@ from .relation import (
     FeatureRelation,
     MAX_PROGRAMS,
     Relation,
-    accept_set,
     acceptance_rates,
     column_masks,
     conditional_acceptance,

@@ -156,7 +156,8 @@ def cmd_run(args) -> int:
 def cmd_analyze(args) -> int:
     rel = load_relation(args.relation, fmt="json")
     diag = build_diagram(rel)
-    graph = build_graph(build_complex(rel))
+    cpx = build_complex(rel)
+    graph = build_graph(cpx)
     core = consistent_core(graph)
     inconsistent = sorted(inconsistent_inputs(rel))
     if args.weights:
@@ -174,7 +175,7 @@ def cmd_analyze(args) -> int:
     )
     print(f"diagram consistent: {is_consistent(diag)}")
     if args.betti is not None:
-        betti = betti_numbers(build_complex(rel), args.betti)
+        betti = betti_numbers(cpx, args.betti)
         print("betti: " + " ".join(str(b) for b in betti))
     return 0
 
@@ -296,10 +297,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TdtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (TdtError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -5,79 +5,126 @@ exactly X. A region is deficient when some facet (one program fewer) outweighs
 it; a diagram with no deficient region is consistent, i.e. its weights are
 nondecreasing along inclusion. Equal weights along a covering pair count as
 consistent.
+
+Weights live in one int64 vector indexed by mask; the analyses use a few
+vectorised subset transforms over it (Yates 1937; Bjorklund et al. 2007).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .errors import CapacityError, ValidationError
-from .relation import MAX_PROGRAMS, Relation, column_masks, names_from_mask, validate_mask
-from .util import canonical_dumps, facet_masks, popcount
+import numpy as np
+
+from .errors import ValidationError
+from .relation import Relation, column_masks, names_from_mask, validate_mask
+from .util import bits, canonical_dumps, popcount
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedDiagram:
-    """Dense weight vector indexed by program-subset mask (length 2^m)."""
+    """Dense weight vector indexed by program-subset mask (length 2^m, read-only int64)."""
 
     m: int
-    weights: tuple[int, ...]
+    weights: np.ndarray
 
     def __post_init__(self):
         if self.m < 1:
             raise ValidationError("diagram needs at least one program")
-        weights = tuple(int(w) for w in self.weights)
-        if len(weights) != 1 << self.m:
+        weights = np.array(self.weights, dtype=np.int64)
+        if weights.shape != (1 << self.m,):
             raise ValidationError(
-                f"expected {1 << self.m} region weights, got {len(weights)}"
+                f"expected {1 << self.m} region weights, got {weights.size}"
             )
-        if any(w < 0 for w in weights):
+        if (weights < 0).any():
             raise ValidationError("region weights must be non-negative")
+        weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
 
     @property
     def total(self) -> int:
-        return sum(self.weights)
+        return int(self.weights.sum())
 
-    def weight(self, mask: int) -> int:
-        return self.weights[mask]
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WeightedDiagram):
+            return NotImplemented
+        return self.m == other.m and np.array_equal(self.weights, other.weights)
 
 
-def _check_capacity(m: int) -> None:
-    if m > MAX_PROGRAMS:
-        raise CapacityError(
-            f"{m} programs exceed the {MAX_PROGRAMS}-program cap for dense power-set analysis"
-        )
+# ---------------------------------------------------------------------------
+# subset transforms over vectors indexed by mask
+
+
+def _halves(vector: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the regions without and with program j, aligned as covering pairs (X, X | 1<<j)."""
+    pairs = vector.reshape(-1, 2, 1 << j)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def superset_or(flags: np.ndarray, m: int) -> np.ndarray:
+    """Per region: is the flag set on the region or on any superset of it?"""
+    out = flags.copy()
+    for j in range(m):
+        lower, upper = _halves(out, j)
+        lower |= upper
+    return out
+
+
+def subset_or(flags: np.ndarray, m: int) -> np.ndarray:
+    """Per region: is the flag set on the region or on any subset of it?"""
+    out = flags.copy()
+    for j in range(m):
+        lower, upper = _halves(out, j)
+        upper |= lower
+    return out
+
+
+def heaviest_facet(weights: np.ndarray, m: int) -> np.ndarray:
+    """Per region, the largest weight among its facets (0 for the empty region)."""
+    out = np.zeros_like(weights)
+    for j in range(m):
+        lower, _ = _halves(weights, j)
+        _, upper = _halves(out, j)
+        np.maximum(upper, lower, out=upper)
+    return out
+
+
+def project_masks(masks: np.ndarray, sigma: int) -> np.ndarray:
+    """Masks restricted to the programs in sigma; bit t is sigma's t-th set bit."""
+    out = np.zeros_like(masks)
+    for t, j in enumerate(bits(sigma)):
+        out |= (masks >> j & 1) << t
+    return out
+
+
+def region_weights(masks: np.ndarray, m: int, counts: np.ndarray | None = None) -> np.ndarray:
+    """Weight vector over 2^m regions of the given masks, each counted ``counts`` times."""
+    # bincount sums weights in float64, exact for every total below 2**53
+    return np.bincount(masks, weights=counts, minlength=1 << m).astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# diagrams
 
 
 def build_diagram(rel: Relation) -> WeightedDiagram:
     """Count, for every program subset, the inputs accepted by exactly that subset."""
-    _check_capacity(rel.m)
-    weights = [0] * (1 << rel.m)
-    for mask in column_masks(rel):
-        weights[mask] += 1
-    return WeightedDiagram(m=rel.m, weights=tuple(weights))
+    return WeightedDiagram(m=rel.m, weights=region_weights(column_masks(rel), rel.m))
 
 
-def deficiency(diag: WeightedDiagram, mask: int) -> int:
-    """How far a region falls short of its heaviest facet (positive iff deficient)."""
-    if mask == 0:
-        return 0
-    return max(diag.weights[f] for f in facet_masks(mask)) - diag.weights[mask]
+def deficiency(diag: WeightedDiagram) -> np.ndarray:
+    """Per region, how far it falls short of its heaviest facet (positive iff deficient)."""
+    return heaviest_facet(diag.weights, diag.m) - diag.weights
 
 
 def deficient_regions(diag: WeightedDiagram) -> set[int]:
     """Regions strictly outweighed by one of their facets. The empty region never is."""
-    return {
-        mask
-        for mask in range(1, 1 << diag.m)
-        if deficiency(diag, mask) > 0
-    }
+    return set(np.flatnonzero(deficiency(diag) > 0).tolist())
 
 
 def is_consistent(diag: WeightedDiagram) -> bool:
-    return not any(deficiency(diag, mask) > 0 for mask in range(1, 1 << diag.m))
+    return not (deficiency(diag) > 0).any()
 
 
 def project_diagram(diag: WeightedDiagram, sigma: int) -> WeightedDiagram:
@@ -90,15 +137,15 @@ def project_diagram(diag: WeightedDiagram, sigma: int) -> WeightedDiagram:
         raise ValidationError("cannot project onto an empty program set")
     if sigma >> diag.m:
         raise ValidationError(f"mask {sigma:#x} sets bits outside the {diag.m} programs")
-    kept = [j for j in range(diag.m) if sigma >> j & 1]
-    out = [0] * (1 << len(kept))
-    for mask, w in enumerate(diag.weights):
-        z = 0
-        for t, j in enumerate(kept):
-            if mask >> j & 1:
-                z |= 1 << t
-        out[z] += w
-    return WeightedDiagram(m=len(kept), weights=tuple(out))
+    regions = project_masks(np.arange(1 << diag.m, dtype=np.int64), sigma)
+    k = popcount(sigma)
+    return WeightedDiagram(m=k, weights=region_weights(regions, k, diag.weights))
+
+
+def pair_blame(masks: np.ndarray, sigma: int, tau: int) -> np.ndarray:
+    """Per mask: accepted by every program in sigma, rejected by one in tau - sigma?"""
+    extra = tau & ~sigma
+    return (masks & sigma == sigma) & (masks & extra != extra)
 
 
 def pair_inconsistent_inputs(rel: Relation, sigma: int, tau: int) -> set[int]:
@@ -111,20 +158,10 @@ def pair_inconsistent_inputs(rel: Relation, sigma: int, tau: int) -> set[int]:
     validate_mask(rel, tau)
     if sigma & ~tau:
         raise ValidationError("sigma must be a subset of tau")
-    diag = build_diagram(rel)
-    if diag.weights[sigma] <= diag.weights[tau]:
+    masks = column_masks(rel)
+    if (masks == sigma).sum() <= (masks == tau).sum():  # weight(sigma) <= weight(tau)
         return set()
-    extra = tau & ~sigma
-    out = set()
-    for k, mask in enumerate(column_masks(rel)):
-        if mask & sigma == sigma and extra & ~mask:
-            out.add(k)
-    return out
-
-
-def regions_by_mask_order(m: int) -> Iterator[int]:
-    """All nonempty masks ordered by (popcount, mask) — the canonical report order."""
-    return iter(sorted(range(1, 1 << m), key=lambda mask: (popcount(mask), mask)))
+    return set(np.flatnonzero(pair_blame(masks, sigma, tau)).tolist())
 
 
 def subset_label(names: Sequence[str]) -> str:
@@ -137,8 +174,8 @@ def diagram_report(rel: Relation, diag: WeightedDiagram | None = None) -> str:
     if diag is None:
         diag = build_diagram(rel)
     weights = {
-        subset_label(names_from_mask(rel, mask)): diag.weights[mask]
-        for mask in range(1 << diag.m)
+        subset_label(names_from_mask(rel, mask)): w
+        for mask, w in enumerate(diag.weights.tolist())
     }
     deficient = [
         subset_label(names_from_mask(rel, mask))

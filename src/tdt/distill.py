@@ -13,21 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
+import numpy as np
+
 from .diagram import (
     WeightedDiagram,
     build_diagram,
     deficiency,
-    deficient_regions,
     is_consistent,
+    pair_blame,
+    region_weights,
 )
-from .dowker import DowkerComplex, maximal_masks, connected_components, inconsistent_inputs
-from .errors import (
-    CapacityError,
-    EmptyScreenError,
-    InconsistentDiagramError,
-    ValidationError,
-)
-from .relation import MAX_PROGRAMS, Relation, column_masks, restrict_programs
+from .dowker import DowkerComplex, maximal_masks, connected_components, inconsistent_accept_sets
+from .errors import EmptyScreenError, InconsistentDiagramError, ValidationError
+from .relation import Relation, column_masks, restrict_programs
 from .util import canonical_dumps, facet_masks, popcount, submasks
 
 
@@ -98,10 +96,10 @@ def singleton_screen(rel: Relation) -> tuple[Relation, tuple[ScreenRemoval, ...]
 
 def _pick_deficient_region(diag: WeightedDiagram) -> int:
     """Largest deficient region; ties by larger deficiency, then ascending mask."""
-    regions = deficient_regions(diag)
+    shortfall = deficiency(diag)
     return min(
-        regions,
-        key=lambda mask: (-popcount(mask), -deficiency(diag, mask), mask),
+        np.flatnonzero(shortfall > 0).tolist(),
+        key=lambda mask: (-popcount(mask), -shortfall[mask], mask),
     )
 
 
@@ -112,10 +110,6 @@ def _pick_heaviest_facet(diag: WeightedDiagram, region: int) -> int:
 
 def distill(rel: Relation) -> DistillTrace:
     """Screen singletons, then drop one program per round until the diagram is consistent."""
-    if rel.m > MAX_PROGRAMS:
-        raise CapacityError(
-            f"{rel.m} programs exceed the {MAX_PROGRAMS}-program cap for distillation"
-        )
     current, removed = singleton_screen(rel)
     steps = []
     while True:
@@ -167,36 +161,28 @@ def inconsistency_scores(
     inputs.  ``pairs`` mode instead sweeps every nested pair of subsets and
     counts pairwise blame.
     """
-    if rel.m > MAX_PROGRAMS:
-        raise CapacityError(
-            f"{rel.m} programs exceed the {MAX_PROGRAMS}-program cap for the score sweep"
-        )
     if min_subset_size < 1:
         raise ValidationError("min_subset_size must be >= 1")
     if mode not in ("subset", "pairs"):
         raise ValidationError(f"unknown score mode {mode!r}")
-    scores = [0] * rel.n
+    # an input's score depends only on its accept-set: score each distinct one
+    masks, inverse, counts = np.unique(column_masks(rel), return_inverse=True, return_counts=True)
     swept = [
         mask for mask in range(1, 1 << rel.m) if popcount(mask) >= min_subset_size
     ]
+    hits = np.zeros(len(masks), dtype=np.int64)
     if mode == "subset":
-        for mask in swept:
-            for k in inconsistent_inputs(restrict_programs(rel, mask)):
-                scores[k] += 1
+        for sigma in swept:
+            hits += inconsistent_accept_sets(masks, counts, sigma)
     else:
-        diag = build_diagram(rel)
-        masks = column_masks(rel)
+        weights = region_weights(masks, rel.m, counts).tolist()
         for tau in swept:
             for sigma in submasks(tau):
-                if sigma == tau or diag.weights[sigma] <= diag.weights[tau]:
-                    continue
-                extra = tau & ~sigma
-                for k, mask in enumerate(masks):
-                    if mask & sigma == sigma and extra & ~mask:
-                        scores[k] += 1
+                if sigma != tau and weights[sigma] > weights[tau]:
+                    hits += pair_blame(masks, sigma, tau)
     return ScoreVector(
         inputs=rel.inputs,
-        scores=tuple(scores),
+        scores=tuple(hits[inverse].tolist()),
         swept=tuple(swept),
         min_subset_size=min_subset_size,
         mode=mode,
@@ -232,15 +218,13 @@ def select_inputs(
         raise InconsistentDiagramError(
             "the diagram is inconsistent; distill the relation before selecting inputs"
         )
-    masks = column_masks(rel)
-    kept = tuple(k for k, mask in enumerate(masks) if diag.weights[mask] >= threshold)
-    candidates = sorted({w for w in diag.weights if w > 0} | {threshold})
+    input_weights = diag.weights[column_masks(rel)]
+    kept = tuple(np.flatnonzero(input_weights >= threshold).tolist())
+    candidates = sorted(set(diag.weights[diag.weights > 0].tolist()) | {threshold})
     report = []
     for t in candidates:
-        excluded = sum(1 for mask in masks if diag.weights[mask] < t)
-        surviving = [
-            mask for mask in range(1, 1 << rel.m) if diag.weights[mask] >= t
-        ]
+        excluded = int((input_weights < t).sum())
+        surviving = (np.flatnonzero(diag.weights[1:] >= t) + 1).tolist()
         cpx = DowkerComplex(
             width=rel.m,
             labels=rel.programs,

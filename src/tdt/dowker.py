@@ -13,6 +13,16 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Mapping
 
+import numpy as np
+
+from .diagram import (
+    build_diagram,
+    heaviest_facet,
+    project_masks,
+    region_weights,
+    subset_or,
+    superset_or,
+)
 from .errors import CapacityError, ValidationError
 from .relation import MAX_PROGRAMS, Relation, column_masks
 from .util import bits, facet_masks, mask_of, popcount
@@ -105,17 +115,14 @@ class DowkerGraph:
 
 def build_complex(rel: Relation) -> DowkerComplex:
     """Faces = program subsets that jointly accept at least one input."""
-    if rel.m > MAX_PROGRAMS:
-        raise CapacityError(
-            f"{rel.m} programs exceed the {MAX_PROGRAMS}-program cap for complex construction"
-        )
-    masks = [mask for mask in column_masks(rel) if mask]
-    facets = maximal_masks(masks)
-    counts: dict[int, int] = {}
-    for mask in masks:
-        counts[mask] = counts.get(mask, 0) + 1
-    weights = {face: counts.get(face, 0) for face in _closure(facets)}
-    return DowkerComplex(width=rel.m, labels=rel.programs, facets=facets, weights=weights)
+    weights = build_diagram(rel).weights
+    facets = maximal_masks((np.flatnonzero(weights[1:]) + 1).tolist())
+    return DowkerComplex(
+        width=rel.m,
+        labels=rel.programs,
+        facets=facets,
+        weights={face: int(weights[face]) for face in _closure(facets)},
+    )
 
 
 def build_graph(cpx: DowkerComplex) -> DowkerGraph:
@@ -133,28 +140,44 @@ def build_graph(cpx: DowkerComplex) -> DowkerGraph:
     return DowkerGraph(width=cpx.width, labels=cpx.labels, nodes=nodes, edges=tuple(edges))
 
 
+def consistent_regions(weights: np.ndarray, m: int) -> np.ndarray:
+    """Per region of a weight vector: is it a face of the consistent core?
+
+    A bad tail is a face outweighed by a nonempty facet (an inconsistent
+    covering edge); the core is every face with no bad tail below it.
+    """
+    faces = superset_or(weights > 0, m)
+    faces[0] = False  # so no edge runs into the empty set
+    bad = faces & (heaviest_facet(weights * faces, m) > weights)
+    return faces & ~subset_or(bad, m)
+
+
 def consistent_core(graph: DowkerGraph) -> frozenset[int]:
     """Faces whose entire sub-face lattice contains no inconsistent covering edge.
 
     The result is closed under taking sub-faces; accept-sets outside it mark
     inconsistent inputs.
     """
-    bad_tails = {edge.tail for edge in graph.edges if not edge.consistent}
-    return frozenset(
-        face
-        for face in graph.nodes
-        if not any(bad & ~face == 0 for bad in bad_tails)
-    )
+    faces = np.fromiter(graph.nodes, np.int64, len(graph.nodes))
+    node_weights = np.fromiter(graph.nodes.values(), np.int64, len(graph.nodes))
+    weights = region_weights(faces, graph.width, node_weights)
+    return frozenset(np.flatnonzero(consistent_regions(weights, graph.width)).tolist())
+
+
+def inconsistent_accept_sets(masks: np.ndarray, counts: np.ndarray, sigma: int) -> np.ndarray:
+    """Per distinct accept-set (held by ``counts`` inputs each): is it inconsistent
+    in the relation restricted to the programs in ``sigma``?"""
+    restricted = project_masks(masks, sigma)
+    width = popcount(sigma)
+    core = consistent_regions(region_weights(restricted, width, counts), width)
+    return (restricted != 0) & ~core[restricted]
 
 
 def inconsistent_inputs(rel: Relation) -> set[int]:
     """Inputs whose nonempty accept-set lies outside the consistent core."""
-    core = consistent_core(build_graph(build_complex(rel)))
-    return {
-        k
-        for k, mask in enumerate(column_masks(rel))
-        if mask and mask not in core
-    }
+    masks, inverse, counts = np.unique(column_masks(rel), return_inverse=True, return_counts=True)
+    flags = inconsistent_accept_sets(masks, counts, (1 << rel.m) - 1)
+    return set(np.flatnonzero(flags[inverse]).tolist())
 
 
 def connected_components(cpx: DowkerComplex) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -227,28 +250,19 @@ def dual_complex(rel: Relation) -> DowkerComplex:
     order, labeled by a representative input); each program spans the face of
     the patterns it accepts.
     """
-    masks = column_masks(rel)
-    order: list[int] = []
-    label_of: dict[int, str] = {}
-    for k, mask in enumerate(masks):
-        if mask and mask not in label_of:
-            label_of[mask] = rel.inputs[k]
-            order.append(mask)
-    if len(order) > MAX_PROGRAMS:
+    accepted = np.flatnonzero(rel.accepts.any(axis=0))
+    patterns, first = np.unique(rel.accepts[:, accepted], axis=1, return_index=True)
+    order = np.argsort(first)
+    width = len(order)
+    if width > MAX_PROGRAMS:
         raise CapacityError(
-            f"{len(order)} distinct accept-sets exceed the {MAX_PROGRAMS}-vertex cap"
+            f"{width} distinct accept-sets exceed the {MAX_PROGRAMS}-vertex cap"
         )
-    index = {mask: i for i, mask in enumerate(order)}
-    program_faces = []
-    for j in range(rel.m):
-        face = mask_of(index[mask] for mask in order if mask >> j & 1)
-        if face:
-            program_faces.append(face)
-    facets = maximal_masks(program_faces)
+    program_faces = patterns[:, order].astype(np.int64) @ (1 << np.arange(width, dtype=np.int64))
     return DowkerComplex(
-        width=len(order),
-        labels=tuple(label_of[mask] for mask in order),
-        facets=facets,
+        width=width,
+        labels=tuple(rel.inputs[k] for k in accepted[first[order]].tolist()),
+        facets=maximal_masks(face for face in program_faces.tolist() if face),
         weights={},
     )
 

@@ -18,9 +18,9 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .dowker import inconsistent_inputs
+from .dowker import inconsistent_accept_sets
 from .errors import ValidationError
-from .relation import FeatureRelation, Relation, restrict_programs
+from .relation import FeatureRelation, Relation, column_masks, validate_mask
 from .util import canonical_dumps, mask_of
 
 
@@ -41,17 +41,16 @@ def relation_product(
     _check_alignment(rel, feats)
     if subset == 0:
         raise ValidationError("program subset must be nonempty")
-    inc = inconsistent_inputs(restrict_programs(rel, subset))
-    inc_rows = sorted(inc)
-    out = (
-        feats.has_feature[inc_rows].all(axis=0)
-        if inc_rows
-        else np.ones(feats.p, dtype=bool)
-    )
+    validate_mask(rel, subset)
+    masks, inverse, counts = np.unique(column_masks(rel), return_inverse=True, return_counts=True)
+    return _product(feats, inconsistent_accept_sets(masks, counts, subset)[inverse], strict)
+
+
+def _product(feats: FeatureRelation, inconsistent: np.ndarray, strict: bool) -> np.ndarray:
+    """Relation-product flags given each input's inconsistency (an empty ``all`` is true)."""
+    out = feats.has_feature[inconsistent].all(axis=0)
     if strict:
-        other_rows = [k for k in range(rel.n) if k not in inc]
-        if other_rows:
-            out = out & ~feats.has_feature[other_rows].any(axis=0)
+        out &= ~feats.has_feature[~inconsistent].any(axis=0)
     return out
 
 
@@ -83,6 +82,7 @@ def attribute_features(
     top = rel.m - 1 if max_removed is None else max_removed
     if top < 0 or top > rel.m - 1:
         raise ValidationError(f"max_removed must lie in 0..{rel.m - 1}")
+    masks, inverse, counts = np.unique(column_masks(rel), return_inverse=True, return_counts=True)
     product: dict[tuple[int, str], bool] = {}
     levels: dict[int, frozenset[str]] = {}
     strat: dict[str, int | None] = {name: None for name in feats.features}
@@ -90,7 +90,7 @@ def attribute_features(
         hits = np.ones(feats.p, dtype=bool)
         for combo in combinations(range(rel.m), rel.m - r):
             mask = mask_of(combo)
-            flags = relation_product(rel, feats, mask, strict=strict)
+            flags = _product(feats, inconsistent_accept_sets(masks, counts, mask)[inverse], strict)
             for i, name in enumerate(feats.features):
                 product[(mask, name)] = bool(flags[i])
             hits &= flags
@@ -102,17 +102,6 @@ def attribute_features(
     return FeatureAttribution(
         features=feats.features, product=product, levels=levels, stratification=strat
     )
-
-
-def feature_strata(
-    rel: Relation,
-    feats: FeatureRelation,
-    max_removed: int | None = None,
-    strict: bool = False,
-) -> tuple[dict[int, frozenset[str]], dict[str, int | None]]:
-    """Level sets and min-r stratification only (see attribute_features)."""
-    attribution = attribute_features(rel, feats, max_removed=max_removed, strict=strict)
-    return attribution.levels, attribution.stratification
 
 
 def variation_of_information(
@@ -189,17 +178,16 @@ def greedy_feature_pruning(
     steps: list[PruneStep] = []
     current = feats
     for _ in range(rounds):
-        _, strat_before = feature_strata(rel, current, max_removed=max_removed, strict=strict)
-        before = _strat_partition(strat_before)
+        before = _strat_partition(
+            attribute_features(rel, current, max_removed=max_removed, strict=strict).stratification
+        )
         best: tuple[float, int] | None = None
         for i, name in enumerate(feats.features):
             if name in removed:
                 continue
             candidate = _zero_columns(feats, removed | {name})
-            _, strat_after = feature_strata(
-                rel, candidate, max_removed=max_removed, strict=strict
-            )
-            vi = variation_of_information(before, _strat_partition(strat_after))
+            after = attribute_features(rel, candidate, max_removed=max_removed, strict=strict)
+            vi = variation_of_information(before, _strat_partition(after.stratification))
             if best is None or (vi, i) < best:
                 best = (vi, i)
         assert best is not None
@@ -218,13 +206,13 @@ def attribution_json(
     strict: bool = False,
     prune_rounds: int = 0,
 ) -> str:
-    levels, strat = feature_strata(rel, feats, max_removed=max_removed, strict=strict)
+    attribution = attribute_features(rel, feats, max_removed=max_removed, strict=strict)
     pruning = greedy_feature_pruning(
         rel, feats, prune_rounds, max_removed=max_removed, strict=strict
     )
     payload = {
-        "levels": {str(r): sorted(members) for r, members in levels.items()},
-        "stratification": {name: strat[name] for name in feats.features},
+        "levels": {str(r): sorted(members) for r, members in attribution.levels.items()},
+        "stratification": {name: attribution.stratification[name] for name in feats.features},
         "pruning": [{"removed": s.feature, "vi": s.vi} for s in pruning],
     }
     return canonical_dumps(payload)

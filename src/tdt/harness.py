@@ -21,7 +21,6 @@ from pathlib import Path
 
 from .errors import ConfigurationError, FormatError, ValidationError
 from .relation import Relation
-from .util import canonical_dumps
 
 POLICIES = ("stderr-empty", "exit-zero", "both")
 DEFAULT_STDERR_CAP = 64 * 1024
@@ -192,8 +191,15 @@ def run_corpus(cfg: RunConfig) -> tuple[Relation, list[RunResult]]:
                    key=lambda p: p.name)
     if not files:
         raise ConfigurationError(f"no corpus files match {cfg.glob!r} under {cfg.corpus!r}")
-    _resolve_commands(cfg)
     input_ids = [p.name for p in files]
+    # files are sorted by name, so colliding ids are adjacent
+    for name, following in zip(input_ids, input_ids[1:]):
+        if name == following:
+            raise ConfigurationError(
+                f"duplicate input identifier {name!r}: {cfg.glob!r} matches several "
+                f"files of that name under {cfg.corpus!r}"
+            )
+    _resolve_commands(cfg)
     jobs = [
         (ji, ki, spec, path)
         for ji, spec in enumerate(cfg.parsers)
@@ -294,10 +300,7 @@ def keyword_table(
     """Case-sensitive byte-substring keyword matches over each parser's captured stderr."""
     if not any(keywords_by_parser.values()):
         raise ValidationError("at least one parser needs a nonempty keyword list")
-    inputs: list[str] = []
-    for r in results:
-        if r.input not in inputs:
-            inputs.append(r.input)
+    inputs = list(dict.fromkeys(r.input for r in results))
     columns = [
         (parser, kw)
         for parser, kws in keywords_by_parser.items()
@@ -334,22 +337,3 @@ def run_summary(rel: Relation, results: list[RunResult]) -> str:
         lines.append(f"  {name}: accepted {accepted}/{rel.n}")
     return "\n".join(lines)
 
-
-def config_json(cfg: RunConfig) -> str:
-    payload = {
-        "parsers": [
-            {
-                "name": p.name,
-                "command": p.command,
-                "policy": p.policy,
-                "keywords": list(p.keywords),
-            }
-            for p in cfg.parsers
-        ],
-        "corpus": cfg.corpus,
-        "glob": cfg.glob,
-        "timeout_secs": cfg.timeout_secs,
-        "parallelism": cfg.parallelism,
-        "stderr_cap_bytes": cfg.stderr_cap_bytes,
-    }
-    return canonical_dumps(payload)

@@ -16,11 +16,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import FormatError, StatisticUndefinedError, ValidationError
+from .errors import CapacityError, FormatError, StatisticUndefinedError, ValidationError
 from .util import canonical_dumps, write_text
 
 # Analysis operations hold dense vectors over all 2^m program subsets, so the
-# program count is capped there (loading itself is not).
+# program count is capped where accept-set masks are formed (not at loading).
 MAX_PROGRAMS = 24
 
 
@@ -148,19 +148,17 @@ def names_from_mask(rel: Relation, mask: int) -> tuple[str, ...]:
     return tuple(rel.programs[j] for j in range(rel.m) if mask >> j & 1)
 
 
-def column_masks(rel: Relation) -> list[int]:
-    """Accept-set mask of every input, in input order."""
-    if rel.m > 62:  # wider than int64: fall back to Python ints
-        return [accept_set(rel, k) for k in range(rel.n)]
-    weights = 1 << np.arange(rel.m, dtype=np.int64)
-    return [int(v) for v in weights @ rel.accepts.astype(np.int64)]
-
-
-def accept_set(rel: Relation, k: int) -> int:
-    """Mask of the programs accepting input k."""
-    if not 0 <= k < rel.n:
-        raise ValidationError(f"input index {k} out of range for n={rel.n}")
-    return sum(1 << j for j in range(rel.m) if rel.accepts[j, k])
+def column_masks(rel: Relation) -> np.ndarray:
+    """Accept-set mask of every input, in input order (read-only int64; enforces the cap)."""
+    if rel.m > MAX_PROGRAMS:
+        raise CapacityError(
+            f"{rel.m} programs exceed the {MAX_PROGRAMS}-program cap for dense power-set analysis"
+        )
+    masks = np.zeros(rel.n, dtype=np.int64)
+    for j, row in enumerate(rel.accepts):
+        masks |= row.astype(np.int64) << j
+    masks.flags.writeable = False
+    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +273,10 @@ def _load_json(path) -> Relation:
             raise FormatError(f"{path}: missing field {field!r}")
         if not isinstance(payload[field], list):
             raise FormatError(f"{path}: field {field!r} must be an array")
+    for field in ("programs", "inputs"):
+        for i, value in enumerate(payload[field]):
+            if not isinstance(value, str):
+                raise FormatError(f"{path}: {field}[{i}] must be a string")
     programs = payload["programs"]
     inputs = payload["inputs"]
     rows = payload["rows"]
@@ -300,7 +302,7 @@ def relation_csv(rel: Relation) -> str:
     lines = ["input," + ",".join(rel.programs)]
     for k, name in enumerate(rel.inputs):
         cells = ",".join("1" if rel.accepts[j, k] else "0" for j in range(rel.m))
-        lines.append(f"{name},{cells}" if rel.m else name)
+        lines.append(f"{name},{cells}")
     return "\n".join(lines) + "\n"
 
 

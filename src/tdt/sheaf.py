@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .diagram import WeightedDiagram, build_diagram, is_consistent, project_diagram
 from .errors import ValidationError
 from .relation import Relation, names_from_mask, validate_mask
@@ -28,17 +30,10 @@ class SheafAssignment:
 
     def stalk(self, sigma: int) -> dict[int, int]:
         """Counts of inputs per acceptance pattern Z within sigma (keys are submasks of sigma)."""
-        self._check(sigma)
-        out = {z: 0 for z in submasks(sigma)}
-        for mask, w in enumerate(self.diagram.weights):
-            out[mask & sigma] += w
-        return out
-
-    def _check(self, sigma: int) -> None:
-        if sigma == 0:
-            raise ValidationError("sigma must be a nonempty program subset")
-        if sigma >> self.m:
-            raise ValidationError(f"mask {sigma:#x} sets bits outside the {self.m} programs")
+        counts = project_diagram(self.diagram, sigma).weights
+        # the submasks of sigma, ascending: the projection's region order
+        patterns = np.flatnonzero(np.arange(1 << self.m) & ~sigma == 0)
+        return dict(zip(patterns.tolist(), counts.tolist()))
 
 
 def build_assignment(rel: Relation) -> SheafAssignment:
@@ -61,7 +56,6 @@ def consistency_at(assignment: SheafAssignment, sigma: int) -> bool:
     The agreement clause is automatic for assignments built from a relation but
     is checked anyway, as the definition asks.
     """
-    assignment._check(sigma)
     stalk = assignment.stalk(sigma)
     full = (1 << assignment.m) - 1
     for j in bits(full & ~sigma):
@@ -83,7 +77,7 @@ def display_vector(rel: Relation, sigma: int) -> tuple[int, ...]:
     diag = build_diagram(rel)
     regions = [mask for mask in range(1, 1 << rel.m) if mask & sigma]
     regions.sort(key=lambda mask: (popcount(mask & sigma), popcount(mask), mask))
-    return tuple(diag.weights[mask] for mask in regions)
+    return tuple(diag.weights[regions].tolist())
 
 
 def stalk_json(rel: Relation, sigma: int) -> str:

@@ -45,6 +45,16 @@ def consistent_by_covers(weights: dict[int, int], m: int) -> bool:
     return True
 
 
+def deficient_by_covers(weights: dict[int, int], m: int) -> set[int]:
+    """Nonempty regions outweighed by one of their covering subsets."""
+    return {
+        big
+        for big in range(1, 1 << m)
+        for j in range(m)
+        if big >> j & 1 and weights[big & ~(1 << j)] > weights[big]
+    }
+
+
 def faces_of(rows: list[str]) -> set[int]:
     """Nonempty program subsets jointly accepting at least one input, downward closed."""
     cols = [c for c in masks_from_rows(rows) if c]

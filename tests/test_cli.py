@@ -257,3 +257,20 @@ def test_run_partial_failure_exits_one(tmp_path):
     assert code == 1
     # the partial store is preserved: the relation was still written
     assert out.exists()
+
+
+def test_demo_toy_script_runs():
+    import os
+    import subprocess
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "demo_toy.py")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (
+        "inconsistent files: ['f10', 'f13', 'f17', 'f18', 'f19', 'f20']" in proc.stdout
+    )

@@ -50,7 +50,7 @@ def test_distill_trio(trio_relation):
     assert len(trace.final_programs) == 1
     assert trace.final_programs[0] in ("A", "C")
     diag = build_diagram(trace.final_relation)
-    assert diag.weights == (7, 7)
+    assert tuple(diag.weights) == (7, 7)
     assert is_consistent(diag)
 
 

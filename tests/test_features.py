@@ -3,7 +3,7 @@ import pytest
 
 from tdt.errors import ValidationError
 from tdt.features import (
-    feature_strata,
+    attribute_features,
     greedy_feature_pruning,
     relation_product,
     variation_of_information,
@@ -47,7 +47,8 @@ def test_relation_product_alignment_check(toy_relation):
 
 
 def test_feature_strata_toy(toy_relation, toy_features):
-    levels, strat = feature_strata(toy_relation, toy_features)
+    attribution = attribute_features(toy_relation, toy_features)
+    levels, strat = attribution.levels, attribution.stratification
     assert levels[0] == frozenset({"x"})
     assert levels[1] == frozenset()
     assert levels[2] == frozenset()
@@ -56,7 +57,8 @@ def test_feature_strata_toy(toy_relation, toy_features):
 
 
 def test_feature_strata_truncated_sweep(toy_relation, toy_features):
-    levels, strat = feature_strata(toy_relation, toy_features, max_removed=1)
+    attribution = attribute_features(toy_relation, toy_features, max_removed=1)
+    levels, strat = attribution.levels, attribution.stratification
     assert set(levels) == {0, 1}
     assert strat == {"x": 0, "y": None, "z": None}
 
@@ -67,13 +69,14 @@ def test_feature_strata_all_consistent(graded_relation):
         features=("f0", "f1"),
         has_feature=np.zeros((graded_relation.n, 2), dtype=bool),
     )
-    levels, strat = feature_strata(graded_relation, feats)
+    attribution = attribute_features(graded_relation, feats)
+    levels, strat = attribution.levels, attribution.stratification
     assert levels[0] == frozenset({"f0", "f1"})
     assert strat == {"f0": 0, "f1": 0}
 
 
 def test_raw_levels_overlap_is_reported_not_asserted(toy_relation, toy_features):
-    levels, _ = feature_strata(toy_relation, toy_features)
+    levels = attribute_features(toy_relation, toy_features).levels
     overlaps = [
         (r, s)
         for r in levels
@@ -83,7 +86,7 @@ def test_raw_levels_overlap_is_reported_not_asserted(toy_relation, toy_features)
     if overlaps:
         print(f"note: raw attribution levels overlap at {overlaps}")
     # the stratification itself is a partition regardless
-    _, strat = feature_strata(toy_relation, toy_features)
+    strat = attribute_features(toy_relation, toy_features).stratification
     assert set(strat) == {"x", "y", "z"}
 
 
@@ -155,7 +158,7 @@ def test_pruning_first_removal_matches_exhaustive_search(toy_relation):
     )
 
     def partition(feature_rel):
-        _, strat = feature_strata(toy_relation, feature_rel)
+        strat = attribute_features(toy_relation, feature_rel).stratification
         blocks = {}
         for name, level in strat.items():
             blocks.setdefault(level, set()).add(name)
@@ -185,7 +188,6 @@ def test_pruning_round_bounds(toy_relation, toy_features):
 
 def test_attribution_product_table(toy_relation, toy_features):
     from tdt.dowker import inconsistent_inputs
-    from tdt.features import attribute_features
     from tdt.relation import restrict_programs
 
     attribution = attribute_features(toy_relation, toy_features)

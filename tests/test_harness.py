@@ -133,6 +133,37 @@ def test_unresolvable_command_fails_before_running(tmp_path):
         run_corpus(cfg)
 
 
+def test_duplicate_input_ids_fail_before_running(tmp_path, capsys):
+    from tdt.cli import main
+
+    corpus = tmp_path / "corpus"
+    for sub in ("a", "b"):
+        (corpus / sub).mkdir(parents=True)
+        (corpus / sub / "f1").write_text("x")
+    (corpus / "a" / "f2").write_text("y")
+    marker = tmp_path / "ran"
+    touch = f"import pathlib; pathlib.Path({str(marker)!r}).touch()"
+    cfg = RunConfig(
+        parsers=(ParserSpec(name="toucher", command=f'{sys.executable} -c "{touch}" {{input}}'),),
+        corpus=str(corpus),
+        glob="**/*",
+        timeout_secs=5,
+    )
+    with pytest.raises(ConfigurationError, match="'f1'"):
+        run_corpus(cfg)
+    assert not marker.exists()
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "parsers": [{"name": "toucher", "command": cfg.parsers[0].command}],
+        "corpus": str(corpus),
+        "glob": "**/*",
+        "timeout_secs": 5,
+    }))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "rel.json")]) == 2
+    assert "'f1'" in capsys.readouterr().err
+    assert not marker.exists()
+
+
 def test_missing_corpus_dir():
     cfg = RunConfig(
         parsers=(ParserSpec(name="ok", command=f"{sys.executable} -c pass {{input}}"),),

@@ -21,7 +21,6 @@ from tdt.errors import EmptyScreenError
 from tdt.features import relation_product, variation_of_information
 from tdt.relation import (
     FeatureRelation,
-    accept_set,
     column_masks,
     conditional_acceptance,
     load_relation,
@@ -31,6 +30,7 @@ from tdt.relation import (
 from tdt.sheaf import build_assignment, consistency_at, restrict_stalk
 
 from conftest import relation_from_masks
+from oracles import masks_from_rows
 
 COMMON = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -87,9 +87,12 @@ def test_restrict_composes_as_mask_intersection(rel, data):
 
 @COMMON
 @given(relations(min_n=1))
-def test_accept_set_matches_column_sums(rel):
-    for k in range(rel.n):
-        assert bin(accept_set(rel, k)).count("1") == int(rel.accepts[:, k].sum())
+def test_column_masks_match_column_sums(rel):
+    masks = column_masks(rel).tolist()
+    rows = ["".join("1" if v else "0" for v in row) for row in rel.accepts]
+    assert masks == masks_from_rows(rows)
+    for k, mask in enumerate(masks):
+        assert bin(mask).count("1") == int(rel.accepts[:, k].sum())
 
 
 @COMMON

@@ -6,7 +6,6 @@ import pytest
 from tdt.errors import FormatError, StatisticUndefinedError, ValidationError
 from tdt.relation import (
     Relation,
-    accept_set,
     acceptance_rates,
     column_masks,
     conditional_acceptance,
@@ -21,8 +20,8 @@ from tdt.relation import (
     save_relation,
 )
 
-from conftest import TRIO_ROWS, relation_from_masks, relation_from_rows
-from oracles import region_weights
+from conftest import TOY_ROWS, TRIO_ROWS, relation_from_masks, relation_from_rows
+from oracles import masks_from_rows, region_weights
 
 
 def test_load_json_trio(tmp_path, trio_relation):
@@ -66,6 +65,27 @@ def test_load_json_names_offending_row(tmp_path):
         load_relation(path)
 
 
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"programs": [1, 2], "inputs": ["f1"], "rows": ["1", "0"]}, r"programs\[0\]"),
+        ({"programs": ["A"], "inputs": ["f1", {"id": 2}], "rows": ["10"]}, r"inputs\[1\]"),
+    ],
+    ids=["int-programs", "object-inputs"],
+)
+def test_load_json_rejects_non_string_ids(tmp_path, capsys, payload, field):
+    from tdt.cli import main
+
+    path = tmp_path / "rel.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FormatError, match=field):
+        load_relation(path)
+    weights = tmp_path / "w.json"
+    assert main(["analyze", str(path), "--weights", str(weights)]) == 2
+    assert "must be a string" in capsys.readouterr().err
+    assert not weights.exists()
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_round_trip(tmp_path, toy_relation, fmt):
     path = tmp_path / f"rel.{fmt}"
@@ -94,7 +114,7 @@ def test_restrict_inputs_picks_inconsistent_cols(toy_relation):
     sub = restrict_inputs(toy_relation, {9, 12, 16, 17, 18, 19})
     assert sub.n == 6
     assert sub.programs == toy_relation.programs
-    assert column_masks(sub) == [0b0101, 0b0110, 0b1101, 0b1101, 0b1101, 0b1101]
+    assert column_masks(sub).tolist() == [0b0101, 0b0110, 0b1101, 0b1101, 0b1101, 0b1101]
 
 
 def test_restrict_inputs_identity_and_empty(toy_relation):
@@ -103,17 +123,23 @@ def test_restrict_inputs_identity_and_empty(toy_relation):
     assert emptied.n == 0 and emptied.m == 4
 
 
-def test_accept_set(toy_relation):
-    assert accept_set(toy_relation, 9) == mask_from_names(toy_relation, ["A", "C"])
-    assert accept_set(toy_relation, 5) == mask_from_names(toy_relation, ["D"])
+def test_column_masks_match_oracle(toy_relation):
+    masks = column_masks(toy_relation)
+    assert masks.dtype == np.int64
+    assert masks.tolist() == masks_from_rows(list(TOY_ROWS))
+    assert masks[9] == mask_from_names(toy_relation, ["A", "C"])
+    assert masks[5] == mask_from_names(toy_relation, ["D"])
     zero = relation_from_masks([0], m=2)
-    assert accept_set(zero, 0) == 0
+    assert column_masks(zero).tolist() == masks_from_rows(["0", "0"]) == [0]
+    with pytest.raises(ValueError):
+        masks[0] = 0
 
 
-def test_accept_set_popcount_matches_column_sum(toy_relation):
-    for k in range(toy_relation.n):
-        popcount = bin(accept_set(toy_relation, k)).count("1")
-        assert popcount == int(toy_relation.accepts[:, k].sum())
+def test_column_masks_popcount_matches_column_sum(toy_relation):
+    masks = column_masks(toy_relation).tolist()
+    assert masks == masks_from_rows(list(TOY_ROWS))
+    for k, mask in enumerate(masks):
+        assert bin(mask).count("1") == int(toy_relation.accepts[:, k].sum())
 
 
 def test_acceptance_rates(trio_relation):
