@@ -5,6 +5,19 @@ weighted Venn diagram and Dowker complex, find the consistent core, score and
 distill away inconsistency, and attribute what remains to input features.
 """
 
+import os
+
+# tdt makes no BLAS calls (its only matrix products are int64, which numpy
+# computes without BLAS), so OpenBLAS's worker thread would only spin at load.
+# OpenBLAS reads the variable once, when numpy loads it; removing it again
+# leaves the environment that parsers and other children inherit unchanged.
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .classify import (
     ClassifierReport,
     GroundTruth,

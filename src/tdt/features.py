@@ -71,6 +71,34 @@ class FeatureAttribution:
     stratification: dict[str, int | None]
 
 
+def _top_level(rel: Relation, max_removed: int | None) -> int:
+    top = rel.m - 1 if max_removed is None else max_removed
+    if top < 0 or top > rel.m - 1:
+        raise ValidationError(f"max_removed must lie in 0..{rel.m - 1}")
+    return top
+
+
+def _sweep(rel: Relation, feats: FeatureRelation, top: int, strict: bool):
+    """Yield (r, mask, flags, clean) for every subset of size m - r, r = 0..top.
+
+    ``clean`` says no input is inconsistent under the subset: it is the flag of
+    a feature that no input carries.
+    """
+    masks, inverse, counts = np.unique(column_masks(rel), return_inverse=True, return_counts=True)
+    for r in range(top + 1):
+        for combo in combinations(range(rel.m), rel.m - r):
+            mask = mask_of(combo)
+            inconsistent = inconsistent_accept_sets(masks, counts, mask)[inverse]
+            yield r, mask, _product(feats, inconsistent, strict), not inconsistent.any()
+
+
+def _stratify(features: tuple[str, ...], hits: np.ndarray) -> dict[str, int | None]:
+    """Each feature's first level (row of ``hits``) that flags it, or None."""
+    reached = hits.any(axis=0)
+    first = hits.argmax(axis=0)
+    return {name: int(first[i]) if reached[i] else None for i, name in enumerate(features)}
+
+
 def attribute_features(
     rel: Relation,
     feats: FeatureRelation,
@@ -79,28 +107,19 @@ def attribute_features(
 ) -> FeatureAttribution:
     """Sweep the relation product over every subset of size m-r for r = 0..max_removed."""
     _check_alignment(rel, feats)
-    top = rel.m - 1 if max_removed is None else max_removed
-    if top < 0 or top > rel.m - 1:
-        raise ValidationError(f"max_removed must lie in 0..{rel.m - 1}")
-    masks, inverse, counts = np.unique(column_masks(rel), return_inverse=True, return_counts=True)
+    top = _top_level(rel, max_removed)
     product: dict[tuple[int, str], bool] = {}
-    levels: dict[int, frozenset[str]] = {}
-    strat: dict[str, int | None] = {name: None for name in feats.features}
-    for r in range(top + 1):
-        hits = np.ones(feats.p, dtype=bool)
-        for combo in combinations(range(rel.m), rel.m - r):
-            mask = mask_of(combo)
-            flags = _product(feats, inconsistent_accept_sets(masks, counts, mask)[inverse], strict)
-            for i, name in enumerate(feats.features):
-                product[(mask, name)] = bool(flags[i])
-            hits &= flags
-        members = frozenset(feats.features[i] for i in np.flatnonzero(hits))
-        levels[r] = members
-        for name in members:
-            if strat[name] is None:
-                strat[name] = r
+    hits = np.ones((top + 1, feats.p), dtype=bool)
+    for r, mask, flags, _ in _sweep(rel, feats, top, strict):
+        for i, name in enumerate(feats.features):
+            product[(mask, name)] = bool(flags[i])
+        hits[r] &= flags
     return FeatureAttribution(
-        features=feats.features, product=product, levels=levels, stratification=strat
+        features=feats.features,
+        product=product,
+        levels={r: frozenset(feats.features[i] for i in np.flatnonzero(row))
+                for r, row in enumerate(hits)},
+        stratification=_stratify(feats.features, hits),
     )
 
 
@@ -143,14 +162,6 @@ def _strat_partition(strat: dict[str, int | None]) -> list[set[str]]:
     return [blocks[key] for key in sorted(blocks, key=lambda v: (v is None, v))]
 
 
-def _zero_columns(feats: FeatureRelation, names: set[str]) -> FeatureRelation:
-    matrix = feats.has_feature.copy()
-    for i, name in enumerate(feats.features):
-        if name in names:
-            matrix[:, i] = False
-    return FeatureRelation(inputs=feats.inputs, features=feats.features, has_feature=matrix)
-
-
 @dataclass(frozen=True)
 class PruneStep:
     feature: str
@@ -174,28 +185,36 @@ def greedy_feature_pruning(
     _check_alignment(rel, feats)
     if rounds < 0 or rounds > feats.p:
         raise ValidationError(f"rounds must lie in 0..{feats.p}")
-    removed: set[str] = set()
+    if rounds == 0:
+        return ()
+    top = _top_level(rel, max_removed)
+    # The relation product is computed column by column, and a zeroed column's
+    # flag under a subset is that subset's ``clean`` flag, so one sweep gives
+    # every candidate's levels.
+    hits = np.ones((top + 1, feats.p), dtype=bool)
+    clean = np.ones((top + 1, 1), dtype=bool)
+    for r, _, flags, ok in _sweep(rel, feats, top, strict):
+        hits[r] &= flags
+        clean[r] &= ok
+
+    def partition(zeroed: np.ndarray) -> list[set[str]]:
+        return _strat_partition(_stratify(feats.features, np.where(zeroed, clean, hits)))
+
+    zeroed = np.zeros(feats.p, dtype=bool)
     steps: list[PruneStep] = []
-    current = feats
     for _ in range(rounds):
-        before = _strat_partition(
-            attribute_features(rel, current, max_removed=max_removed, strict=strict).stratification
-        )
+        before = partition(zeroed)
         best: tuple[float, int] | None = None
-        for i, name in enumerate(feats.features):
-            if name in removed:
-                continue
-            candidate = _zero_columns(feats, removed | {name})
-            after = attribute_features(rel, candidate, max_removed=max_removed, strict=strict)
-            vi = variation_of_information(before, _strat_partition(after.stratification))
+        for i in np.flatnonzero(~zeroed).tolist():
+            candidate = zeroed.copy()
+            candidate[i] = True
+            vi = variation_of_information(before, partition(candidate))
             if best is None or (vi, i) < best:
                 best = (vi, i)
         assert best is not None
         vi, index = best
-        name = feats.features[index]
-        removed.add(name)
-        current = _zero_columns(feats, removed)
-        steps.append(PruneStep(feature=name, vi=vi))
+        zeroed[index] = True
+        steps.append(PruneStep(feature=feats.features[index], vi=vi))
     return tuple(steps)
 
 

@@ -10,6 +10,7 @@ at any parallelism level.
 from __future__ import annotations
 
 import json
+import math
 import shlex
 import shutil
 import subprocess
@@ -54,8 +55,9 @@ class RunConfig:
                 raise ValidationError(f"parser {p.name!r}: unknown policy {p.policy!r}")
             if "{input}" not in p.command:
                 raise ValidationError(f"parser {p.name!r}: command lacks an {{input}} placeholder")
-        if self.timeout_secs <= 0:
-            raise ValidationError("timeout_secs must be > 0")
+        # JSON's NaN and Infinity parse as floats that no timer accepts
+        if not 0 < self.timeout_secs < math.inf:
+            raise ValidationError("timeout_secs must be a finite number > 0")
         if self.parallelism < 1:
             raise ValidationError("parallelism must be >= 1")
         if self.stderr_cap_bytes < 0:
@@ -75,6 +77,26 @@ class RunResult:
     error: str | None = None  # launch-level diagnostic, if any
 
 
+_MISSING = object()
+
+
+def _field(path, record: dict, key: str, kinds: tuple, expected: str, default=_MISSING,
+           where: str = ""):
+    """``record[key]`` if it is one of ``kinds``, else a FormatError naming the field.
+
+    A JSON true/false is a bool, which Python counts as an int: it passes only
+    where ``kinds`` lists bool.
+    """
+    if key not in record:
+        if default is _MISSING:
+            raise FormatError(f"{path}: {where}missing field {key!r}")
+        return default
+    value = record[key]
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise FormatError(f"{path}: {where}field {key!r} must be {expected}, got {value!r}")
+    return value
+
+
 def load_run_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -84,25 +106,36 @@ def load_run_config(path) -> RunConfig:
     if not isinstance(payload, dict) or "parsers" not in payload or "corpus" not in payload:
         raise FormatError(f"{path}: expected an object with 'parsers' and 'corpus'")
     parsers = []
-    for i, entry in enumerate(payload["parsers"]):
+    for i, entry in enumerate(_field(path, payload, "parsers", (list,), "an array")):
         if not isinstance(entry, dict) or "name" not in entry or "command" not in entry:
             raise FormatError(f"{path}: parsers[{i}] needs 'name' and 'command'")
+        where = f"parsers[{i}]: "
+        keywords = _field(path, entry, "keywords", (list,), "a list of strings", [], where)
+        if not all(isinstance(kw, str) for kw in keywords):
+            raise FormatError(
+                f"{path}: {where}field 'keywords' must be a list of strings, got {keywords!r}"
+            )
         parsers.append(
             ParserSpec(
-                name=entry["name"],
-                command=entry["command"],
-                policy=entry.get("policy", "stderr-empty"),
-                keywords=tuple(entry.get("keywords", [])),
+                name=_field(path, entry, "name", (str,), "a string", where=where),
+                command=_field(path, entry, "command", (str,), "a string", where=where),
+                policy=_field(path, entry, "policy", (str,), "a string", "stderr-empty", where),
+                keywords=tuple(keywords),
             )
         )
-    return RunConfig(
-        parsers=tuple(parsers),
-        corpus=payload["corpus"],
-        glob=payload.get("glob", "*"),
-        timeout_secs=payload.get("timeout_secs", 30.0),
-        parallelism=payload.get("parallelism", 1),
-        stderr_cap_bytes=payload.get("stderr_cap_bytes", DEFAULT_STDERR_CAP),
-    )
+    try:
+        return RunConfig(
+            parsers=tuple(parsers),
+            corpus=_field(path, payload, "corpus", (str,), "a string"),
+            glob=_field(path, payload, "glob", (str,), "a string", "*"),
+            timeout_secs=_field(path, payload, "timeout_secs", (int, float), "a number", 30.0),
+            parallelism=_field(path, payload, "parallelism", (int,), "an integer", 1),
+            stderr_cap_bytes=_field(
+                path, payload, "stderr_cap_bytes", (int,), "an integer", DEFAULT_STDERR_CAP
+            ),
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _resolve_commands(cfg: RunConfig) -> None:
@@ -260,17 +293,29 @@ def load_results_jsonl(path) -> list[RunResult]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}: line {lineno}: {exc.msg}") from None
+            if not isinstance(rec, dict):
+                raise FormatError(f"{path}: line {lineno}: expected an object")
+
+            def get(key, kinds, expected, default=_MISSING):
+                return _field(path, rec, key, kinds, expected, default, f"line {lineno}: ")
+
+            try:
+                stderr = get("stderr", (str,), "a string").encode("latin-1")
+            except UnicodeEncodeError:
+                raise FormatError(
+                    f"{path}: line {lineno}: field 'stderr' holds characters beyond latin-1"
+                ) from None
             out.append(
                 RunResult(
-                    parser=rec["parser"],
-                    input=rec["input"],
-                    accept=rec["accept"],
-                    exit_status=rec["exit_status"],
-                    timed_out=rec["timed_out"],
-                    stderr=rec["stderr"].encode("latin-1"),
-                    truncated=rec["truncated"],
-                    wall_time=rec["wall_time"],
-                    error=rec.get("error"),
+                    parser=get("parser", (str,), "a string"),
+                    input=get("input", (str,), "a string"),
+                    accept=get("accept", (bool,), "a boolean"),
+                    exit_status=get("exit_status", (int, type(None)), "an integer or null"),
+                    timed_out=get("timed_out", (bool,), "a boolean"),
+                    stderr=stderr,
+                    truncated=get("truncated", (bool,), "a boolean"),
+                    wall_time=get("wall_time", (int, float), "a number"),
+                    error=get("error", (str, type(None)), "a string or null", None),
                 )
             )
     return out

@@ -289,11 +289,15 @@ def _load_json(path) -> Relation:
     for j, row in enumerate(rows):
         if not isinstance(row, str) or len(row) != n:
             raise FormatError(f"{path}: rows[{j}] must be a string of length {n}")
-        for k, cell in enumerate(row):
-            if cell == "1":
-                matrix[j, k] = True
-            elif cell != "0":
-                raise FormatError(f"{path}: rows[{j}][{k}] is {cell!r}, expected '0' or '1'")
+        # one code point per cell; surrogatepass keeps a lone surrogate (which
+        # json.load accepts) a bad cell instead of an encoding error
+        codes = np.frombuffer(row.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        ones = codes == ord("1")
+        bad = np.flatnonzero(~ones & (codes != ord("0")))
+        if bad.size:
+            k = int(bad[0])
+            raise FormatError(f"{path}: rows[{j}][{k}] is {row[k]!r}, expected '0' or '1'")
+        matrix[j] = ones
     return Relation(programs=tuple(programs), inputs=tuple(inputs), accepts=matrix)
 
 

@@ -17,6 +17,15 @@ def masks_from_rows(rows: list[str]) -> list[int]:
     ]
 
 
+def first_bad_cell(rows: list[str]) -> tuple[int, int, str] | None:
+    """(row, column, cell) of the first cell, row by row, that is not '0' or '1'."""
+    for j, row in enumerate(rows):
+        for k, cell in enumerate(row):
+            if cell not in ("0", "1"):
+                return j, k, cell
+    return None
+
+
 def region_weights(rows: list[str]) -> dict[int, int]:
     """Exact region weight of every program subset, by direct recount."""
     m = len(rows)

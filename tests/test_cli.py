@@ -1,10 +1,13 @@
 import json
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
 from tdt.cli import main
+from tdt.errors import FormatError
+from tdt.harness import load_run_config
 from tdt.relation import load_relation, save_relation
 
 DATA = Path(__file__).parent / "data"
@@ -80,6 +83,59 @@ def test_run_missing_corpus(tmp_path, capsys):
     out = tmp_path / "rel.json"
     code = main(["run", "--config", str(path), "--out", str(out)])
     assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"parsers": 5}, "'parsers'"),
+        ({"timeout_secs": "30"}, "'timeout_secs'"),
+        ({"parallelism": 2.5}, "'parallelism'"),
+        ({"parallelism": True}, "'parallelism'"),
+        ({"stderr_cap_bytes": "64"}, "'stderr_cap_bytes'"),
+        ({"corpus": 7}, "'corpus'"),
+        ({"glob": ["f*"]}, "'glob'"),
+        ({"keywords": "parse error"}, "'keywords'"),
+        ({"keywords": ["parse error", 3]}, "'keywords'"),
+    ],
+    ids=["parsers-int", "timeout-str", "parallelism-float", "parallelism-bool",
+         "stderr-cap-str", "corpus-int", "glob-list", "keywords-str", "keywords-int-item"],
+)
+def test_run_rejects_mistyped_config_field(tmp_path, capsys, change, field):
+    cfg = {
+        "parsers": [{"name": "A", "command": f"{sys.executable} -c pass {{input}}"}],
+        "corpus": str(DATA / "corpus14"),
+    }
+    if "keywords" in change:
+        cfg["parsers"][0]["keywords"] = change["keywords"]
+    else:
+        cfg.update(change)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: .*{field}"):
+        load_run_config(path)
+    out = tmp_path / "rel.json"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and field in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("timeout", [0, float("nan"), float("inf")], ids=["zero", "nan", "inf"])
+def test_run_rejects_timeout_out_of_range(tmp_path, capsys, timeout):
+    cfg = {
+        "parsers": [{"name": "A", "command": f"{sys.executable} -c pass {{input}}"}],
+        "corpus": str(DATA / "corpus14"),
+        "timeout_secs": timeout,
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "rel.json"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: timeout_secs must be a finite number > 0\n"
+    )
     assert not out.exists()
 
 
@@ -274,3 +330,24 @@ def test_demo_toy_script_runs():
     assert (
         "inconsistent files: ['f10', 'f13', 'f17', 'f18', 'f19', 'f20']" in proc.stdout
     )
+
+
+def test_demo_harness_script_runs(tmp_path):
+    import os
+    import subprocess
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    # the demo keeps its scratch directory, so give it one that pytest removes
+    env["TMPDIR"] = str(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "demo_harness.py")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ran 3 parsers over 14 inputs (42 invocations, 0 timeouts" in proc.stdout
+    assert "surviving programs: C" in proc.stdout
+    scratch = Path(proc.stdout.strip().splitlines()[-1].removeprefix("artifacts in "))
+    assert scratch.parent == tmp_path
+    assert load_relation(scratch / "relation.json").n == 14

@@ -197,3 +197,72 @@ def test_attribution_product_table(toy_relation, toy_features):
     for (mask, name), flag in attribution.product.items():
         if not inconsistent_inputs(restrict_programs(toy_relation, mask)):
             assert flag is True
+
+
+def _reference_pruning(rel, feats, rounds, max_removed, strict):
+    """Greedy pruning by a full attribute_features sweep per candidate and round."""
+
+    def partition(columns):
+        strat = attribute_features(rel, columns, max_removed=max_removed, strict=strict)
+        blocks = {}
+        for name, level in strat.stratification.items():
+            blocks.setdefault(level, set()).add(name)
+        return [blocks[key] for key in sorted(blocks, key=lambda v: (v is None, v))]
+
+    def blank(names):
+        matrix = feats.has_feature.copy()
+        for i, name in enumerate(feats.features):
+            if name in names:
+                matrix[:, i] = False
+        return FeatureRelation(inputs=feats.inputs, features=feats.features, has_feature=matrix)
+
+    removed, steps = set(), []
+    for _ in range(rounds):
+        before = partition(blank(removed))
+        vi, index = min(
+            (variation_of_information(before, partition(blank(removed | {name}))), i)
+            for i, name in enumerate(feats.features)
+            if name not in removed
+        )
+        removed.add(feats.features[index])
+        steps.append((feats.features[index], vi))
+    return steps
+
+
+def test_pruning_and_attribution_match_reference_sweeps():
+    import random
+
+    from tdt.features import relation_product
+
+    from conftest import relation_from_masks
+
+    rng = random.Random(11)
+    for _ in range(40):
+        m, n, p = rng.randint(2, 6), rng.randint(1, 24), rng.randint(1, 5)
+        density = rng.choice((0.3, 0.6, 0.9))
+        rel = relation_from_masks(
+            [sum(1 << j for j in range(m) if rng.random() < density) for _ in range(n)], m=m
+        )
+        feats = FeatureRelation(
+            inputs=rel.inputs,
+            features=tuple(f"k{i}" for i in range(p)),
+            has_feature=np.array([[rng.random() < 0.5 for _ in range(p)] for _ in range(n)]),
+        )
+        max_removed = rng.choice((None, rng.randrange(m)))
+        strict = rng.random() < 0.5
+        steps = greedy_feature_pruning(rel, feats, p, max_removed=max_removed, strict=strict)
+        assert [(s.feature, s.vi) for s in steps] == _reference_pruning(
+            rel, feats, p, max_removed, strict
+        )
+        attribution = attribute_features(rel, feats, max_removed=max_removed, strict=strict)
+        top = m - 1 if max_removed is None else max_removed
+        for r in range(top + 1):
+            level = np.ones(p, dtype=bool)
+            for mask in range(1, 1 << m):
+                if bin(mask).count("1") == m - r:
+                    flags = relation_product(rel, feats, mask, strict=strict)
+                    assert [attribution.product[(mask, f"k{i}")] for i in range(p)] == (
+                        flags.tolist()
+                    )
+                    level &= flags
+            assert attribution.levels[r] == {f"k{i}" for i in np.flatnonzero(level)}

@@ -4,10 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from tdt.errors import ConfigurationError, ValidationError
+from tdt.errors import ConfigurationError, FormatError, ValidationError
 from tdt.harness import (
     ParserSpec,
     RunConfig,
+    RunResult,
     keyword_table,
     keyword_table_csv,
     load_results_jsonl,
@@ -240,6 +241,26 @@ def test_results_jsonl_reload(tmp_path, pattern_run):
     assert [(r.parser, r.input, r.accept, r.stderr) for r in reloaded] == [
         (r.parser, r.input, r.accept, r.stderr) for r in results
     ]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rec: rec.pop("timed_out"), r"line 2: missing field 'timed_out'"),
+        (lambda rec: rec.update(stderr=5), r"line 2: field 'stderr' must be a string, got 5"),
+    ],
+    ids=["missing-key", "numeric-stderr"],
+)
+def test_results_jsonl_rejects_malformed_record(tmp_path, edit, message):
+    result = RunResult(parser="A", input="f1", accept=False, exit_status=1, timed_out=False,
+                       stderr=b"parse error", truncated=False, wall_time=0.5)
+    good, bad = results_jsonl([result, result]).splitlines()
+    rec = json.loads(bad)
+    edit(rec)
+    path = tmp_path / "results.jsonl"
+    path.write_text(good + "\n" + json.dumps(rec) + "\n")
+    with pytest.raises(FormatError, match=message):
+        load_results_jsonl(path)
 
 
 def test_keyword_table(pattern_run):

@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from tdt.relation import (
     save_relation,
 )
 
-from conftest import TOY_ROWS, TRIO_ROWS, relation_from_masks, relation_from_rows
-from oracles import masks_from_rows, region_weights
+from conftest import TOY_ROWS, TRIO_ROWS, program_names, relation_from_masks, relation_from_rows
+from oracles import first_bad_cell, masks_from_rows, region_weights
 
 
 def test_load_json_trio(tmp_path, trio_relation):
@@ -84,6 +85,57 @@ def test_load_json_rejects_non_string_ids(tmp_path, capsys, payload, field):
     assert main(["analyze", str(path), "--weights", str(weights)]) == 2
     assert "must be a string" in capsys.readouterr().err
     assert not weights.exists()
+
+
+# Bad cells the row check must report: a lone surrogate (json.load accepts
+# "\\ud800"; no low surrogate here, which json.load would pair with it),
+# look-alike digits, an astral code point, control and ASCII junk.
+BAD_CELLS = ("\ud800", "\uff11", "\u0660", "\U0001f600", "\x00", " ", "2", "x")
+
+
+def test_load_json_matches_per_cell_oracle(tmp_path, capsys):
+    from tdt.cli import main
+
+    rng = random.Random(20)
+    path = tmp_path / "rel.json"
+    for case in range(150):
+        m, n = rng.randint(1, 5), rng.choice((0, 1, 2, rng.randint(3, 40)))
+        rows = ["".join(rng.choice("01") for _ in range(n)) for _ in range(m)]
+        if n and case % 5:
+            for _ in range(rng.randint(1, 3)):
+                j, k = rng.randrange(m), rng.randrange(n)
+                rows[j] = rows[j][:k] + rng.choice(BAD_CELLS) + rows[j][k + 1:]
+        payload = {"programs": list(program_names(m)),
+                   "inputs": [f"i{k}" for k in range(n)], "rows": rows}
+        path.write_text(json.dumps(payload))
+        bad = first_bad_cell(rows)
+        if bad is None:
+            rel = load_relation(path)
+            assert rel.accepts.shape == (m, n)
+            assert column_masks(rel).tolist() == masks_from_rows(rows)
+            continue
+        j, k, cell = bad
+        message = f"{path}: rows[{j}][{k}] is {cell!r}, expected '0' or '1'"
+        with pytest.raises(FormatError) as excinfo:
+            load_relation(path)
+        assert str(excinfo.value) == message
+        if case % 10 == 1:
+            assert main(["analyze", str(path)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_load_json_rejects_wrong_length_row(tmp_path, capsys):
+    from tdt.cli import main
+
+    path = tmp_path / "rel.json"
+    path.write_text(json.dumps({"programs": ["A", "B"], "inputs": ["f1", "f2"],
+                                "rows": ["10", "1"]}))
+    message = f"{path}: rows[1] must be a string of length 2"
+    with pytest.raises(FormatError) as excinfo:
+        load_relation(path)
+    assert str(excinfo.value) == message
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
