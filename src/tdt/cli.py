@@ -166,10 +166,10 @@ def cmd_analyze(args) -> int:
         write_text(args.dot, graph_dot(graph))
     if args.inconsistent:
         write_text(args.inconsistent, canonical_dumps([rel.inputs[k] for k in inconsistent]))
-    red = sum(1 for e in graph.edges if not e.consistent)
+    red = int(graph.consistent.size - graph.consistent.sum())
     print(
         f"{rel.m} programs, {rel.n} inputs: "
-        f"{len(graph.nodes)} faces, {red} inconsistent edges, "
+        f"{len(graph.faces)} faces, {red} inconsistent edges, "
         f"{len(core)} faces in the consistent core, "
         f"{len(inconsistent)} inconsistent inputs"
     )

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .relation import Relation, column_masks, names_from_mask, validate_mask
+from .relation import Relation, column_masks, validate_mask
 from .util import bits, canonical_dumps, popcount
 
 
@@ -78,6 +78,41 @@ def subset_or(flags: np.ndarray, m: int) -> np.ndarray:
         lower, upper = _halves(out, j)
         upper |= lower
     return out
+
+
+def any_cover(flags: np.ndarray, m: int) -> np.ndarray:
+    """Per region: is the flag set on some region with one more program?"""
+    out = np.zeros_like(flags)
+    for j in range(m):
+        lower, _ = _halves(out, j)
+        _, upper = _halves(flags, j)
+        lower |= upper
+    return out
+
+
+def region_sizes(m: int) -> np.ndarray:
+    """Per region, its number of programs (uint8)."""
+    out = np.zeros(1 << m, dtype=np.uint8)
+    for j in range(m):
+        _, upper = _halves(out, j)
+        upper += 1
+    return out
+
+
+def subset_labels(names: Sequence[str], masks: np.ndarray, order: Sequence[int]) -> dict[int, str]:
+    """Label of each mask: its programs' names comma-joined in ``order`` ('' for 0).
+
+    ``masks`` holds nonempty masks in (size, mask) order, closed under dropping a
+    program down to the empty set, so each label extends one built before it.
+    """
+    last = np.zeros_like(masks)
+    for j in order:
+        last[masks >> j & 1 == 1] = j
+    text = {0: ""}
+    for mask, j in zip(masks.tolist(), last.tolist()):
+        rest = text[mask & ~(1 << j)]
+        text[mask] = f"{rest},{names[j]}" if rest else names[j]
+    return text
 
 
 def heaviest_facet(weights: np.ndarray, m: int) -> np.ndarray:
@@ -164,23 +199,19 @@ def pair_inconsistent_inputs(rel: Relation, sigma: int, tau: int) -> set[int]:
     return set(np.flatnonzero(pair_blame(masks, sigma, tau)).tolist())
 
 
-def subset_label(names: Sequence[str]) -> str:
-    """Stable text key for a program subset: sorted names, comma-joined ('' for the empty set)."""
-    return ",".join(sorted(names))
-
-
 def diagram_report(rel: Relation, diag: WeightedDiagram | None = None) -> str:
-    """Canonical JSON report: every region weight, the deficient regions, the verdict."""
+    """Canonical JSON report: every region weight, the deficient regions, the verdict.
+
+    A region's key is its program names, sorted and comma-joined ('' for the empty set).
+    """
     if diag is None:
         diag = build_diagram(rel)
-    weights = {
-        subset_label(names_from_mask(rel, mask)): w
-        for mask, w in enumerate(diag.weights.tolist())
-    }
-    deficient = [
-        subset_label(names_from_mask(rel, mask))
-        for mask in sorted(deficient_regions(diag), key=lambda m_: (popcount(m_), m_))
-    ]
+    regions = np.argsort(region_sizes(diag.m), kind="stable")  # by (size, mask)
+    labels = subset_labels(
+        rel.programs, regions[1:], sorted(range(rel.m), key=rel.programs.__getitem__)
+    )
+    weights = {labels[mask]: w for mask, w in enumerate(diag.weights.tolist())}
+    deficient = [labels[mask] for mask in regions[deficiency(diag)[regions] > 0].tolist()]
     payload = {
         "weights": weights,
         "deficient": deficient,

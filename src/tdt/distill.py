@@ -23,10 +23,10 @@ from .diagram import (
     pair_blame,
     region_weights,
 )
-from .dowker import DowkerComplex, maximal_masks, connected_components, inconsistent_accept_sets
+from .dowker import inconsistent_accept_sets
 from .errors import EmptyScreenError, InconsistentDiagramError, ValidationError
 from .relation import Relation, column_masks, restrict_programs
-from .util import canonical_dumps, facet_masks, popcount, submasks
+from .util import canonical_dumps, csv_text, facet_masks, popcount, submasks
 
 
 @dataclass(frozen=True)
@@ -190,9 +190,7 @@ def inconsistency_scores(
 
 
 def scores_csv(vec: ScoreVector) -> str:
-    lines = ["input_id,score"]
-    lines.extend(f"{name},{score}" for name, score in zip(vec.inputs, vec.scores))
-    return "\n".join(lines) + "\n"
+    return csv_text(["input_id", "score"], zip(vec.inputs, vec.scores))
 
 
 def histogram_csv(vec: ScoreVector) -> str:
@@ -221,19 +219,16 @@ def select_inputs(
     input_weights = diag.weights[column_masks(rel)]
     kept = tuple(np.flatnonzero(input_weights >= threshold).tolist())
     candidates = sorted(set(diag.weights[diag.weights > 0].tolist()) | {threshold})
-    report = []
-    for t in candidates:
-        excluded = int((input_weights < t).sum())
-        surviving = (np.flatnonzero(diag.weights[1:] >= t) + 1).tolist()
-        cpx = DowkerComplex(
-            width=rel.m,
-            labels=rel.programs,
-            facets=maximal_masks(surviving),
-            weights={},
-        )
-        count, _ = connected_components(cpx)
-        report.append(ThresholdRow(threshold=t, excluded=excluded, components=count))
-    return kept, tuple(report)
+    excluded = np.searchsorted(np.sort(input_weights), candidates)  # inputs below each cut
+    # Consistent weights never decrease along inclusion, so the full region is the
+    # heaviest: the nonempty regions reaching a cut include it whenever they are not
+    # empty, and their complex is then the full simplex, one component.
+    top = int(diag.weights[-1])
+    report = tuple(
+        ThresholdRow(threshold=t, excluded=int(e), components=int(t <= top))
+        for t, e in zip(candidates, excluded.tolist())
+    )
+    return kept, report
 
 
 def selection_report_csv(report: tuple[ThresholdRow, ...]) -> str:

@@ -9,91 +9,79 @@ is inconsistent when the subset outweighs the superset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .diagram import (
+    any_cover,
     build_diagram,
     heaviest_facet,
     project_masks,
+    region_sizes,
     region_weights,
+    subset_labels,
     subset_or,
     superset_or,
 )
 from .errors import CapacityError, ValidationError
 from .relation import MAX_PROGRAMS, Relation, column_masks
-from .util import bits, facet_masks, mask_of, popcount
+from .util import bits, popcount
 
 FACE_BUDGET = 10**6
 
 
-def maximal_masks(masks: Iterable[int]) -> frozenset[int]:
-    """Masks not strictly contained in another mask of the collection."""
-    distinct = sorted(set(masks), key=popcount, reverse=True)
-    kept: list[int] = []
-    for mask in distinct:
-        if not any(mask & ~other == 0 for other in kept):
-            kept.append(mask)
-    return frozenset(kept)
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
-def _closure(facets: frozenset[int], budget: int = FACE_BUDGET) -> frozenset[int]:
-    faces: set[int] = set()
-    for facet in sorted(facets, key=popcount, reverse=True):
-        stack = [facet]
-        while stack:
-            mask = stack.pop()
-            if mask in faces:
-                continue
-            faces.add(mask)
-            if len(faces) > budget:
-                raise CapacityError(f"complex exceeds the {budget}-face budget")
-            for sub in facet_masks(mask):
-                if sub and sub not in faces:
-                    stack.append(sub)
-    return frozenset(faces)
+def _check_budget(face_flags: np.ndarray, budget: int) -> None:
+    if np.count_nonzero(face_flags) > budget:
+        raise CapacityError(f"complex exceeds the {budget}-face budget")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DowkerComplex:
     """Abstract simplicial complex over bit positions 0..width-1.
 
-    Faces are nonempty bitmasks, stored by their maximal elements; ``weights``
-    carries the exact region weight of each face (0 if the face only arises by
-    downward closure).
+    ``face_flags`` marks every face (a nonempty mask) in a read-only bool
+    vector over all 2^width masks, closed under taking subsets. ``weights``
+    holds the exact region weight of every mask (int64, 2^width entries, all
+    zero for a dual complex); a face that only arises by downward closure has
+    weight 0.
     """
 
     width: int
     labels: tuple[str, ...]
-    facets: frozenset[int]
-    weights: Mapping[int, int] = field(default_factory=dict)
+    face_flags: np.ndarray
+    weights: np.ndarray
+
+    @cached_property
+    def facets(self) -> frozenset[int]:
+        """The maximal faces: those with no face one program larger."""
+        maximal = self.face_flags & ~any_cover(self.face_flags, self.width)
+        return frozenset(np.flatnonzero(maximal).tolist())
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(set().union(*(set(bits(f)) for f in self.facets)) if self.facets else ()))
+        return tuple(j for j in range(self.width) if self.face_flags[1 << j])
 
     def weight(self, mask: int) -> int:
-        return self.weights.get(mask, 0)
+        return int(self.weights[mask]) if self.has_face(mask) else 0
 
     def faces(self, budget: int = FACE_BUDGET) -> frozenset[int]:
-        """All faces, materialized (downward closure of the facets)."""
-        return _closure(self.facets, budget)
+        """All faces, materialized."""
+        _check_budget(self.face_flags, budget)
+        return frozenset(np.flatnonzero(self.face_flags).tolist())
 
     def has_face(self, mask: int) -> bool:
-        return mask != 0 and any(mask & ~facet == 0 for facet in self.facets)
+        return 0 < mask < 1 << self.width and bool(self.face_flags[mask])
 
     def faces_of_dim(self, dim: int) -> list[int]:
         """Faces with dim+1 vertices, ascending mask order."""
-        out: set[int] = set()
-        for facet in self.facets:
-            members = list(bits(facet))
-            if len(members) >= dim + 1:
-                for combo in combinations(members, dim + 1):
-                    out.add(mask_of(combo))
-        return sorted(out)
+        return np.flatnonzero(self.face_flags & (region_sizes(self.width) == dim + 1)).tolist()
 
 
 @dataclass(frozen=True)
@@ -103,41 +91,70 @@ class GraphEdge:
     consistent: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DowkerGraph:
-    """Covering-order digraph on the faces, each node carrying its region weight."""
+    """Covering-order digraph on the faces, each node carrying its region weight.
+
+    ``faces`` lists the nodes in (size, mask) order; edge k runs from
+    ``tails[k]`` to ``heads[k]`` and is consistent iff ``consistent[k]``, in
+    (size of tail, tail, head) order. ``weights`` is the complex's weight vector.
+    """
 
     width: int
     labels: tuple[str, ...]
-    nodes: Mapping[int, int]  # face mask -> weight
-    edges: tuple[GraphEdge, ...]
+    faces: np.ndarray
+    weights: np.ndarray
+    tails: np.ndarray
+    heads: np.ndarray
+    consistent: np.ndarray
+
+    @cached_property
+    def nodes(self) -> dict[int, int]:
+        """Face mask -> region weight."""
+        return dict(zip(self.faces.tolist(), self.weights[self.faces].tolist()))
+
+    @cached_property
+    def edges(self) -> tuple[GraphEdge, ...]:
+        return tuple(
+            GraphEdge(tail=t, head=h, consistent=c)
+            for t, h, c in zip(self.tails.tolist(), self.heads.tolist(), self.consistent.tolist())
+        )
 
 
 def build_complex(rel: Relation) -> DowkerComplex:
     """Faces = program subsets that jointly accept at least one input."""
     weights = build_diagram(rel).weights
-    facets = maximal_masks((np.flatnonzero(weights[1:]) + 1).tolist())
+    faces = superset_or(weights > 0, rel.m)
+    faces[0] = False
+    _check_budget(faces, FACE_BUDGET)
     return DowkerComplex(
-        width=rel.m,
-        labels=rel.programs,
-        facets=facets,
-        weights={face: int(weights[face]) for face in _closure(facets)},
+        width=rel.m, labels=rel.programs, face_flags=_frozen(faces), weights=weights
     )
 
 
 def build_graph(cpx: DowkerComplex) -> DowkerGraph:
     """Covering edges between faces; an edge is inconsistent iff the subset is heavier."""
-    faces = cpx.faces()
-    edges = []
-    for tail in sorted(faces, key=lambda mask: (popcount(mask), mask)):
-        for head in facet_masks(tail):
-            if head == 0:
-                continue
-            edges.append(
-                GraphEdge(tail=tail, head=head, consistent=cpx.weight(head) <= cpx.weight(tail))
-            )
-    nodes = {face: cpx.weight(face) for face in faces}
-    return DowkerGraph(width=cpx.width, labels=cpx.labels, nodes=nodes, edges=tuple(edges))
+    sizes = region_sizes(cpx.width)
+    faces = np.flatnonzero(cpx.face_flags)
+    faces = faces[np.argsort(sizes[faces], kind="stable")]
+    tails, heads = [faces[:0]], [faces[:0]]
+    for j in range(cpx.width):
+        # faces are closed under dropping a program, so every nonempty head is a face
+        tail = faces[(faces >> j & 1 == 1) & (faces != 1 << j)]
+        tails.append(tail)
+        heads.append(tail ^ 1 << j)
+    tails, heads = np.concatenate(tails), np.concatenate(heads)
+    order = np.lexsort((heads, tails, sizes[tails]))
+    tails, heads = tails[order], heads[order]
+    return DowkerGraph(
+        width=cpx.width,
+        labels=cpx.labels,
+        faces=_frozen(faces),
+        weights=cpx.weights,
+        tails=_frozen(tails),
+        heads=_frozen(heads),
+        consistent=_frozen(cpx.weights[heads] <= cpx.weights[tails]),
+    )
 
 
 def consistent_regions(weights: np.ndarray, m: int) -> np.ndarray:
@@ -158,10 +175,8 @@ def consistent_core(graph: DowkerGraph) -> frozenset[int]:
     The result is closed under taking sub-faces; accept-sets outside it mark
     inconsistent inputs.
     """
-    faces = np.fromiter(graph.nodes, np.int64, len(graph.nodes))
-    node_weights = np.fromiter(graph.nodes.values(), np.int64, len(graph.nodes))
-    weights = region_weights(faces, graph.width, node_weights)
-    return frozenset(np.flatnonzero(consistent_regions(weights, graph.width)).tolist())
+    # only faces carry weight, so the graph's faces are those of its weight vector
+    return frozenset(np.flatnonzero(consistent_regions(graph.weights, graph.width)).tolist())
 
 
 def inconsistent_accept_sets(masks: np.ndarray, counts: np.ndarray, sigma: int) -> np.ndarray:
@@ -225,17 +240,20 @@ def betti_numbers(cpx: DowkerComplex, max_dim: int, budget: int = FACE_BUDGET) -
     """Betti numbers beta_0..beta_max_dim over GF(2) via boundary-matrix ranks."""
     if max_dim < 0:
         raise ValidationError("max_dim must be >= 0")
-    cpx.faces(budget)  # enforce the face budget before any rank work
-    faces_by_dim = [cpx.faces_of_dim(d) for d in range(max_dim + 2)]
+    _check_budget(cpx.face_flags, budget)  # before any rank work
+    faces = np.flatnonzero(cpx.face_flags)
+    sizes = region_sizes(cpx.width)[faces]
+    faces_by_dim = [faces[sizes == d + 1] for d in range(max_dim + 2)]
     ranks = [0] * (max_dim + 2)  # ranks[d] = rank of boundary map C_d -> C_{d-1}
     for d in range(1, max_dim + 2):
-        lower = {mask: i for i, mask in enumerate(faces_by_dim[d - 1])}
-        rows = []
-        for mask in faces_by_dim[d]:
-            row = 0
-            for sub in facet_masks(mask):
-                row |= 1 << lower[sub]
-            rows.append(row)
+        upper, lower = faces_by_dim[d], faces_by_dim[d - 1]
+        rows = [0] * len(upper)
+        for j in range(cpx.width):
+            (row_index,) = np.nonzero(upper >> j & 1)
+            # position of each facet (upper face minus program j) among the lower faces
+            position = np.searchsorted(lower, upper[row_index] ^ 1 << j)
+            for r, p in zip(row_index.tolist(), position.tolist()):
+                rows[r] |= 1 << p
         ranks[d] = gf2_rank(rows)
     betti = []
     for d in range(max_dim + 1):
@@ -259,29 +277,32 @@ def dual_complex(rel: Relation) -> DowkerComplex:
             f"{width} distinct accept-sets exceed the {MAX_PROGRAMS}-vertex cap"
         )
     program_faces = patterns[:, order].astype(np.int64) @ (1 << np.arange(width, dtype=np.int64))
+    # the complex is the downward closure of the program faces
+    faces = np.zeros(1 << width, dtype=bool)
+    faces[program_faces] = True
+    faces = superset_or(faces, width)
+    faces[0] = False
     return DowkerComplex(
         width=width,
         labels=tuple(rel.inputs[k] for k in accepted[first[order]].tolist()),
-        facets=maximal_masks(face for face in program_faces.tolist() if face),
-        weights={},
+        face_flags=_frozen(faces),
+        weights=np.broadcast_to(np.int64(0), faces.shape),  # no region weights
     )
 
 
 def graph_dot(graph: DowkerGraph) -> str:
     """DOT rendering: nodes ``{P1,P2}; w`` ordered by (popcount, mask), red inconsistent edges."""
-
-    def node_id(mask: int) -> str:
-        return f"n{mask}"
-
-    def label(mask: int) -> str:
-        names = ",".join(graph.labels[j] for j in bits(mask))
-        return f"{{{names}}}; {graph.nodes[mask]}"
-
+    names = subset_labels(graph.labels, graph.faces, range(graph.width))
     lines = ["digraph dowker {"]
-    for mask in sorted(graph.nodes, key=lambda m_: (popcount(m_), m_)):
-        lines.append(f'    {node_id(mask)} [label="{label(mask)}"];')
-    for edge in sorted(graph.edges, key=lambda e: (popcount(e.tail), e.tail, e.head)):
-        attr = "" if edge.consistent else " [color=red]"
-        lines.append(f"    {node_id(edge.tail)} -> {node_id(edge.head)}{attr};")
+    lines.extend(
+        f'    n{mask} [label="{{{names[mask]}}}; {w}"];'
+        for mask, w in zip(graph.faces.tolist(), graph.weights[graph.faces].tolist())
+    )
+    lines.extend(
+        f"    n{tail} -> n{head}{'' if ok else ' [color=red]'};"
+        for tail, head, ok in zip(
+            graph.tails.tolist(), graph.heads.tolist(), graph.consistent.tolist()
+        )
+    )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .errors import ConfigurationError, FormatError, ValidationError
 from .relation import Relation
+from .util import csv_text
 
 POLICIES = ("stderr-empty", "exit-zero", "both")
 DEFAULT_STDERR_CAP = 64 * 1024
@@ -363,11 +364,9 @@ def keyword_table(
 
 
 def keyword_table_csv(table: KeywordTable) -> str:
-    header = "input," + ",".join(f"{parser}:{kw}" for parser, kw in table.columns)
-    lines = [header]
-    for name, row in zip(table.inputs, table.cells):
-        lines.append(name + "," + ",".join("1" if v else "0" for v in row))
-    return "\n".join(lines) + "\n"
+    header = ["input", *(f"{parser}:{kw}" for parser, kw in table.columns)]
+    rows = zip(table.inputs, table.cells)
+    return csv_text(header, ([name, *("1" if v else "0" for v in row)] for name, row in rows))
 
 
 def run_summary(rel: Relation, results: list[RunResult]) -> str:

@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CapacityError, FormatError, StatisticUndefinedError, ValidationError
-from .util import canonical_dumps, write_text
+from .util import canonical_dumps, csv_text, write_text
 
 # Analysis operations hold dense vectors over all 2^m program subsets, so the
 # program count is capped where accept-set masks are formed (not at loading).
@@ -303,49 +303,58 @@ def _load_json(path) -> Relation:
 
 def relation_csv(rel: Relation) -> str:
     """Transposed CSV: header ``input,<prog...>``, one row per input, cells 0/1."""
-    lines = ["input," + ",".join(rel.programs)]
-    for k, name in enumerate(rel.inputs):
-        cells = ",".join("1" if rel.accepts[j, k] else "0" for j in range(rel.m))
-        lines.append(f"{name},{cells}")
-    return "\n".join(lines) + "\n"
+    cells = np.where(rel.accepts.T, "1", "0").tolist()
+    rows = ([name, *row] for name, row in zip(rel.inputs, cells))
+    return csv_text(["input", *rel.programs], rows)
+
+
+def _read_header(path, reader) -> list[str]:
+    """The column names after ``input`` in a CSV header."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise FormatError(f"{path}: empty file") from None
+    if not header or header[0] != "input":
+        raise FormatError(f"{path}: line 1: header must start with 'input'")
+    return header[1:]
+
+
+def _read_01_rows(path, reader, columns: list[str], cell_error) -> tuple[list[str], np.ndarray]:
+    """Input ids and the (rows x columns) bool matrix of a 0/1 CSV body.
+
+    Line numbers count every record after the header (line 1), blank ones
+    included; blank records are skipped.  The first malformed row in file
+    order is reported, a bad cell worded by ``cell_error(column, cell)``.
+    """
+    width = len(columns) + 1
+    records = list(reader)
+    lengths = np.fromiter(map(len, records), np.int64, len(records))
+    (wrong,) = np.nonzero((lengths != width) & (lengths != 0))
+    end = int(wrong[0]) if wrong.size else len(records)
+    linenos = np.flatnonzero(lengths[:end]) + 2
+    table = np.array([row for row in records[:end] if row], dtype=object).reshape(-1, width)
+    cells = table[:, 1:]
+    ones = cells == "1"
+    bad = ~ones & (cells != "0")
+    if bad.any():
+        r, c = divmod(int(np.argmax(bad)), len(columns))
+        raise FormatError(f"{path}: line {linenos[r]}: {cell_error(columns[c], cells[r, c])}")
+    if wrong.size:
+        raise FormatError(f"{path}: line {end + 2}: expected {width} cells, got {lengths[end]}")
+    return table[:, 0].tolist(), ones
 
 
 def _load_csv(path) -> Relation:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        if not header or header[0] != "input":
-            raise FormatError(f"{path}: line 1: header must start with 'input'")
-        programs = header[1:]
+        programs = _read_header(path, reader)
         if not programs:
             raise FormatError(f"{path}: line 1: no program columns")
-        inputs: list[str] = []
-        columns: list[list[bool]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(programs) + 1:
-                raise FormatError(
-                    f"{path}: line {lineno}: expected {len(programs) + 1} cells, got {len(row)}"
-                )
-            inputs.append(row[0])
-            col = []
-            for field, cell in zip(programs, row[1:]):
-                if cell not in ("0", "1"):
-                    raise FormatError(
-                        f"{path}: line {lineno}: column {field!r} is {cell!r}, expected 0 or 1"
-                    )
-                col.append(cell == "1")
-            columns.append(col)
-    matrix = (
-        np.array(columns, dtype=bool).T
-        if columns
-        else np.zeros((len(programs), 0), dtype=bool)
-    )
-    return Relation(programs=tuple(programs), inputs=tuple(inputs), accepts=matrix)
+        inputs, matrix = _read_01_rows(
+            path, reader, programs,
+            lambda field, cell: f"column {field!r} is {cell!r}, expected 0 or 1",
+        )
+    return Relation(programs=tuple(programs), inputs=tuple(inputs), accepts=matrix.T)
 
 
 def relation_pgm(rel: Relation) -> str:
@@ -364,38 +373,14 @@ def load_feature_relation(path) -> FeatureRelation:
     """CSV with header ``input,<feat...>`` and 0/1 cells."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        if not header or header[0] != "input":
-            raise FormatError(f"{path}: line 1: header must start with 'input'")
-        features = header[1:]
-        inputs: list[str] = []
-        rows: list[list[bool]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(features) + 1:
-                raise FormatError(
-                    f"{path}: line {lineno}: expected {len(features) + 1} cells, got {len(row)}"
-                )
-            inputs.append(row[0])
-            for cell in row[1:]:
-                if cell not in ("0", "1"):
-                    raise FormatError(f"{path}: line {lineno}: cell {cell!r}, expected 0 or 1")
-            rows.append([cell == "1" for cell in row[1:]])
-    matrix = (
-        np.array(rows, dtype=bool)
-        if rows
-        else np.zeros((0, len(features)), dtype=bool)
-    )
+        features = _read_header(path, reader)
+        inputs, matrix = _read_01_rows(
+            path, reader, features, lambda _, cell: f"cell {cell!r}, expected 0 or 1"
+        )
     return FeatureRelation(inputs=tuple(inputs), features=tuple(features), has_feature=matrix)
 
 
 def feature_relation_csv(feats: FeatureRelation) -> str:
-    lines = ["input," + ",".join(feats.features)]
-    for k, name in enumerate(feats.inputs):
-        cells = ",".join("1" if v else "0" for v in feats.has_feature[k])
-        lines.append(f"{name},{cells}" if feats.p else name)
-    return "\n".join(lines) + "\n"
+    cells = np.where(feats.has_feature, "1", "0").tolist()
+    rows = ([name, *row] for name, row in zip(feats.inputs, cells))
+    return csv_text(["input", *feats.features], rows)

@@ -1,9 +1,11 @@
-"""Small shared helpers: bitmask subsets and canonical JSON output."""
+"""Small shared helpers: bitmask subsets, canonical JSON and CSV output."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def popcount(mask: int) -> int:
@@ -49,6 +51,16 @@ def canonical_dumps(payload) -> str:
     Used for every JSON artifact so identical inputs give byte-identical files.
     """
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text, each row ending in a newline; a field is quoted only if it holds
+    a comma, a double quote or a newline, so plain ids are written bare."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def write_text(path, text: str) -> None:

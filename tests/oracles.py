@@ -5,6 +5,8 @@ enumeration, deliberately avoiding the library's own data structures and
 algorithms, so the two sides of each check stay independent.
 """
 
+import csv
+import json
 from itertools import combinations
 
 
@@ -152,3 +154,171 @@ def bipartite_components(rows: list[str]) -> int:
                 union(("p", j), ("f", k))
     roots = {find(x) for x in parent}
     return len(roots)
+
+
+def _popcount(mask: int) -> int:
+    return bin(mask).count("1")
+
+
+def _members(mask: int, width: int) -> list[int]:
+    return [j for j in range(width) if mask >> j & 1]
+
+
+def closure(generators, width: int) -> set[int]:
+    """Every nonempty subset of some generator mask."""
+    faces: set[int] = set()
+    for gen in generators:
+        members = _members(gen, width)
+        for size in range(1, len(members) + 1):
+            for combo in combinations(members, size):
+                faces.add(sum(1 << j for j in combo))
+    return faces
+
+
+def facets_of(faces: set[int]) -> set[int]:
+    """Faces not strictly contained in another face."""
+    return {f for f in faces if not any(f != g and f & ~g == 0 for g in faces)}
+
+
+def covering_edges(faces: set[int], weights: dict[int, int]) -> dict[tuple[int, int], bool]:
+    """(face, face minus one program) -> is the smaller one no heavier, for nonempty heads."""
+    return {
+        (face, face & ~(1 << j)): weights.get(face & ~(1 << j), 0) <= weights.get(face, 0)
+        for face in faces
+        for j in range(face.bit_length())
+        if face >> j & 1 and face & ~(1 << j)
+    }
+
+
+def _gf2_rank(rows: list[int]) -> int:
+    """Rank by elimination on the highest set bit."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    return len(pivots)
+
+
+def betti_numbers(facets: set[int], width: int, max_dim: int) -> tuple[int, ...]:
+    """GF(2) Betti numbers, faces of each dimension enumerated from the facets and
+    boundary rows indexed through a dict."""
+    faces_by_dim = []
+    for d in range(max_dim + 2):
+        faces = set()
+        for facet in facets:
+            for combo in combinations(_members(facet, width), d + 1):
+                faces.add(sum(1 << j for j in combo))
+        faces_by_dim.append(sorted(faces))
+    ranks = [0] * (max_dim + 2)
+    for d in range(1, max_dim + 2):
+        lower = {mask: i for i, mask in enumerate(faces_by_dim[d - 1])}
+        rows = [
+            sum(1 << lower[mask & ~(1 << j)] for j in _members(mask, width))
+            for mask in faces_by_dim[d]
+        ]
+        ranks[d] = _gf2_rank(rows)
+    return tuple(len(faces_by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(max_dim + 1))
+
+
+def graph_dot(labels: list[str], faces: set[int], weights: dict[int, int]) -> str:
+    """DOT text of the Dowker graph, node by node and edge by edge."""
+    width = len(labels)
+    lines = ["digraph dowker {"]
+    for mask in sorted(faces, key=lambda f: (_popcount(f), f)):
+        names = ",".join(labels[j] for j in _members(mask, width))
+        lines.append(f'    n{mask} [label="{{{names}}}; {weights.get(mask, 0)}"];')
+    edges = covering_edges(faces, weights)
+    for tail, head in sorted(edges, key=lambda e: (_popcount(e[0]), e[0], e[1])):
+        attr = "" if edges[tail, head] else " [color=red]"
+        lines.append(f"    n{tail} -> n{head}{attr};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def diagram_report(programs: list[str], weights: dict[int, int]) -> str:
+    """The weights/deficiency report, each key built from the region's names."""
+    m = len(programs)
+
+    def label(mask: int) -> str:
+        return ",".join(sorted(programs[j] for j in _members(mask, m)))
+
+    deficient = sorted(deficient_by_covers(weights, m), key=lambda x: (_popcount(x), x))
+    payload = {
+        "weights": {label(mask): weights[mask] for mask in range(1 << m)},
+        "deficient": [label(mask) for mask in deficient],
+        "consistent": not deficient,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def dual_generators(rows: list[str]) -> tuple[list[int], list[int]]:
+    """(first input of each distinct nonzero column, in first-appearance order;
+    each program's mask over those columns)."""
+    cols = masks_from_rows(rows)
+    firsts: list[int] = []
+    for k, col in enumerate(cols):
+        if col and all(cols[f] != col for f in firsts):
+            firsts.append(k)
+    program_masks = [
+        sum(1 << v for v, k in enumerate(firsts) if cols[k] >> j & 1) for j in range(len(rows))
+    ]
+    return firsts, program_masks
+
+
+def selection_report(weights: dict[int, int], m: int, input_weights: list[int], threshold: int):
+    """(threshold, excluded, components) per candidate threshold: components of the
+    complex spanned by the nonempty regions of weight >= threshold, by union-find."""
+    rows = []
+    for t in sorted({w for w in weights.values() if w > 0} | {threshold}):
+        parent: dict[int, int] = {}
+
+        def find(v):
+            parent.setdefault(v, v)
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for region in range(1, 1 << m):
+            if weights[region] >= t:
+                members = _members(region, m)
+                for v in members:
+                    parent[find(v)] = find(members[0])
+        components = len({find(v) for v in list(parent)})
+        rows.append((t, sum(1 for w in input_weights if w < t), components))
+    return rows
+
+
+def read_01_csv(path, kind: str):
+    """A 0/1 CSV (``kind`` 'relation' or 'feature') read record by record and cell
+    by cell: ('ok', columns, inputs, rows of bools) or ('error', message)."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        records = list(csv.reader(fh))
+    if not records:
+        return "error", f"{path}: empty file"
+    if not records[0] or records[0][0] != "input":
+        return "error", f"{path}: line 1: header must start with 'input'"
+    columns = records[0][1:]
+    if kind == "relation" and not columns:
+        return "error", f"{path}: line 1: no program columns"
+    inputs, rows = [], []
+    for lineno, record in enumerate(records[1:], start=2):
+        if not record:
+            continue
+        if len(record) != len(columns) + 1:
+            return "error", (
+                f"{path}: line {lineno}: expected {len(columns) + 1} cells, got {len(record)}"
+            )
+        for column, cell in zip(columns, record[1:]):
+            if cell not in ("0", "1"):
+                if kind == "relation":
+                    detail = f"column {column!r} is {cell!r}, expected 0 or 1"
+                else:
+                    detail = f"cell {cell!r}, expected 0 or 1"
+                return "error", f"{path}: line {lineno}: {detail}"
+        inputs.append(record[0])
+        rows.append([cell == "1" for cell in record[1:]])
+    return "ok", columns, inputs, rows

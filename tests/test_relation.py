@@ -263,3 +263,102 @@ def test_relation_validation():
 def test_relation_matrix_is_immutable(toy_relation):
     with pytest.raises(ValueError):
         toy_relation.accepts[0, 0] = False
+
+
+AWKWARD_IDS = ("a,b", 'say "hi"', "two\nlines", '"', ",", "")
+
+
+def test_csv_loaders_match_per_cell_oracle(tmp_path):
+    """Seeded 0/1 CSV files, some with one or two bad cells, a short or long row,
+    a blank line and quoted ids: the loaders give the record-by-record reader's
+    result or its exact error."""
+    import csv
+
+    from oracles import read_01_csv
+
+    rng = random.Random(44)
+    bad_cells = ("2", "", " 1", "00", "x", "１", "1 ")
+    errors = 0
+    for case in range(160):
+        kind = ("relation", "feature")[case % 2]
+        p, n = rng.randint(0 if case % 17 == 0 else 1, 5), rng.randint(0, 25)
+        columns = [f"c{j}" for j in range(p)]
+        ids = [AWKWARD_IDS[k] if k < len(AWKWARD_IDS) and case % 3 == 0 else f"in{k}"
+               for k in range(n)]
+        records = [["input", *columns]]
+        records += [[name, *(rng.choice("01") for _ in range(p))] for name in ids]
+        if n and case % 4:
+            k, j = rng.randint(1, n), rng.randint(1, p) if p else 0
+            if case % 4 == 1 and p:
+                for _ in range(rng.randint(1, 2)):
+                    records[rng.randint(1, n)][rng.randint(1, p)] = rng.choice(bad_cells)
+            elif case % 4 == 2:
+                records[k] = records[k][: rng.randrange(1, p + 1)] if p else records[k] + ["1"]
+            else:
+                records[k].append(rng.choice("01"))
+        if rng.random() < 0.7:
+            records.insert(rng.randint(1, len(records)), [])
+        path = tmp_path / f"case{case}.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(records)
+
+        expected = read_01_csv(path, kind)
+        load = load_relation if kind == "relation" else load_feature_relation
+        if expected[0] == "error":
+            errors += 1
+            with pytest.raises(FormatError) as excinfo:
+                load(path)
+            assert str(excinfo.value) == expected[1]
+            continue
+        _, cols, inputs, rows = expected
+        loaded = load(path)
+        if kind == "relation":
+            assert loaded.programs == tuple(cols) and loaded.inputs == tuple(inputs)
+            assert loaded.accepts.T.tolist() == rows
+        else:
+            assert loaded.features == tuple(cols) and loaded.inputs == tuple(inputs)
+            assert loaded.has_feature.reshape(len(rows), p).tolist() == rows
+    assert 40 < errors < 130
+
+
+def test_csv_writers_quote_awkward_ids(tmp_path):
+    import csv
+    import io
+
+    from tdt.distill import inconsistency_scores, scores_csv
+    from tdt.harness import KeywordTable, keyword_table_csv
+    from tdt.relation import FeatureRelation
+
+    ids = ("plain", *AWKWARD_IDS)
+    masks = [3, 1, 2, 0, 3, 1, 2]
+    rel = Relation(programs=("A", "B,C"), inputs=ids,
+                   accepts=relation_from_masks(masks, m=2).accepts)
+    path = tmp_path / "rel.csv"
+    save_relation(rel, path)
+    assert load_relation(path) == rel
+
+    feats = FeatureRelation(inputs=ids, features=("f,1", 'g"'),
+                            has_feature=rel.accepts.T)
+    path = tmp_path / "feats.csv"
+    path.write_text(feature_relation_csv(feats))
+    assert load_feature_relation(path) == feats
+
+    vec = inconsistency_scores(rel)
+    records = list(csv.reader(io.StringIO(scores_csv(vec), newline="")))
+    assert records == [["input_id", "score"], *([name, str(s)] for name, s in zip(ids, vec.scores))]
+
+    table = KeywordTable(inputs=ids, columns=(("p", "k,w"), ("q", "x")),
+                         cells=tuple((bool(k % 2), bool(k % 3)) for k in range(len(ids))))
+    records = list(csv.reader(io.StringIO(keyword_table_csv(table), newline="")))
+    assert records[0] == ["input", "p:k,w", "q:x"]
+    assert [row[0] for row in records[1:]] == list(ids)
+
+
+def test_csv_writers_leave_plain_ids_bare(toy_relation, toy_features):
+    from tdt.relation import relation_csv
+
+    lines = relation_csv(toy_relation).splitlines()
+    assert lines[0] == "input,A,B,C,D"
+    assert lines[1] == "f01,1,0,0,0"
+    assert len(lines) == 21
+    assert feature_relation_csv(toy_features).count('"') == 0
