@@ -13,7 +13,7 @@ from fractions import Fraction
 from .distill import ScoreVector
 from .errors import FormatError, ValidationError
 from .relation import Relation
-from .util import canonical_dumps
+from .util import canonical_dumps, open_text
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def evaluate(predicted: set[int], truth: GroundTruth) -> ClassifierReport:
 def load_ground_truth(path, rel: Relation) -> GroundTruth:
     """CSV ``input,compliant`` with 0/1 cells, aligned to the relation by input id."""
     labels: dict[str, bool] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -9,20 +9,24 @@ at any parallelism level.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import selectors
 import shlex
 import shutil
+import signal
 import subprocess
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from .errors import ConfigurationError, FormatError, ValidationError
 from .relation import Relation
-from .util import csv_text
+from .util import csv_text, open_text
 
 POLICIES = ("stderr-empty", "exit-zero", "both")
 DEFAULT_STDERR_CAP = 64 * 1024
@@ -100,7 +104,7 @@ def _field(path, record: dict, key: str, kinds: tuple, expected: str, default=_M
 
 def load_run_config(path) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
@@ -139,8 +143,13 @@ def load_run_config(path) -> RunConfig:
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def _resolve_commands(cfg: RunConfig) -> None:
-    """Fail before any execution if some parser's command cannot be used."""
+def _resolve_commands(cfg: RunConfig) -> list[list[str]]:
+    """Each parser's argv template, its executable resolved on PATH.
+
+    Fails before any execution if some parser's command cannot be used, or if
+    this system cannot wait on a child through a pidfd.
+    """
+    templates = []
     for p in cfg.parsers:
         try:
             tokens = shlex.split(p.command)
@@ -148,9 +157,15 @@ def _resolve_commands(cfg: RunConfig) -> None:
             raise ConfigurationError(f"parser {p.name!r}: unparsable command: {exc}") from None
         if not tokens:
             raise ConfigurationError(f"parser {p.name!r}: empty command")
-        exe = tokens[0]
-        if shutil.which(exe) is None:
-            raise ConfigurationError(f"parser {p.name!r}: executable {exe!r} not found")
+        exe = shutil.which(tokens[0])
+        if exe is None:
+            raise ConfigurationError(f"parser {p.name!r}: executable {tokens[0]!r} not found")
+        templates.append([exe, *tokens[1:]])
+    try:
+        os.close(os.pidfd_open(os.getpid()))
+    except (AttributeError, OSError) as exc:  # no os.pidfd_open, or a kernel before 5.3
+        raise ConfigurationError(f"waiting on parsers needs pidfds (Linux 5.3+): {exc}") from None
+    return templates
 
 
 def _decide(policy: str, returncode: int | None, stderr: bytes, timed_out: bool) -> bool:
@@ -163,51 +178,139 @@ def _decide(policy: str, returncode: int | None, stderr: bytes, timed_out: bool)
     return stderr == b"" and returncode == 0
 
 
-def _run_one(spec: ParserSpec, path: Path, input_id: str, cfg: RunConfig) -> RunResult:
-    tokens = shlex.split(spec.command)
-    resolved = shutil.which(tokens[0])
-    if resolved is not None:
-        tokens[0] = resolved
-    argv = [t.replace("{input}", str(path)) for t in tokens]
-    start = time.monotonic()
-    timed_out = False
-    error = None
-    returncode: int | None = None
-    stderr = b""
+_READ_CHUNK = 64 * 1024
+
+
+@dataclass(eq=False)
+class _Child:
+    """A job in flight: its process, the pidfd that reports its exit, and the
+    first ``stderr_cap_bytes + 1`` bytes of its stderr."""
+
+    index: int
+    spec: ParserSpec
+    input_id: str
+    proc: subprocess.Popen
+    workdir: str
+    start: float
+    deadline: float
+    pidfd: int = -1  # watched until the child exits, then closed and -1
+    stderr: bytearray = field(default_factory=bytearray)
+    stderr_open: bool = True
+
+
+def _remove_workdir(workdir: str) -> None:
     try:
-        # fresh working directory per job: concurrent tools that write
-        # scratch files cannot collide
-        with tempfile.TemporaryDirectory(prefix="tdt-job-") as workdir:
-            proc = subprocess.run(
-                argv,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE,
-                timeout=cfg.timeout_secs,
-                cwd=workdir,
-            )
-            returncode = proc.returncode
-            stderr = proc.stderr or b""
-    except subprocess.TimeoutExpired as exc:
-        timed_out = True
-        stderr = exc.stderr or b""
-    except OSError as exc:
-        error = str(exc)
-    wall = time.monotonic() - start
-    truncated = len(stderr) > cfg.stderr_cap_bytes
-    if truncated:
-        stderr = stderr[: cfg.stderr_cap_bytes]
-    accept = False if error else _decide(spec.policy, returncode, stderr, timed_out)
-    return RunResult(
-        parser=spec.name,
-        input=input_id,
-        accept=accept,
-        exit_status=returncode,
-        timed_out=timed_out,
-        stderr=stderr,
-        truncated=truncated,
-        wall_time=wall,
-        error=error,
-    )
+        os.rmdir(workdir)
+    except OSError:  # the tool left files behind
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
+def _run_jobs(jobs: Iterable[tuple[ParserSpec, str, list[str]]], cfg: RunConfig) -> list[RunResult]:
+    """Run ``(spec, input id, argv)`` jobs, at most ``cfg.parallelism`` at once,
+    and return their results in job order.
+
+    One thread waits on every child's stderr pipe and pidfd together, until
+    the nearest deadline.  A job ends when its child has exited and its stderr
+    reached EOF, or at its deadline; either way its whole process group is
+    killed before the child is reaped, so no process it started outlives it.
+    """
+    cap = cfg.stderr_cap_bytes
+    results: dict[int, RunResult] = {}
+    running: dict[int, _Child] = {}
+    selector = selectors.DefaultSelector()
+
+    def record(index, spec, input_id, start, returncode=None, stderr=b"", timed_out=False,
+               error=None):
+        truncated = len(stderr) > cap
+        stderr = bytes(stderr[:cap])
+        results[index] = RunResult(
+            parser=spec.name,
+            input=input_id,
+            accept=False if error else _decide(spec.policy, returncode, stderr, timed_out),
+            exit_status=returncode,
+            timed_out=timed_out,
+            stderr=stderr,
+            truncated=truncated,
+            wall_time=time.monotonic() - start,
+            error=error,
+        )
+
+    def close(child: _Child) -> None:
+        """Stop watching a child, kill its process group and reap it."""
+        del running[child.index]
+        # not reaped yet, so the child's pid still names its group
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child.proc.pid, signal.SIGKILL)
+        if child.stderr_open:
+            selector.unregister(child.proc.stderr)
+            child.proc.stderr.close()
+        if child.pidfd >= 0:
+            selector.unregister(child.pidfd)
+            os.close(child.pidfd)
+        child.proc.wait()
+        _remove_workdir(child.workdir)
+
+    def wait() -> None:
+        """Handle whatever is ready before the nearest deadline, then expire late jobs."""
+        timeout = min(child.deadline for child in running.values()) - time.monotonic()
+        for key, _ in selector.select(max(timeout, 0.0)):
+            child = key.data
+            if key.fd == child.pidfd:
+                selector.unregister(child.pidfd)
+                os.close(child.pidfd)
+                child.pidfd = -1
+            else:
+                chunk = os.read(key.fd, _READ_CHUNK)
+                if chunk:
+                    # keep one byte past the cap, so truncation shows; drain the rest
+                    if len(child.stderr) <= cap:
+                        child.stderr += chunk[: cap + 1 - len(child.stderr)]
+                    continue
+                selector.unregister(key.fd)
+                child.proc.stderr.close()
+                child.stderr_open = False
+            if not child.stderr_open and child.pidfd < 0:
+                close(child)
+                record(child.index, child.spec, child.input_id, child.start,
+                       child.proc.returncode, child.stderr)
+        now = time.monotonic()
+        for child in [c for c in running.values() if c.deadline <= now]:
+            # a stderr still open (say, held by a background grandchild) is a timeout too
+            close(child)
+            record(child.index, child.spec, child.input_id, child.start,
+                   stderr=child.stderr, timed_out=True)
+
+    root = tempfile.mkdtemp(prefix="tdt-run-")
+    try:
+        for index, (spec, input_id, argv) in enumerate(jobs):
+            while len(running) >= cfg.parallelism:
+                wait()
+            # a fresh, empty working directory per job: concurrent tools that
+            # write scratch files cannot collide
+            workdir = os.path.join(root, str(index))
+            start = time.monotonic()
+            try:
+                os.mkdir(workdir)
+                proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                        cwd=workdir, start_new_session=True)
+            except OSError as exc:
+                _remove_workdir(workdir)
+                record(index, spec, input_id, start, error=str(exc))
+                continue
+            child = running[index] = _Child(index, spec, input_id, proc, workdir, start,
+                                            start + cfg.timeout_secs)
+            selector.register(proc.stderr, selectors.EVENT_READ, child)
+            child.pidfd = os.pidfd_open(proc.pid)
+            selector.register(child.pidfd, selectors.EVENT_READ, child)
+        while running:
+            wait()
+    finally:
+        # on any exception, KeyboardInterrupt included, no child outlives the run
+        for child in list(running.values()):
+            close(child)
+        selector.close()
+        shutil.rmtree(root, ignore_errors=True)
+    return [results[index] for index in range(len(results))]
 
 
 def run_corpus(cfg: RunConfig) -> tuple[Relation, list[RunResult]]:
@@ -215,7 +318,8 @@ def run_corpus(cfg: RunConfig) -> tuple[Relation, list[RunResult]]:
 
     Rows follow the config's parser order; columns follow sorted filename
     order.  Per-pair I/O failures are recorded as rejects with a diagnostic,
-    not raised.
+    not raised.  Each job runs in its own process group, which is killed at
+    the job's timeout; at most ``cfg.parallelism`` jobs run at once.
     """
     corpus = Path(cfg.corpus)
     if not corpus.is_dir():
@@ -233,30 +337,21 @@ def run_corpus(cfg: RunConfig) -> tuple[Relation, list[RunResult]]:
                 f"duplicate input identifier {name!r}: {cfg.glob!r} matches several "
                 f"files of that name under {cfg.corpus!r}"
             )
-    _resolve_commands(cfg)
-    jobs = [
-        (ji, ki, spec, path)
-        for ji, spec in enumerate(cfg.parsers)
-        for ki, path in enumerate(files)
-    ]
-    results: dict[tuple[int, int], RunResult] = {}
-    with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-        futures = {
-            pool.submit(_run_one, spec, path, input_ids[ki], cfg): (ji, ki)
-            for ji, ki, spec, path in jobs
-        }
-        for future, key in futures.items():
-            results[key] = future.result()
-    matrix = [
-        [results[(ji, ki)].accept for ki in range(len(files))]
-        for ji in range(len(cfg.parsers))
-    ]
+    templates = _resolve_commands(cfg)
+    paths = [str(p) for p in files]
+    jobs = (
+        (spec, input_ids[ki], [t.replace("{input}", path) for t in template])
+        for spec, template in zip(cfg.parsers, templates)
+        for ki, path in enumerate(paths)
+    )
+    ordered = _run_jobs(jobs, cfg)
+    n = len(files)
+    matrix = [[r.accept for r in ordered[j * n:(j + 1) * n]] for j in range(len(cfg.parsers))]
     relation = Relation(
         programs=tuple(p.name for p in cfg.parsers),
         inputs=tuple(input_ids),
         accepts=matrix,
     )
-    ordered = [results[(ji, ki)] for ji in range(len(cfg.parsers)) for ki in range(len(files))]
     return relation, ordered
 
 
@@ -285,7 +380,7 @@ def results_jsonl(results: list[RunResult]) -> str:
 
 def load_results_jsonl(path) -> list[RunResult]:
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CapacityError, FormatError, StatisticUndefinedError, ValidationError
-from .util import canonical_dumps, csv_text, write_text
+from .util import canonical_dumps, csv_text, open_text, write_text
 
 # Analysis operations hold dense vectors over all 2^m program subsets, so the
 # program count is capped where accept-set masks are formed (not at loading).
@@ -262,7 +262,7 @@ def relation_json(rel: Relation) -> str:
 
 def _load_json(path) -> Relation:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
@@ -345,7 +345,7 @@ def _read_01_rows(path, reader, columns: list[str], cell_error) -> tuple[list[st
 
 
 def _load_csv(path) -> Relation:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         programs = _read_header(path, reader)
         if not programs:
@@ -371,7 +371,7 @@ def relation_pgm(rel: Relation) -> str:
 
 def load_feature_relation(path) -> FeatureRelation:
     """CSV with header ``input,<feat...>`` and 0/1 cells."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         features = _read_header(path, reader)
         inputs, matrix = _read_01_rows(

@@ -1,11 +1,15 @@
-"""Small shared helpers: bitmask subsets, canonical JSON and CSV output."""
+"""Small shared helpers: bitmask subsets, canonical JSON and CSV output, and
+reading UTF-8 files."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import json
-from typing import Iterable, Iterator, Sequence
+import types
+from typing import Iterable, Iterator, Sequence, TextIO
+
+from .errors import FormatError
 
 
 def popcount(mask: int) -> int:
@@ -55,14 +59,39 @@ def canonical_dumps(payload) -> str:
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """CSV text, each row ending in a newline; a field is quoted only if it holds
-    a comma, a double quote or a newline, so plain ids are written bare."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    a comma, a double quote, a newline or a carriage return, so plain ids are
+    written bare."""
+    lines: list[str] = []
+    # the writer quotes fields holding a character of its line terminator, so
+    # it writes "\r\n" and each row's terminator becomes "\n" here
+    writer = csv.writer(types.SimpleNamespace(write=lines.append), lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
+    return "".join([line[:-2] + "\n" for line in lines])
 
 
 def write_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
+
+
+@contextlib.contextmanager
+def open_text(path, newline: str | None = None) -> Iterator[TextIO]:
+    """``open(path, newline=newline)`` for reading UTF-8 text.
+
+    Bytes that are not UTF-8 raise FormatError naming the path and the byte
+    offset, not UnicodeDecodeError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        # the stream decodes chunk by chunk, so its error's offset is within a
+        # chunk: decode the whole file again for the offset in the file
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: byte {exc.start} is not valid UTF-8") from None
+        raise

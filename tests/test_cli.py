@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from tdt.classify import load_ground_truth
 from tdt.cli import main
 from tdt.errors import FormatError
-from tdt.harness import load_run_config
-from tdt.relation import load_relation, save_relation
+from tdt.harness import load_results_jsonl, load_run_config
+from tdt.relation import load_feature_relation, load_relation, save_relation
 
 DATA = Path(__file__).parent / "data"
 STUB = DATA / "stubs" / "pattern_parser.py"
@@ -351,3 +352,40 @@ def test_demo_harness_script_runs(tmp_path):
     scratch = Path(proc.stdout.strip().splitlines()[-1].removeprefix("artifacts in "))
     assert scratch.parent == tmp_path
     assert load_relation(scratch / "relation.json").n == 14
+
+
+# Each loader's file, long enough that the stream decodes it in several chunks,
+# with "@" where a byte that is not UTF-8 goes.
+_RESULT = ('{"accept": false, "error": null, "exit_status": 1, "input": "f1", "parser": "A", '
+           '"stderr": "%s", "timed_out": false, "truncated": false, "wall_time": 0.5}\n')
+NOT_UTF8 = {
+    "relation-json": ("rel.json", load_relation,
+                      '{"programs": ["A"], "inputs": ["' + "x" * 10000 + '@"], "rows": ["1"]}'),
+    "relation-csv": ("rel.csv", load_relation, "input,A\n" + "x,1\n" * 3000 + "@,1\n"),
+    "features-csv": ("feats.csv", load_feature_relation,
+                     "input,f\n" + "x,1\n" * 3000 + "@,1\n"),
+    "truth-csv": ("truth.csv", lambda path: load_ground_truth(path, None),
+                  "input,compliant\n" + "".join(f"x{k},1\n" for k in range(2000)) + "@,1\n"),
+    "run-config": ("run.json", load_run_config,
+                   '{"parsers": [{"name": "A", "command": "tool {input}"}], "corpus": "'
+                   + "c" * 10000 + '@"}'),
+    "results-jsonl": ("results.jsonl", load_results_jsonl, _RESULT % "e" * 100 + _RESULT % "@"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_UTF8))
+def test_loaders_reject_bytes_that_are_not_utf8(tmp_path, name):
+    filename, load, text = NOT_UTF8[name]
+    path = tmp_path / filename
+    path.write_bytes(text.encode().replace(b"@", b"\xff"))
+    with pytest.raises(FormatError) as excinfo:
+        load(path)
+    assert str(excinfo.value) == f"{path}: byte {text.index('@')} is not valid UTF-8"
+
+
+def test_analyze_relation_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "rel.json"
+    path.write_bytes(b'{"programs": ["A"], "inputs": ["\xff"], "rows": ["1"]}')
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "byte 32 is not valid UTF-8" in err and "Traceback" not in err

@@ -1,5 +1,13 @@
+import contextlib
 import json
+import os
+import shlex
+import signal
+import subprocess
 import sys
+import tempfile
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -333,3 +341,157 @@ def test_jobs_get_isolated_working_directories(tmp_path):
     rel, results = run_corpus(cfg)
     assert rel.accepts.all()
     assert all(r.stderr == b"" for r in results)
+
+
+def _gone_or_zombie(pid: int, within: float) -> bool:
+    """Whether ``pid`` no longer runs (exited, perhaps not yet reaped) within ``within`` s."""
+    deadline = time.monotonic() + within
+    while True:
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                if fh.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return True
+        except FileNotFoundError:
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+
+
+def _grandchild_config(corpus: Path, pidfile: Path, timeout_secs: float,
+                       script: str = "sleep 20 & echo $! > {pidfile}; sleep 20") -> RunConfig:
+    # the shell starts one background grandchild and writes its pid to pidfile
+    script = script.format(pidfile=shlex.quote(str(pidfile)))
+    return RunConfig(
+        parsers=(ParserSpec(name="forker", command=f"sh -c {shlex.quote(script)} {{input}}"),),
+        corpus=str(corpus),
+        glob="doc*",
+        timeout_secs=timeout_secs,
+    )
+
+
+@pytest.mark.parametrize(
+    "script, timed_out",
+    [
+        # the grandchild holds the job's stderr open, and the shell outlives the timeout
+        ("sleep 20 & echo $! > {pidfile}; sleep 20", True),
+        # the shell exits at once and leaves the grandchild behind
+        ("sleep 20 > /dev/null 2>&1 & echo $! > {pidfile}", False),
+    ],
+    ids=["timeout", "exit"],
+)
+def test_job_process_group_is_killed(tmp_path, script, timed_out):
+    (tmp_path / "doc").write_text("x")
+    pidfile = tmp_path / "grandchild.pid"
+    pid = None
+    try:
+        start = time.monotonic()
+        _, results = run_corpus(_grandchild_config(tmp_path, pidfile, 0.5, script))
+        assert time.monotonic() - start < 10
+        pid = int(pidfile.read_text())
+        assert results[0].timed_out == timed_out and results[0].accept == (not timed_out)
+        assert results[0].exit_status == (None if timed_out else 0)
+        assert _gone_or_zombie(pid, within=2.0)
+    finally:
+        if pid is None and pidfile.exists():
+            pid = int(pidfile.read_text())
+        if pid is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+
+
+def test_interrupted_run_kills_running_jobs(tmp_path, monkeypatch):
+    """An exception while jobs run (here ^C at the second launch) kills the first
+    job's process group and removes every job directory before propagating."""
+    for k in range(2):
+        (tmp_path / f"doc{k}").write_text("x")
+    pidfile = tmp_path / "grandchild.pid"
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    launch = subprocess.Popen
+    launched = []
+
+    def interrupt_second(*args, **kwargs):
+        if launched:
+            while not pidfile.exists() or not pidfile.read_text().strip():
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+        launched.append(launch(*args, **kwargs))
+        return launched[0]
+
+    monkeypatch.setattr(subprocess, "Popen", interrupt_second)
+    cfg = _grandchild_config(tmp_path, pidfile, 30)
+    cfg = RunConfig(parsers=cfg.parsers, corpus=cfg.corpus, glob=cfg.glob, timeout_secs=30,
+                    parallelism=2)
+    pid = None
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_corpus(cfg)
+        pid = int(pidfile.read_text())
+        assert launched[0].returncode == -signal.SIGKILL
+        assert _gone_or_zombie(pid, within=2.0)
+        assert list((tmp_path / "tmp").iterdir()) == []
+    finally:
+        if pid is None and pidfile.exists():
+            pid = int(pidfile.read_text())
+        if pid is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+
+
+def test_stderr_flood_is_read_in_bounded_memory(tmp_path):
+    stub = tmp_path / "flood.py"
+    stub.write_text("import sys\nsys.stderr.buffer.write(b'e' * (8 << 20))\n")
+    (tmp_path / "doc").write_text("x")
+    cfg = RunConfig(
+        parsers=(ParserSpec(name="flood", command=f"{sys.executable} {stub} {{input}}"),),
+        corpus=str(tmp_path),
+        glob="doc",
+        timeout_secs=20,
+        stderr_cap_bytes=64,
+    )
+    tracemalloc.start()
+    try:
+        _, results = run_corpus(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert results[0].stderr == b"e" * 64 and results[0].truncated
+    assert not results[0].timed_out and results[0].exit_status == 0
+    assert peak < 1 << 20
+
+
+def test_job_directories_are_removed(tmp_path, monkeypatch):
+    # jobs run under TMPDIR; a tool's leftover files do not outlive the run
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    stub = tmp_path / "litter.py"
+    stub.write_text("open('left-behind', 'w').write('x')\n")
+    for k in range(3):
+        (tmp_path / f"doc{k}").write_text("x")
+    cfg = RunConfig(
+        parsers=(ParserSpec(name="litter", command=f"{sys.executable} {stub} {{input}}"),
+                 ParserSpec(name="tidy", command=f"{sys.executable} -c pass {{input}}")),
+        corpus=str(tmp_path),
+        glob="doc*",
+        timeout_secs=20,
+        parallelism=2,
+    )
+    rel, _ = run_corpus(cfg)
+    assert rel.accepts.all()
+    assert list((tmp_path / "tmp").iterdir()) == []
+
+
+def test_missing_pidfd_fails_before_running(tmp_path, monkeypatch):
+    marker = tmp_path / "ran"
+    (tmp_path / "doc").write_text("x")
+    cfg = RunConfig(
+        parsers=(ParserSpec(name="toucher", command=f"touch {marker} {{input}}"),),
+        corpus=str(tmp_path),
+        glob="doc",
+        timeout_secs=5,
+    )
+    monkeypatch.delattr(os, "pidfd_open")
+    with pytest.raises(ConfigurationError, match="pidfd"):
+        run_corpus(cfg)
+    assert not marker.exists()

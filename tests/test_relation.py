@@ -265,7 +265,7 @@ def test_relation_matrix_is_immutable(toy_relation):
         toy_relation.accepts[0, 0] = False
 
 
-AWKWARD_IDS = ("a,b", 'say "hi"', "two\nlines", '"', ",", "")
+AWKWARD_IDS = ("a,b", 'say "hi"', "two\nlines", '"', ",", "", "a\rb", "\r")
 
 
 def test_csv_loaders_match_per_cell_oracle(tmp_path):
@@ -330,7 +330,7 @@ def test_csv_writers_quote_awkward_ids(tmp_path):
     from tdt.relation import FeatureRelation
 
     ids = ("plain", *AWKWARD_IDS)
-    masks = [3, 1, 2, 0, 3, 1, 2]
+    masks = [3, 1, 2, 0, 3, 1, 2, 0, 3]
     rel = Relation(programs=("A", "B,C"), inputs=ids,
                    accepts=relation_from_masks(masks, m=2).accepts)
     path = tmp_path / "rel.csv"
