@@ -45,9 +45,8 @@ def main() -> None:
           [names_from_mask(rel, m) for m in sorted(deficient_regions(diag))])
 
     graph = build_graph(build_complex(rel))
-    red = [(e.tail, e.head) for e in graph.edges if not e.consistent]
-    print(f"\nDowker graph: {len(graph.nodes)} faces, "
-          f"{len(graph.edges)} covering edges, {len(red)} inconsistent")
+    print(f"\nDowker graph: {len(graph.faces)} faces, "
+          f"{len(graph.tails)} covering edges, {int((~graph.consistent).sum())} inconsistent")
     core = consistent_core(graph)
     print("consistent core:",
           sorted(",".join(names_from_mask(rel, m)) for m in core))

@@ -6,14 +6,13 @@ arithmetic and rendered as decimals only at the edges.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .distill import ScoreVector
 from .errors import FormatError, ValidationError
-from .relation import Relation
-from .util import canonical_dumps, open_text
+from .relation import Relation, _read_01_rows, _read_csv
+from .util import canonical_dumps
 
 
 @dataclass(frozen=True)
@@ -93,23 +92,17 @@ def evaluate(predicted: set[int], truth: GroundTruth) -> ClassifierReport:
 
 def load_ground_truth(path, rel: Relation) -> GroundTruth:
     """CSV ``input,compliant`` with 0/1 cells, aligned to the relation by input id."""
+    columns, records = _read_csv(path)
+    if columns != ["compliant"]:
+        raise FormatError(f"{path}: line 1: header must be 'input,compliant'")
+    inputs, compliant = _read_01_rows(
+        path, records, ["compliant"], lambda _, cell: f"cell {cell!r}, expected 0 or 1"
+    )
     labels: dict[str, bool] = {}
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        if header != ["input", "compliant"]:
-            raise FormatError(f"{path}: line 1: header must be 'input,compliant'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2 or row[1] not in ("0", "1"):
-                raise FormatError(f"{path}: line {lineno}: expected '<input>,0|1'")
-            if row[0] in labels:
-                raise ValidationError(f"{path}: duplicate input {row[0]!r}")
-            labels[row[0]] = row[1] == "1"
+    for name, ok in zip(inputs, compliant[:, 0].tolist()):
+        if name in labels:
+            raise ValidationError(f"{path}: duplicate input {name!r}")
+        labels[name] = ok
     missing = [name for name in rel.inputs if name not in labels]
     if missing or len(labels) != rel.n:
         raise ValidationError(

@@ -138,6 +138,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_or_print(path, text: str) -> None:
+    """Write text to the file at path, or to stdout when no path is given."""
+    if path:
+        write_text(path, text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_run(args) -> int:
     cfg = load_run_config(args.config)
     relation, results = run_corpus(cfg)
@@ -228,11 +236,7 @@ def cmd_sheaf(args) -> int:
     rel = load_relation(args.relation, fmt="json")
     names = [s for s in args.sigma.split(",") if s]
     sigma = mask_from_names(rel, names)
-    text = stalk_json(rel, sigma)
-    if args.out:
-        write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_or_print(args.out, stalk_json(rel, sigma))
     if args.display:
         print(json.dumps(list(display_vector(rel, sigma))))
     return 0
@@ -248,10 +252,7 @@ def cmd_features(args) -> int:
         strict=args.strict,
         prune_rounds=args.prune,
     )
-    if args.out:
-        write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_or_print(args.out, text)
     return 0
 
 
@@ -272,11 +273,7 @@ def cmd_classify(args) -> int:
     if args.truth:
         truth = load_ground_truth(args.truth, rel)
         report = evaluate(predicted, truth)
-        text = report_json(report, rel.inputs)
-        if args.out:
-            write_text(args.out, text)
-        else:
-            sys.stdout.write(text)
+        _write_or_print(args.out, report_json(report, rel.inputs))
         for label in ("precision", "recall", "f1"):
             value = getattr(report, label)
             print(f"{label}: " + ("undefined" if value is None else f"{float(value):.4f}"))

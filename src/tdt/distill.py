@@ -21,12 +21,13 @@ from .diagram import (
     deficiency,
     is_consistent,
     pair_blame,
+    project_diagram,
     region_weights,
 )
 from .dowker import inconsistent_accept_sets
 from .errors import EmptyScreenError, InconsistentDiagramError, ValidationError
-from .relation import Relation, column_masks, restrict_programs
-from .util import canonical_dumps, csv_text, facet_masks, popcount, submasks
+from .relation import Relation, column_masks, mask_from_names, restrict_programs
+from .util import bits, canonical_dumps, csv_text, popcount, submasks
 
 
 @dataclass(frozen=True)
@@ -105,35 +106,38 @@ def _pick_deficient_region(diag: WeightedDiagram) -> int:
 
 def _pick_heaviest_facet(diag: WeightedDiagram, region: int) -> int:
     """Heaviest facet of a region (the empty set counts); ties by ascending mask."""
-    return min(facet_masks(region), key=lambda f: (-diag.weights[f], f))
+    return min((region & ~(1 << j) for j in bits(region)), key=lambda f: (-diag.weights[f], f))
 
 
 def distill(rel: Relation) -> DistillTrace:
-    """Screen singletons, then drop one program per round until the diagram is consistent."""
-    current, removed = singleton_screen(rel)
+    """Screen singletons, then drop one program per round until the diagram is consistent.
+
+    Each round projects the current diagram off the dropped program; the relation
+    is restricted once, to the programs left at the end.
+    """
+    screened, removed = singleton_screen(rel)
+    names = list(screened.programs)  # the program of each bit of the diagram
+    diag = build_diagram(screened)
     steps = []
-    while True:
-        diag = build_diagram(current)
-        if is_consistent(diag):
-            break
+    while not is_consistent(diag):
         region = _pick_deficient_region(diag)
         face = _pick_heaviest_facet(diag, region)
-        removed_bit = region & ~face
-        removed_index = removed_bit.bit_length() - 1
+        removed_index = (region & ~face).bit_length() - 1
         steps.append(
             DistillStep(
-                region=tuple(current.programs[j] for j in range(current.m) if region >> j & 1),
-                face=tuple(current.programs[j] for j in range(current.m) if face >> j & 1),
-                removed=current.programs[removed_index],
+                region=tuple(names[j] for j in bits(region)),
+                face=tuple(names[j] for j in bits(face)),
+                removed=names[removed_index],
             )
         )
-        keep = ((1 << current.m) - 1) & ~(1 << removed_index)
-        current = restrict_programs(current, keep)
+        diag = project_diagram(diag, ((1 << diag.m) - 1) & ~(1 << removed_index))
+        del names[removed_index]
+    final = restrict_programs(screened, mask_from_names(screened, names))
     return DistillTrace(
         initial_removals=removed,
         steps=tuple(steps),
-        final_programs=current.programs,
-        final_relation=current,
+        final_programs=final.programs,
+        final_relation=final,
     )
 
 

@@ -84,20 +84,14 @@ class DowkerComplex:
         return np.flatnonzero(self.face_flags & (region_sizes(self.width) == dim + 1)).tolist()
 
 
-@dataclass(frozen=True)
-class GraphEdge:
-    tail: int  # superset mask
-    head: int  # subset mask (one program fewer)
-    consistent: bool
-
-
 @dataclass(frozen=True, eq=False)
 class DowkerGraph:
     """Covering-order digraph on the faces, each node carrying its region weight.
 
-    ``faces`` lists the nodes in (size, mask) order; edge k runs from
-    ``tails[k]`` to ``heads[k]`` and is consistent iff ``consistent[k]``, in
-    (size of tail, tail, head) order. ``weights`` is the complex's weight vector.
+    ``faces`` lists the nodes in (size, mask) order; edge k runs from the face
+    ``tails[k]`` to its facet ``heads[k]`` (one program fewer) and is consistent
+    iff ``consistent[k]``, in (size of tail, tail, head) order. ``weights`` is
+    the complex's weight vector.
     """
 
     width: int
@@ -107,18 +101,6 @@ class DowkerGraph:
     tails: np.ndarray
     heads: np.ndarray
     consistent: np.ndarray
-
-    @cached_property
-    def nodes(self) -> dict[int, int]:
-        """Face mask -> region weight."""
-        return dict(zip(self.faces.tolist(), self.weights[self.faces].tolist()))
-
-    @cached_property
-    def edges(self) -> tuple[GraphEdge, ...]:
-        return tuple(
-            GraphEdge(tail=t, head=h, consistent=c)
-            for t, h, c in zip(self.tails.tolist(), self.heads.tolist(), self.consistent.tolist())
-        )
 
 
 def build_complex(rel: Relation) -> DowkerComplex:

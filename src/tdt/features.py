@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
+from .diagram import region_sizes
 from .dowker import inconsistent_accept_sets
 from .errors import ValidationError
 from .relation import FeatureRelation, Relation, column_masks, validate_mask
-from .util import canonical_dumps, mask_of
+from .util import canonical_dumps
 
 
 def _check_alignment(rel: Relation, feats: FeatureRelation) -> None:
@@ -85,9 +85,9 @@ def _sweep(rel: Relation, feats: FeatureRelation, top: int, strict: bool):
     a feature that no input carries.
     """
     masks, inverse, counts = np.unique(column_masks(rel), return_inverse=True, return_counts=True)
+    sizes = region_sizes(rel.m)
     for r in range(top + 1):
-        for combo in combinations(range(rel.m), rel.m - r):
-            mask = mask_of(combo)
+        for mask in np.flatnonzero(sizes == rel.m - r).tolist():
             inconsistent = inconsistent_accept_sets(masks, counts, mask)[inverse]
             yield r, mask, _product(feats, inconsistent, strict), not inconsistent.any()
 

@@ -26,7 +26,7 @@ from typing import Iterable
 
 from .errors import ConfigurationError, FormatError, ValidationError
 from .relation import Relation
-from .util import csv_text, open_text
+from .util import csv_text, json_field, load_json_object, open_text
 
 POLICIES = ("stderr-empty", "exit-zero", "both")
 DEFAULT_STDERR_CAP = 64 * 1024
@@ -82,60 +82,34 @@ class RunResult:
     error: str | None = None  # launch-level diagnostic, if any
 
 
-_MISSING = object()
-
-
-def _field(path, record: dict, key: str, kinds: tuple, expected: str, default=_MISSING,
-           where: str = ""):
-    """``record[key]`` if it is one of ``kinds``, else a FormatError naming the field.
-
-    A JSON true/false is a bool, which Python counts as an int: it passes only
-    where ``kinds`` lists bool.
-    """
-    if key not in record:
-        if default is _MISSING:
-            raise FormatError(f"{path}: {where}missing field {key!r}")
-        return default
-    value = record[key]
-    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-        raise FormatError(f"{path}: {where}field {key!r} must be {expected}, got {value!r}")
-    return value
-
-
 def load_run_config(path) -> RunConfig:
-    try:
-        with open_text(path) as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(payload, dict) or "parsers" not in payload or "corpus" not in payload:
-        raise FormatError(f"{path}: expected an object with 'parsers' and 'corpus'")
+    payload = load_json_object(path)
     parsers = []
-    for i, entry in enumerate(_field(path, payload, "parsers", (list,), "an array")):
-        if not isinstance(entry, dict) or "name" not in entry or "command" not in entry:
-            raise FormatError(f"{path}: parsers[{i}] needs 'name' and 'command'")
+    for i, entry in enumerate(json_field(path, payload, "parsers", (list,), "an array")):
+        if not isinstance(entry, dict):
+            raise FormatError(f"{path}: parsers[{i}] must be an object")
         where = f"parsers[{i}]: "
-        keywords = _field(path, entry, "keywords", (list,), "a list of strings", [], where)
+        keywords = json_field(path, entry, "keywords", (list,), "a list of strings", [], where)
         if not all(isinstance(kw, str) for kw in keywords):
             raise FormatError(
                 f"{path}: {where}field 'keywords' must be a list of strings, got {keywords!r}"
             )
         parsers.append(
             ParserSpec(
-                name=_field(path, entry, "name", (str,), "a string", where=where),
-                command=_field(path, entry, "command", (str,), "a string", where=where),
-                policy=_field(path, entry, "policy", (str,), "a string", "stderr-empty", where),
+                name=json_field(path, entry, "name", (str,), "a string", where=where),
+                command=json_field(path, entry, "command", (str,), "a string", where=where),
+                policy=json_field(path, entry, "policy", (str,), "a string", "stderr-empty", where),
                 keywords=tuple(keywords),
             )
         )
     try:
         return RunConfig(
             parsers=tuple(parsers),
-            corpus=_field(path, payload, "corpus", (str,), "a string"),
-            glob=_field(path, payload, "glob", (str,), "a string", "*"),
-            timeout_secs=_field(path, payload, "timeout_secs", (int, float), "a number", 30.0),
-            parallelism=_field(path, payload, "parallelism", (int,), "an integer", 1),
-            stderr_cap_bytes=_field(
+            corpus=json_field(path, payload, "corpus", (str,), "a string"),
+            glob=json_field(path, payload, "glob", (str,), "a string", "*"),
+            timeout_secs=json_field(path, payload, "timeout_secs", (int, float), "a number", 30.0),
+            parallelism=json_field(path, payload, "parallelism", (int,), "an integer", 1),
+            stderr_cap_bytes=json_field(
                 path, payload, "stderr_cap_bytes", (int,), "an integer", DEFAULT_STDERR_CAP
             ),
         )
@@ -378,6 +352,21 @@ def results_jsonl(results: list[RunResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Each field of a results record: the JSON types it may hold, how to name
+# them, and its default if it may be missing.
+_RESULT_FIELDS = {
+    "stderr": ((str,), "a string"),
+    "parser": ((str,), "a string"),
+    "input": ((str,), "a string"),
+    "accept": ((bool,), "a boolean"),
+    "exit_status": ((int, type(None)), "an integer or null"),
+    "timed_out": ((bool,), "a boolean"),
+    "truncated": ((bool,), "a boolean"),
+    "wall_time": ((int, float), "a number"),
+    "error": ((str, type(None)), "a string or null", None),
+}
+
+
 def load_results_jsonl(path) -> list[RunResult]:
     out = []
     with open_text(path) as fh:
@@ -391,29 +380,17 @@ def load_results_jsonl(path) -> list[RunResult]:
                 raise FormatError(f"{path}: line {lineno}: {exc.msg}") from None
             if not isinstance(rec, dict):
                 raise FormatError(f"{path}: line {lineno}: expected an object")
-
-            def get(key, kinds, expected, default=_MISSING):
-                return _field(path, rec, key, kinds, expected, default, f"line {lineno}: ")
-
+            fields = {
+                key: json_field(path, rec, key, *spec, where=f"line {lineno}: ")
+                for key, spec in _RESULT_FIELDS.items()
+            }
             try:
-                stderr = get("stderr", (str,), "a string").encode("latin-1")
+                fields["stderr"] = fields["stderr"].encode("latin-1")
             except UnicodeEncodeError:
                 raise FormatError(
                     f"{path}: line {lineno}: field 'stderr' holds characters beyond latin-1"
                 ) from None
-            out.append(
-                RunResult(
-                    parser=get("parser", (str,), "a string"),
-                    input=get("input", (str,), "a string"),
-                    accept=get("accept", (bool,), "a boolean"),
-                    exit_status=get("exit_status", (int, type(None)), "an integer or null"),
-                    timed_out=get("timed_out", (bool,), "a boolean"),
-                    stderr=stderr,
-                    truncated=get("truncated", (bool,), "a boolean"),
-                    wall_time=get("wall_time", (int, float), "a number"),
-                    error=get("error", (str, type(None)), "a string or null", None),
-                )
-            )
+            out.append(RunResult(**fields))
     return out
 
 

@@ -9,15 +9,15 @@ these two representations.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
 from .errors import CapacityError, FormatError, StatisticUndefinedError, ValidationError
-from .util import canonical_dumps, csv_text, open_text, write_text
+from .util import canonical_dumps, csv_text, json_field, load_json_object, open_text, write_text
 
 # Analysis operations hold dense vectors over all 2^m program subsets, so the
 # program count is capped where accept-set masks are formed (not at loading).
@@ -261,25 +261,14 @@ def relation_json(rel: Relation) -> str:
 
 
 def _load_json(path) -> Relation:
-    try:
-        with open_text(path) as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(payload, dict):
-        raise FormatError(f"{path}: top-level value must be an object")
-    for field in ("programs", "inputs", "rows"):
-        if field not in payload:
-            raise FormatError(f"{path}: missing field {field!r}")
-        if not isinstance(payload[field], list):
-            raise FormatError(f"{path}: field {field!r} must be an array")
-    for field in ("programs", "inputs"):
-        for i, value in enumerate(payload[field]):
+    payload = load_json_object(path)
+    programs, inputs, rows = (
+        json_field(path, payload, key, (list,), "an array") for key in ("programs", "inputs", "rows")
+    )
+    for field, names in (("programs", programs), ("inputs", inputs)):
+        for i, value in enumerate(names):
             if not isinstance(value, str):
                 raise FormatError(f"{path}: {field}[{i}] must be a string")
-    programs = payload["programs"]
-    inputs = payload["inputs"]
-    rows = payload["rows"]
     if len(rows) != len(programs):
         raise FormatError(
             f"{path}: field 'rows' has {len(rows)} entries for {len(programs)} programs"
@@ -308,18 +297,25 @@ def relation_csv(rel: Relation) -> str:
     return csv_text(["input", *rel.programs], rows)
 
 
-def _read_header(path, reader) -> list[str]:
-    """The column names after ``input`` in a CSV header."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError(f"{path}: empty file") from None
-    if not header or header[0] != "input":
+def _read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """The column names after ``input`` in a CSV file's header, and the records after it.
+
+    A record the csv module cannot parse is a FormatError naming its line.
+    """
+    with open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            records = list(reader)
+        except csv.Error as exc:
+            raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not records:
+        raise FormatError(f"{path}: empty file")
+    if not records[0] or records[0][0] != "input":
         raise FormatError(f"{path}: line 1: header must start with 'input'")
-    return header[1:]
+    return records[0][1:], records[1:]
 
 
-def _read_01_rows(path, reader, columns: list[str], cell_error) -> tuple[list[str], np.ndarray]:
+def _read_01_rows(path, records, columns: list[str], cell_error) -> tuple[list[str], np.ndarray]:
     """Input ids and the (rows x columns) bool matrix of a 0/1 CSV body.
 
     Line numbers count every record after the header (line 1), blank ones
@@ -327,12 +323,12 @@ def _read_01_rows(path, reader, columns: list[str], cell_error) -> tuple[list[st
     order is reported, a bad cell worded by ``cell_error(column, cell)``.
     """
     width = len(columns) + 1
-    records = list(reader)
     lengths = np.fromiter(map(len, records), np.int64, len(records))
     (wrong,) = np.nonzero((lengths != width) & (lengths != 0))
     end = int(wrong[0]) if wrong.size else len(records)
     linenos = np.flatnonzero(lengths[:end]) + 2
-    table = np.array([row for row in records[:end] if row], dtype=object).reshape(-1, width)
+    # one flat pass over the nonblank records: numpy is slower to find the shape of nested lists
+    table = np.fromiter(chain.from_iterable(filter(None, records[:end])), object).reshape(-1, width)
     cells = table[:, 1:]
     ones = cells == "1"
     bad = ~ones & (cells != "0")
@@ -345,24 +341,20 @@ def _read_01_rows(path, reader, columns: list[str], cell_error) -> tuple[list[st
 
 
 def _load_csv(path) -> Relation:
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        programs = _read_header(path, reader)
-        if not programs:
-            raise FormatError(f"{path}: line 1: no program columns")
-        inputs, matrix = _read_01_rows(
-            path, reader, programs,
-            lambda field, cell: f"column {field!r} is {cell!r}, expected 0 or 1",
-        )
+    programs, records = _read_csv(path)
+    if not programs:
+        raise FormatError(f"{path}: line 1: no program columns")
+    inputs, matrix = _read_01_rows(
+        path, records, programs,
+        lambda field, cell: f"column {field!r} is {cell!r}, expected 0 or 1",
+    )
     return Relation(programs=tuple(programs), inputs=tuple(inputs), accepts=matrix.T)
 
 
 def relation_pgm(rel: Relation) -> str:
     """ASCII PGM (P2) image of the matrix: accept=255, reject=0, one pixel per cell."""
-    lines = ["P2", f"{rel.n} {rel.m}", "255"]
-    for row in rel.accepts:
-        lines.append(" ".join("255" if v else "0" for v in row))
-    return "\n".join(lines) + "\n"
+    rows = np.where(rel.accepts, "255", "0").tolist()
+    return "\n".join(["P2", f"{rel.n} {rel.m}", "255", *map(" ".join, rows)]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +363,10 @@ def relation_pgm(rel: Relation) -> str:
 
 def load_feature_relation(path) -> FeatureRelation:
     """CSV with header ``input,<feat...>`` and 0/1 cells."""
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        features = _read_header(path, reader)
-        inputs, matrix = _read_01_rows(
-            path, reader, features, lambda _, cell: f"cell {cell!r}, expected 0 or 1"
-        )
+    features, records = _read_csv(path)
+    inputs, matrix = _read_01_rows(
+        path, records, features, lambda _, cell: f"cell {cell!r}, expected 0 or 1"
+    )
     return FeatureRelation(inputs=tuple(inputs), features=tuple(features), has_feature=matrix)
 
 

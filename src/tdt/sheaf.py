@@ -2,10 +2,12 @@
 
 Over the full simplex on the programs, each simplex sigma carries a stalk: the
 partition of the corpus into 2^|sigma| classes by acceptance pattern within
-sigma, stored as class counts.  Restriction to a face coarsens the partition by
-summing the classes that project onto each smaller pattern, so the assignment
-built from a relation is automatically a global section; consistency at sigma
-additionally asks that sigma's own induced diagram has no deficient region.
+sigma, stored as class counts.  Every stalk is a projection of one weight
+vector, and restriction to a face coarsens the partition by summing the
+classes that project onto each smaller pattern, so the stalks of a coface
+always restrict to those of its faces: the assignment is a global section by
+construction.  Consistency at sigma therefore only asks that sigma's own
+induced diagram has no deficient region.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .diagram import WeightedDiagram, build_diagram, is_consistent, project_diagram
 from .errors import ValidationError
 from .relation import Relation, names_from_mask, validate_mask
-from .util import bits, canonical_dumps, popcount, submasks
+from .util import canonical_dumps, popcount
 
 
 @dataclass(frozen=True)
@@ -40,28 +42,12 @@ def build_assignment(rel: Relation) -> SheafAssignment:
     return SheafAssignment(m=rel.m, labels=rel.programs, diagram=build_diagram(rel))
 
 
-def restrict_stalk(stalk: dict[int, int], sigma: int, sub: int) -> dict[int, int]:
-    """Coarsen a stalk over sigma to its face sub by merging classes."""
-    if sub & ~sigma:
-        raise ValidationError("sub must be a face of sigma")
-    out = {z: 0 for z in submasks(sub)}
-    for pattern, count in stalk.items():
-        out[pattern & sub] += count
-    return out
-
-
 def consistency_at(assignment: SheafAssignment, sigma: int) -> bool:
-    """True iff every coface restricts to sigma's stalk and sigma's induced diagram is consistent.
+    """True iff the diagram induced on sigma (the projection onto it) is consistent.
 
-    The agreement clause is automatic for assignments built from a relation but
-    is checked anyway, as the definition asks.
+    Sigma's stalk agrees with the restriction of every coface's stalk because
+    both are projections of the same diagram, so only consistency is checked.
     """
-    stalk = assignment.stalk(sigma)
-    full = (1 << assignment.m) - 1
-    for j in bits(full & ~sigma):
-        coface = sigma | (1 << j)
-        if restrict_stalk(assignment.stalk(coface), coface, sigma) != stalk:
-            return False
     return is_consistent(project_diagram(assignment.diagram, sigma))
 
 

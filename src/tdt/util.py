@@ -1,5 +1,5 @@
-"""Small shared helpers: bitmask subsets, canonical JSON and CSV output, and
-reading UTF-8 files."""
+"""Small shared helpers: bitmask subsets, canonical JSON and CSV output,
+reading UTF-8 files, and checking the fields of a JSON object."""
 
 from __future__ import annotations
 
@@ -26,13 +26,6 @@ def bits(mask: int) -> Iterator[int]:
         j += 1
 
 
-def mask_of(indices: Iterable[int]) -> int:
-    out = 0
-    for j in indices:
-        out |= 1 << j
-    return out
-
-
 def submasks(mask: int) -> Iterator[int]:
     """All subsets of a mask, including 0 and the mask itself."""
     sub = mask
@@ -41,12 +34,6 @@ def submasks(mask: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & mask
-
-
-def facet_masks(mask: int) -> Iterator[int]:
-    """All subsets of a mask with exactly one bit removed."""
-    for j in bits(mask):
-        yield mask & ~(1 << j)
 
 
 def canonical_dumps(payload) -> str:
@@ -68,6 +55,39 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return "".join([line[:-2] + "\n" for line in lines])
+
+
+_MISSING = object()
+
+
+def json_field(path, record: dict, key: str, kinds: tuple, expected: str, default=_MISSING,
+               where: str = ""):
+    """``record[key]`` if it is one of ``kinds``, else a FormatError naming the field.
+
+    A JSON true/false is a bool, which Python counts as an int: it passes only
+    where ``kinds`` lists bool.
+    """
+    if key not in record:
+        if default is _MISSING:
+            raise FormatError(f"{path}: {where}missing field {key!r}")
+        return default
+    value = record[key]
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise FormatError(f"{path}: {where}field {key!r} must be {expected}, got {value!r}")
+    return value
+
+
+def load_json_object(path) -> dict:
+    """The JSON object in a UTF-8 file; invalid JSON or another top-level value
+    is a FormatError."""
+    try:
+        with open_text(path) as fh:
+            payload = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: top-level value must be an object")
+    return payload
 
 
 def write_text(path, text: str) -> None:

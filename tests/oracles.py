@@ -125,6 +125,83 @@ def sweep_scores(rows: list[str], min_size: int = 2) -> list[int]:
     return scores
 
 
+def distill_trace(programs: list[str], rows: list[str]):
+    """Distillation by restrict-and-rebuild: drop every program that rejects a
+    majority, then per round recount the weights of the rows left, pick the
+    largest deficient region (ties: larger shortfall, then smaller mask) and its
+    heaviest facet (ties: smaller mask), and delete the program between them.
+
+    Returns (screened names, steps as (region names, face names, removed name),
+    final names, final rows), or None when the screen keeps no program.
+    """
+    n = len(rows[0]) if rows else 0
+    screened = [name for name, row in zip(programs, rows) if 2 * row.count("1") < n]
+    kept = [j for j, row in enumerate(rows) if 2 * row.count("1") >= n]
+    if not kept:
+        return None
+    names, rows = [programs[j] for j in kept], [rows[j] for j in kept]
+    steps = []
+    while True:
+        m = len(rows)
+        weights = region_weights(rows)
+        deficient = deficient_by_covers(weights, m)
+        if not deficient:
+            return screened, steps, names, rows
+
+        def shortfall(region):
+            return max(weights[region & ~(1 << j)] for j in _members(region, m)) - weights[region]
+
+        region = min(deficient, key=lambda x: (-_popcount(x), -shortfall(x), x))
+        facets = [region & ~(1 << j) for j in _members(region, m)]
+        face = min(facets, key=lambda f: (-weights[f], f))
+        gone = (region & ~face).bit_length() - 1
+        steps.append((
+            [names[j] for j in _members(region, m)],
+            [names[j] for j in _members(face, m)],
+            names[gone],
+        ))
+        del names[gone], rows[gone]
+
+
+def stalk(rows: list[str], sigma: int) -> dict[int, int]:
+    """Inputs per acceptance pattern within sigma, for every pattern (a subset of sigma)."""
+    cols = masks_from_rows(rows)
+    return {
+        z: sum(1 for c in cols if c & sigma == z)
+        for z in range(sigma + 1)
+        if z & ~sigma == 0
+    }
+
+
+def restrict_stalk(stalk: dict[int, int], sigma: int, sub: int) -> dict[int, int]:
+    """Coarsen a stalk over sigma to its face sub by merging classes."""
+    assert sub & ~sigma == 0, "sub must be a face of sigma"
+    out = {z: 0 for z in range(sub + 1) if z & ~sub == 0}
+    for pattern, count in stalk.items():
+        out[pattern & sub] += count
+    return out
+
+
+def stalks_agree(stalk_of, sigma: int, m: int) -> bool:
+    """Does the stalk over every coface of sigma (one program more) restrict to
+    the stalk over sigma?  ``stalk_of(mask)`` gives the stalk over a mask."""
+    return all(
+        restrict_stalk(stalk_of(sigma | 1 << j), sigma | 1 << j, sigma) == stalk_of(sigma)
+        for j in range(m)
+        if not sigma >> j & 1
+    )
+
+
+def consistency_at(stalk_of, rows: list[str], sigma: int) -> bool:
+    """The sheaf condition at sigma, both clauses checked: the cofaces' stalks
+    agree with sigma's, and the relation restricted to sigma is consistent."""
+    members = _members(sigma, len(rows))
+    restricted = restrict_rows(rows, members)
+    return stalks_agree(stalk_of, sigma, len(rows)) and consistent_by_covers(
+        region_weights(restricted), len(members)
+    )
+
+
 def euler_characteristic(faces: set[int]) -> int:
     """Sum over faces of (-1)^dim, dim = popcount - 1."""
     return sum((-1) ** (bin(face).count("1") - 1) for face in faces)

@@ -54,7 +54,8 @@ def test_criterion_1_toy_fixture(toy_relation):
     for mask in range(16):
         assert diag.weights[mask] == expected.get(mask, 0)
     graph = build_graph(build_complex(toy_relation))
-    red = {(e.tail, e.head) for e in graph.edges if not e.consistent}
+    inconsistent = ~graph.consistent
+    red = set(zip(graph.tails[inconsistent].tolist(), graph.heads[inconsistent].tolist()))
     assert red == {(A | C, C), (B | C, B), (B | C, C)}
     core = consistent_core(graph)
     assert core == {A, B, C, D, A | B, A | D, C | D}

@@ -383,6 +383,43 @@ def test_loaders_reject_bytes_that_are_not_utf8(tmp_path, name):
     assert str(excinfo.value) == f"{path}: byte {text.index('@')} is not valid UTF-8"
 
 
+# Each CSV loader's file with an id longer than the csv module's field limit,
+# on line 3.
+_LONG_ID = "x" * 200_000
+FIELD_TOO_LARGE = {
+    "relation-csv": ("rel.csv", load_relation, f"input,A\ny,1\n{_LONG_ID},1\n"),
+    "features-csv": ("feats.csv", load_feature_relation, f"input,f\ny,1\n{_LONG_ID},1\n"),
+    "truth-csv": ("truth.csv", lambda path: load_ground_truth(path, None),
+                  f"input,compliant\ny,1\n{_LONG_ID},1\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_TOO_LARGE))
+def test_csv_loaders_reject_fields_over_the_csv_limit(tmp_path, name):
+    import csv
+
+    filename, load, text = FIELD_TOO_LARGE[name]
+    path = tmp_path / filename
+    path.write_text(text)
+    with pytest.raises(FormatError) as excinfo:
+        load(path)
+    limit = csv.field_size_limit()
+    assert str(excinfo.value) == f"{path}: line 3: field larger than field limit ({limit})"
+
+
+def test_csv_field_over_the_limit_exits_two(tmp_path, capsys, trio_json):
+    path = tmp_path / "big.csv"
+    for argv, header in (
+        (["features", str(trio_json), "--features", str(path)], "input,f"),
+        (["classify", str(trio_json), "--vote", "1", "--truth", str(path)], "input,compliant"),
+    ):
+        path.write_text(f"{header}\n{_LONG_ID},1\n")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 2: field larger than field limit")
+        assert "Traceback" not in err
+
+
 def test_analyze_relation_that_is_not_utf8_exits_two(tmp_path, capsys):
     path = tmp_path / "rel.json"
     path.write_bytes(b'{"programs": ["A"], "inputs": ["\xff"], "rows": ["1"]}')

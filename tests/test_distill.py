@@ -1,6 +1,8 @@
+import importlib
 import json
 import random
 
+import numpy as np
 import pytest
 
 from tdt.diagram import build_diagram, is_consistent
@@ -18,6 +20,7 @@ from tdt.errors import EmptyScreenError, InconsistentDiagramError, ValidationErr
 from tdt.relation import restrict_inputs
 
 from conftest import relation_from_masks, relation_from_rows
+import oracles
 from oracles import sweep_scores
 
 # Frozen from the brute-force sweep oracle (tests/oracles.py) ahead of the build.
@@ -181,3 +184,53 @@ def test_pairs_mode_matches_pairwise_blame(toy_relation):
             for k in pair_inconsistent_inputs(toy_relation, sigma, tau):
                 expected[k] += 1
     assert list(vec.scores) == expected
+
+
+def _seeded_rows(m, p, case):
+    rng = np.random.default_rng([m, round(10 * p), case])
+    n = int(rng.integers(1, 61))
+    names = tuple(str(name) for name in rng.permutation(list("ABCDEFGH"))[:m])
+    return names, ["".join("1" if x else "0" for x in rng.random(n) < p) for _ in range(m)]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_distill_matches_restrict_and_rebuild_oracle(m):
+    """Seeded relations at p = 0.3/0.5/0.7: the trace bytes and the final
+    relation equal those of recounting the weights of the restricted rows in
+    every round."""
+    steps = 0
+    for p in (0.3, 0.5, 0.7):
+        for case in range(4):
+            names, rows = _seeded_rows(m, p, case)
+            rel = relation_from_rows(rows, programs=names)
+            expected = oracles.distill_trace(list(names), rows)
+            if expected is None:
+                with pytest.raises(EmptyScreenError):
+                    distill(rel)
+                continue
+            screened, oracle_steps, final_names, final_rows = expected
+            payload = {
+                "screened": screened,
+                "steps": [{"region": r, "face": f, "removed": x} for r, f, x in oracle_steps],
+                "final": final_names,
+            }
+            trace = distill(rel)
+            assert trace_json(trace) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            assert trace.final_relation == relation_from_rows(final_rows, programs=final_names)
+            steps += len(trace.steps)
+    assert steps >= (m > 1)
+
+
+def test_distill_builds_the_diagram_once(monkeypatch):
+    built = []
+
+    def counting(rel):
+        built.append(rel.m)
+        return build_diagram(rel)
+
+    # the package's ``distill`` attribute is the function, so fetch the module itself
+    monkeypatch.setattr(importlib.import_module("tdt.distill"), "build_diagram", counting)
+    names, rows = _seeded_rows(7, 0.5, 2)
+    trace = distill(relation_from_rows(rows, programs=names))
+    assert len(trace.steps) >= 3
+    assert built == [len(trace.steps) + len(trace.final_programs)]  # once, before any step

@@ -39,21 +39,22 @@ def test_build_complex_degenerate():
 
 def test_build_graph_toy_edge_flags(toy_relation):
     graph = build_graph(build_complex(toy_relation))
-    bad = {(e.tail, e.head) for e in graph.edges if not e.consistent}
+    inconsistent = ~graph.consistent
+    bad = set(zip(graph.tails[inconsistent].tolist(), graph.heads[inconsistent].tolist()))
     assert bad == {(A | C, C), (B | C, B), (B | C, C)}
-    assert len(graph.edges) == 13
+    assert len(graph.tails) == len(graph.heads) == 13
 
 
 def test_build_graph_graded_all_consistent(graded_relation):
     graph = build_graph(build_complex(graded_relation))
-    assert all(e.consistent for e in graph.edges)
+    assert graph.consistent.all()
 
 
 def test_build_graph_two_programs():
     # one input accepted jointly, two accepted by the first program alone
     rel = relation_from_masks([A | B, A, A], m=2)
     graph = build_graph(build_complex(rel))
-    flags = {(e.tail, e.head): e.consistent for e in graph.edges}
+    flags = dict(zip(zip(graph.tails.tolist(), graph.heads.tolist()), graph.consistent.tolist()))
     assert flags == {(A | B, A): False, (A | B, B): True}
 
 

@@ -27,10 +27,10 @@ from tdt.relation import (
     restrict_programs,
     save_relation,
 )
-from tdt.sheaf import build_assignment, consistency_at, restrict_stalk
+from tdt.sheaf import build_assignment, consistency_at
 
 from conftest import relation_from_masks
-from oracles import masks_from_rows
+from oracles import masks_from_rows, restrict_stalk
 
 COMMON = settings(max_examples=60, deadline=None, derandomize=True)
 

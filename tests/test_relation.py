@@ -243,6 +243,10 @@ def test_pgm_export(trio_relation):
     assert lines[3].split() == ["0", "0", "255", "255", "255", "0", "0", "0",
                                "255", "0", "255", "255", "255", "0"]
     assert len(lines) == 3 + 3
+    pixels = (" ".join("255" if c == "1" else "0" for c in row) for row in TRIO_ROWS)
+    assert text == "P2\n14 3\n255\n" + "".join(f"{line}\n" for line in pixels)
+    # no inputs: one empty pixel row per program
+    assert relation_pgm(relation_from_masks([], m=2)) == "P2\n0 2\n255\n\n\n"
 
 
 def test_feature_relation_csv_round_trip(tmp_path, toy_features):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from tdt.diagram import build_diagram, is_consistent
@@ -8,11 +9,12 @@ from tdt.sheaf import (
     build_assignment,
     consistency_at,
     display_vector,
-    restrict_stalk,
     stalk_json,
 )
 
-from conftest import relation_from_masks
+from conftest import relation_from_masks, relation_from_rows
+import oracles
+from oracles import restrict_stalk
 
 A, B, C = 1, 2, 4
 
@@ -113,3 +115,22 @@ def test_stalk_singleton_acceptance_rule():
     assert not consistency_at(stalks, 1)
     rel2 = relation_from_masks([1, 1, 0], m=1)
     assert consistency_at(build_assignment(rel2), 1)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_consistency_at_matches_the_sheaf_condition_oracle(m):
+    """At every nonempty simplex of seeded relations, the one-projection check
+    agrees with the definition: cofaces' stalks restrict to sigma's, and the
+    relation restricted to sigma is consistent."""
+    verdicts = set()
+    for p in (0.3, 0.5, 0.7):
+        rng = np.random.default_rng([m, round(10 * p)])
+        n = int(rng.integers(1, 41))
+        rows = ["".join("1" if x else "0" for x in rng.random(n) < p) for _ in range(m)]
+        assignment = build_assignment(relation_from_rows(rows))
+        for sigma in range(1, 1 << m):
+            assert assignment.stalk(sigma) == oracles.stalk(rows, sigma)
+            verdict = consistency_at(assignment, sigma)
+            assert verdict == oracles.consistency_at(assignment.stalk, rows, sigma)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
