@@ -5,6 +5,9 @@ subcommand consumes the canonical relation JSON, never a raw corpus.  All
 outputs are canonical (sorted keys, fixed order, newline-terminated) so reruns
 with identical inputs are byte-identical.
 
+Each subcommand imports the modules it runs when it runs, so ``tdt --help``
+loads no numpy and ``tdt score`` no harness.
+
 Exit codes: 0 success, 1 runtime/partial failure, 2 usage or validation.
 """
 
@@ -14,37 +17,7 @@ import argparse
 import json
 import sys
 
-from .classify import evaluate, load_ground_truth, report_json, score_rule_classifier, vote_classifier
-from .diagram import build_diagram, diagram_report, is_consistent
-from .distill import (
-    distill,
-    histogram_csv,
-    inconsistency_scores,
-    scores_csv,
-    select_inputs,
-    selection_report_csv,
-    trace_json,
-)
-from .dowker import betti_numbers, build_complex, build_graph, consistent_core, graph_dot, inconsistent_inputs
 from .errors import TdtError
-from .features import attribution_json
-from .harness import (
-    keyword_table,
-    keyword_table_csv,
-    load_run_config,
-    results_jsonl,
-    run_corpus,
-    run_summary,
-)
-from .relation import (
-    load_feature_relation,
-    load_relation,
-    mask_from_names,
-    relation_pgm,
-    restrict_inputs,
-    save_relation,
-)
-from .sheaf import display_vector, stalk_json
 from .util import canonical_dumps, write_text
 
 
@@ -147,6 +120,10 @@ def _write_or_print(path, text: str) -> None:
 
 
 def cmd_run(args) -> int:
+    from .harness import (keyword_table, keyword_table_csv, load_run_config, results_jsonl,
+                          run_corpus, run_summary)
+    from .relation import save_relation
+
     cfg = load_run_config(args.config)
     relation, results = run_corpus(cfg)
     save_relation(relation, args.out, fmt="json")
@@ -162,6 +139,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .diagram import build_diagram, diagram_report, is_consistent
+    from .dowker import (betti_numbers, build_complex, build_graph, consistent_core, graph_dot,
+                         inconsistent_inputs)
+    from .relation import load_relation
+
     rel = load_relation(args.relation, fmt="json")
     diag = build_diagram(rel)
     cpx = build_complex(rel)
@@ -189,6 +171,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_distill(args) -> int:
+    from .distill import distill, trace_json
+    from .relation import load_relation, save_relation
+
     rel = load_relation(args.relation, fmt="json")
     trace = distill(rel)
     if args.trace:
@@ -204,6 +189,9 @@ def cmd_distill(args) -> int:
 
 
 def cmd_score(args) -> int:
+    from .distill import histogram_csv, inconsistency_scores, scores_csv
+    from .relation import load_relation, restrict_inputs, save_relation
+
     rel = load_relation(args.relation, fmt="json")
     vec = inconsistency_scores(rel, min_subset_size=args.min_size, mode=args.mode)
     if args.scores:
@@ -222,6 +210,9 @@ def cmd_score(args) -> int:
 
 
 def cmd_select(args) -> int:
+    from .distill import select_inputs, selection_report_csv
+    from .relation import load_relation, restrict_inputs, save_relation
+
     rel = load_relation(args.relation, fmt="json")
     kept, report = select_inputs(rel, args.threshold)
     if args.out:
@@ -233,6 +224,9 @@ def cmd_select(args) -> int:
 
 
 def cmd_sheaf(args) -> int:
+    from .relation import load_relation, mask_from_names
+    from .sheaf import display_vector, stalk_json
+
     rel = load_relation(args.relation, fmt="json")
     names = [s for s in args.sigma.split(",") if s]
     sigma = mask_from_names(rel, names)
@@ -243,6 +237,9 @@ def cmd_sheaf(args) -> int:
 
 
 def cmd_features(args) -> int:
+    from .features import attribution_json
+    from .relation import load_feature_relation, load_relation
+
     rel = load_relation(args.relation, fmt="json")
     feats = load_feature_relation(args.features)
     text = attribution_json(
@@ -257,6 +254,11 @@ def cmd_features(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .classify import (evaluate, load_ground_truth, report_json, score_rule_classifier,
+                           vote_classifier)
+    from .distill import inconsistency_scores
+    from .relation import load_relation
+
     rel = load_relation(args.relation, fmt="json")
     if args.vote is not None:
         predicted = vote_classifier(rel, args.vote)
@@ -283,6 +285,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_export_pgm(args) -> int:
+    from .relation import load_relation, relation_pgm
+
     rel = load_relation(args.relation, fmt="json")
     write_text(args.out, relation_pgm(rel))
     print(f"wrote {rel.m}x{rel.n} matrix image to {args.out}")

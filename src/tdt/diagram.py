@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ValidationError
 from .relation import Relation, column_masks, validate_mask
 from .util import bits, canonical_dumps, popcount

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-import numpy as np
-
+from ._numpy import np
 from .diagram import (
     WeightedDiagram,
     build_diagram,

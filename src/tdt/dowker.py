@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
+from ._numpy import np
 from .diagram import (
     any_cover,
     build_diagram,

@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .diagram import region_sizes
 from .dowker import inconsistent_accept_sets
 from .errors import ValidationError

@@ -172,11 +172,16 @@ class _Child:
     stderr_open: bool = True
 
 
-def _remove_workdir(workdir: str) -> None:
+def _reclaim(workdir: str, free: list[str]) -> None:
+    """Put a job's working directory back in ``free`` if the tool left it empty,
+    else remove it: a later job gets a new directory instead."""
     try:
-        os.rmdir(workdir)
-    except OSError:  # the tool left files behind
-        shutil.rmtree(workdir, ignore_errors=True)
+        if not os.listdir(workdir):
+            free.append(workdir)
+            return
+    except OSError:  # the tool removed it, or took away its read permission
+        pass
+    shutil.rmtree(workdir, ignore_errors=True)
 
 
 def _run_jobs(jobs: Iterable[tuple[ParserSpec, str, list[str]]], cfg: RunConfig) -> list[RunResult]:
@@ -191,6 +196,7 @@ def _run_jobs(jobs: Iterable[tuple[ParserSpec, str, list[str]]], cfg: RunConfig)
     cap = cfg.stderr_cap_bytes
     results: dict[int, RunResult] = {}
     running: dict[int, _Child] = {}
+    free: list[str] = []  # empty working directories of finished jobs
     selector = selectors.DefaultSelector()
 
     def record(index, spec, input_id, start, returncode=None, stderr=b"", timed_out=False,
@@ -222,7 +228,7 @@ def _run_jobs(jobs: Iterable[tuple[ParserSpec, str, list[str]]], cfg: RunConfig)
             selector.unregister(child.pidfd)
             os.close(child.pidfd)
         child.proc.wait()
-        _remove_workdir(child.workdir)
+        _reclaim(child.workdir, free)
 
     def wait() -> None:
         """Handle whatever is ready before the nearest deadline, then expire late jobs."""
@@ -259,16 +265,20 @@ def _run_jobs(jobs: Iterable[tuple[ParserSpec, str, list[str]]], cfg: RunConfig)
         for index, (spec, input_id, argv) in enumerate(jobs):
             while len(running) >= cfg.parallelism:
                 wait()
-            # a fresh, empty working directory per job: concurrent tools that
-            # write scratch files cannot collide
-            workdir = os.path.join(root, str(index))
+            # an empty working directory per job in flight: concurrent tools
+            # that write scratch files cannot collide, and none sees another's
+            # leftovers; a directory its last tool left empty is reused
             start = time.monotonic()
             try:
-                os.mkdir(workdir)
+                if free:
+                    workdir = free.pop()
+                else:
+                    workdir = os.path.join(root, str(index))
+                    os.mkdir(workdir)
                 proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                                         cwd=workdir, start_new_session=True)
             except OSError as exc:
-                _remove_workdir(workdir)
+                _reclaim(workdir, free)
                 record(index, spec, input_id, start, error=str(exc))
                 continue
             child = running[index] = _Child(index, spec, input_id, proc, workdir, start,

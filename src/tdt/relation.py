@@ -14,8 +14,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
-import numpy as np
-
+from ._numpy import np
 from .errors import CapacityError, FormatError, StatisticUndefinedError, ValidationError
 from .util import canonical_dumps, csv_text, json_field, load_json_object, open_text, write_text
 
@@ -315,18 +314,27 @@ def _read_csv(path) -> tuple[list[str], list[list[str]]]:
     return records[0][1:], records[1:]
 
 
+def _line_of(path, record: int) -> int:
+    """The physical line on which body record ``record`` of a CSV file ends,
+    as the csv module counts lines (a quoted field may span several)."""
+    with open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for _ in range(record + 2):  # the header, then records 0..record
+            next(reader)
+        return reader.line_num
+
+
 def _read_01_rows(path, records, columns: list[str], cell_error) -> tuple[list[str], np.ndarray]:
     """Input ids and the (rows x columns) bool matrix of a 0/1 CSV body.
 
-    Line numbers count every record after the header (line 1), blank ones
-    included; blank records are skipped.  The first malformed row in file
-    order is reported, a bad cell worded by ``cell_error(column, cell)``.
+    Blank records are skipped.  The first malformed row in file order is
+    reported with the physical line it ends on, a bad cell worded by
+    ``cell_error(column, cell)``.
     """
     width = len(columns) + 1
     lengths = np.fromiter(map(len, records), np.int64, len(records))
     (wrong,) = np.nonzero((lengths != width) & (lengths != 0))
     end = int(wrong[0]) if wrong.size else len(records)
-    linenos = np.flatnonzero(lengths[:end]) + 2
     # one flat pass over the nonblank records: numpy is slower to find the shape of nested lists
     table = np.fromiter(chain.from_iterable(filter(None, records[:end])), object).reshape(-1, width)
     cells = table[:, 1:]
@@ -334,9 +342,11 @@ def _read_01_rows(path, records, columns: list[str], cell_error) -> tuple[list[s
     bad = ~ones & (cells != "0")
     if bad.any():
         r, c = divmod(int(np.argmax(bad)), len(columns))
-        raise FormatError(f"{path}: line {linenos[r]}: {cell_error(columns[c], cells[r, c])}")
+        line = _line_of(path, int(np.flatnonzero(lengths)[r]))
+        raise FormatError(f"{path}: line {line}: {cell_error(columns[c], cells[r, c])}")
     if wrong.size:
-        raise FormatError(f"{path}: line {end + 2}: expected {width} cells, got {lengths[end]}")
+        line = _line_of(path, end)
+        raise FormatError(f"{path}: line {line}: expected {width} cells, got {lengths[end]}")
     return table[:, 0].tolist(), ones
 
 

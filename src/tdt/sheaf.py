@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .diagram import WeightedDiagram, build_diagram, is_consistent, project_diagram
+from ._numpy import np
+from .diagram import WeightedDiagram, build_diagram, is_consistent, project_diagram, region_sizes
 from .errors import ValidationError
 from .relation import Relation, names_from_mask, validate_mask
-from .util import canonical_dumps, popcount
+from .util import canonical_dumps
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,11 @@ def display_vector(rel: Relation, sigma: int) -> tuple[int, ...]:
     if sigma == 0:
         raise ValidationError("sigma must be a nonempty program subset")
     diag = build_diagram(rel)
-    regions = [mask for mask in range(1, 1 << rel.m) if mask & sigma]
-    regions.sort(key=lambda mask: (popcount(mask & sigma), popcount(mask), mask))
+    size = region_sizes(rel.m)
+    meet = size[np.arange(1 << rel.m) & sigma]
+    regions = np.flatnonzero(meet)
+    # lexsort is stable, so ties keep ascending mask order
+    regions = regions[np.lexsort((size[regions], meet[regions]))]
     return tuple(diag.weights[regions].tolist())
 
 

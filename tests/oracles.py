@@ -173,6 +173,13 @@ def stalk(rows: list[str], sigma: int) -> dict[int, int]:
     }
 
 
+def display_order(m: int, sigma: int) -> list[int]:
+    """The regions meeting sigma, by ascending (|Z & sigma|, |Z|, Z)."""
+    regions = [mask for mask in range(1, 1 << m) if mask & sigma]
+    regions.sort(key=lambda mask: (_popcount(mask & sigma), _popcount(mask), mask))
+    return regions
+
+
 def restrict_stalk(stalk: dict[int, int], sigma: int, sub: int) -> dict[int, int]:
     """Coarsen a stalk over sigma to its face sub by merging classes."""
     assert sub & ~sigma == 0, "sub must be a face of sigma"
@@ -371,9 +378,14 @@ def selection_report(weights: dict[int, int], m: int, input_weights: list[int], 
 
 def read_01_csv(path, kind: str):
     """A 0/1 CSV (``kind`` 'relation' or 'feature') read record by record and cell
-    by cell: ('ok', columns, inputs, rows of bools) or ('error', message)."""
+    by cell: ('ok', columns, inputs, rows of bools) or ('error', message).  An
+    error names the physical line its record ends on."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        records = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        records, ends = [], []
+        for record in reader:
+            records.append(record)
+            ends.append(reader.line_num)
     if not records:
         return "error", f"{path}: empty file"
     if not records[0] or records[0][0] != "input":
@@ -382,7 +394,7 @@ def read_01_csv(path, kind: str):
     if kind == "relation" and not columns:
         return "error", f"{path}: line 1: no program columns"
     inputs, rows = [], []
-    for lineno, record in enumerate(records[1:], start=2):
+    for lineno, record in zip(ends[1:], records[1:]):
         if not record:
             continue
         if len(record) != len(columns) + 1:

@@ -407,6 +407,33 @@ def test_csv_loaders_reject_fields_over_the_csv_limit(tmp_path, name):
     assert str(excinfo.value) == f"{path}: line 3: field larger than field limit ({limit})"
 
 
+# Each CSV loader's file whose id on line 2 is a quoted "a<newline>b", so
+# the next record, with a bad cell, starts on physical line 4.
+QUOTED_NEWLINE = {
+    "relation-csv": ("rel.csv", load_relation, 'input,A\n"a\nb",1\nc,x\n',
+                     "column 'A' is 'x', expected 0 or 1"),
+    "features-csv": ("feats.csv", load_feature_relation, 'input,f\n"a\nb",1\nc,x\n',
+                     "cell 'x', expected 0 or 1"),
+    "truth-csv": ("truth.csv", lambda path: load_ground_truth(path, None),
+                  'input,compliant\n"a\nb",1\nc,x\n', "cell 'x', expected 0 or 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTED_NEWLINE))
+def test_csv_loaders_name_the_physical_line(tmp_path, name):
+    filename, load, text, message = QUOTED_NEWLINE[name]
+    path = tmp_path / filename
+    path.write_text(text)
+    with pytest.raises(FormatError) as excinfo:
+        load(path)
+    assert str(excinfo.value) == f"{path}: line 4: {message}"
+    # a row of the wrong width is named by its physical line too
+    path.write_text(text.replace("c,x", "\nc,1,1"))
+    with pytest.raises(FormatError) as excinfo:
+        load(path)
+    assert str(excinfo.value) == f"{path}: line 5: expected 2 cells, got 3"
+
+
 def test_csv_field_over_the_limit_exits_two(tmp_path, capsys, trio_json):
     path = tmp_path / "big.csv"
     for argv, header in (

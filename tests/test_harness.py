@@ -482,6 +482,35 @@ def test_job_directories_are_removed(tmp_path, monkeypatch):
     assert list((tmp_path / "tmp").iterdir()) == []
 
 
+def test_job_directory_is_empty_for_the_next_job(tmp_path):
+    # one job at a time; each reports its working directory and what it finds
+    # there, and the jobs on doc0 and doc2 leave a file behind
+    stub = tmp_path / "peek.py"
+    stub.write_text(
+        "import os, sys\n"
+        "sys.stderr.write(os.getcwd() + '|' + ','.join(os.listdir('.')))\n"
+        "if sys.argv[1].endswith(('doc0', 'doc2')):\n"
+        "    open('left-behind', 'w').write('x')\n"
+    )
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for k in range(5):
+        (corpus / f"doc{k}").write_text("x")
+    cfg = RunConfig(
+        parsers=(ParserSpec(name="peek", command=f"{sys.executable} {stub} {{input}}",
+                            policy="exit-zero"),),
+        corpus=str(corpus),
+        glob="doc*",
+        timeout_secs=20,
+    )
+    _, results = run_corpus(cfg)
+    seen = [r.stderr.decode().split("|") for r in results]
+    assert [listing for _, listing in seen] == [""] * 5
+    # the directory a tidy job left is the next job's
+    cwds = [cwd for cwd, _ in seen]
+    assert cwds[2] == cwds[1] and cwds[4] == cwds[3]
+
+
 def test_missing_pidfd_fails_before_running(tmp_path, monkeypatch):
     marker = tmp_path / "ran"
     (tmp_path / "doc").write_text("x")

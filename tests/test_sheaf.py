@@ -99,6 +99,19 @@ def test_display_vector_sum(toy_relation):
         assert sum(vec) == toy_relation.n - skipped
 
 
+@pytest.mark.parametrize("m", range(1, 11))
+def test_display_vector_matches_the_sort_key_oracle(m):
+    """Seeded relations whose region weights are all distinct up to m = 8, so
+    the display vector fixes the region order; random weights above."""
+    rng = np.random.default_rng([7, m])
+    counts = rng.permutation(1 << m) if m <= 8 else rng.integers(0, 8, 1 << m)
+    rel = relation_from_masks(np.repeat(np.arange(1 << m), counts).tolist(), m=m)
+    weights = build_diagram(rel).weights
+    for sigma in {1 << m - 1, (1 << m) - 1, *rng.integers(1, 1 << m, 6).tolist()}:
+        expected = tuple(weights[oracles.display_order(m, sigma)].tolist())
+        assert display_vector(rel, sigma) == expected
+
+
 def test_stalk_json(graded_relation):
     payload = json.loads(stalk_json(graded_relation, A))
     assert payload == {
