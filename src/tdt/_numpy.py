@@ -1,9 +1,8 @@
 """numpy, loaded with one OpenBLAS thread: every tdt module imports ``np`` from here.
 
-tdt makes no BLAS calls (its only matrix products are int64, which numpy
-computes without BLAS), so OpenBLAS's worker thread would only spin at load.
-OpenBLAS reads the variable once, when numpy loads it; removing it again
-leaves the environment that parsers and other children inherit unchanged.
+tdt makes no BLAS calls (its matrix products are int64), so an OpenBLAS worker
+thread would only spin at load.  OpenBLAS reads the variable once, when numpy
+loads; removing it again leaves the environment that parsers inherit unchanged.
 A value the user set is kept, and nothing changes if numpy is already loaded.
 """
 

@@ -5,8 +5,10 @@ subcommand consumes the canonical relation JSON, never a raw corpus.  All
 outputs are canonical (sorted keys, fixed order, newline-terminated) so reruns
 with identical inputs are byte-identical.
 
-Each subcommand imports the modules it runs when it runs, so ``tdt --help``
-loads no numpy and ``tdt score`` no harness.
+Run as a program (``python -m tdt.cli``, or the ``tdt`` command through
+``tdt.__main__``), each subcommand imports the modules it runs when it runs, so
+``tdt --help`` loads no numpy and ``tdt score`` no harness.  Imported as a
+module, for in-process calls of :func:`main`, it loads them all up front.
 
 Exit codes: 0 success, 1 runtime/partial failure, 2 usage or validation.
 """
@@ -14,11 +16,19 @@ Exit codes: 0 success, 1 runtime/partial failure, 2 usage or validation.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 
 from .errors import TdtError
 from .util import canonical_dumps, write_text
+
+if __name__ != "__main__":
+    # imported, not run: load every subcommand's modules and bind the loader
+    # as before, for tracers that patch them where bound (perfbench/spans.py)
+    for _module in ("classify", "diagram", "distill", "dowker", "features", "harness", "sheaf"):
+        importlib.import_module(f".{_module}", __package__)
+    from .relation import load_relation
 
 
 def build_parser() -> argparse.ArgumentParser:

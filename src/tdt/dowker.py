@@ -178,28 +178,12 @@ def inconsistent_inputs(rel: Relation) -> set[int]:
 
 def connected_components(cpx: DowkerComplex) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Components of the 1-skeleton: (count, vertex partition ordered by least member)."""
-    vertices = list(cpx.vertices)
-    parent = {v: v for v in vertices}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
+    components: list[int] = []  # disjoint vertex masks; every vertex lies in some facet
     for facet in cpx.facets:
-        members = list(bits(facet))
-        for a, b in zip(members, members[1:]):
-            union(a, b)
-    groups: dict[int, list[int]] = {}
-    for v in vertices:
-        groups.setdefault(find(v), []).append(v)
-    partition = tuple(tuple(sorted(group)) for _, group in sorted(groups.items()))
+        joined = [c for c in components if c & facet]
+        components = [c for c in components if not c & facet]
+        components.append(facet | sum(joined))
+    partition = tuple(sorted(tuple(bits(c)) for c in components))
     return len(partition), partition
 
 
@@ -236,10 +220,7 @@ def betti_numbers(cpx: DowkerComplex, max_dim: int, budget: int = FACE_BUDGET) -
             for r, p in zip(row_index.tolist(), position.tolist()):
                 rows[r] |= 1 << p
         ranks[d] = gf2_rank(rows)
-    betti = []
-    for d in range(max_dim + 1):
-        betti.append(len(faces_by_dim[d]) - ranks[d] - ranks[d + 1])
-    return tuple(betti)
+    return tuple(len(faces_by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(max_dim + 1))
 
 
 def dual_complex(rel: Relation) -> DowkerComplex:

@@ -17,6 +17,7 @@ import selectors
 import shlex
 import shutil
 import signal
+import stat
 import subprocess
 import tempfile
 import time
@@ -173,10 +174,11 @@ class _Child:
 
 
 def _reclaim(workdir: str, free: list[str]) -> None:
-    """Put a job's working directory back in ``free`` if the tool left it empty,
-    else remove it: a later job gets a new directory instead."""
+    """Put a job's working directory back in ``free`` if the tool left it as it
+    was made, an empty directory with mode 0700; else remove it, and a later
+    job gets a new directory instead."""
     try:
-        if not os.listdir(workdir):
+        if os.lstat(workdir).st_mode == stat.S_IFDIR | 0o700 and not os.listdir(workdir):
             free.append(workdir)
             return
     except OSError:  # the tool removed it, or took away its read permission
@@ -274,7 +276,7 @@ def _run_jobs(jobs: Iterable[tuple[ParserSpec, str, list[str]]], cfg: RunConfig)
                     workdir = free.pop()
                 else:
                     workdir = os.path.join(root, str(index))
-                    os.mkdir(workdir)
+                    os.mkdir(workdir, 0o700)
                 proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                                         cwd=workdir, start_new_session=True)
             except OSError as exc:

@@ -240,6 +240,27 @@ def bipartite_components(rows: list[str]) -> int:
     return len(roots)
 
 
+def skeleton_components(rows: list[str]) -> list[tuple[int, ...]]:
+    """Vertex sets of the components of the complex's 1-skeleton, by graph search:
+    programs that accept something, joined when they accept a common input."""
+    m = len(rows)
+    cols = [c for c in masks_from_rows(rows) if c]
+    seen: set[int] = set()
+    components = []
+    for start in range(m):
+        if start in seen or not any(c >> start & 1 for c in cols):
+            continue
+        stack, members = [start], set()
+        while stack:
+            j = stack.pop()
+            if j not in members:
+                members.add(j)
+                stack.extend(i for c in cols if c >> j & 1 for i in range(m) if c >> i & 1)
+        seen |= members
+        components.append(tuple(sorted(members)))
+    return components
+
+
 def _popcount(mask: int) -> int:
     return bin(mask).count("1")
 

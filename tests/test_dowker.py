@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tdt.dowker import (
@@ -13,7 +15,7 @@ from tdt.dowker import (
 from tdt.errors import CapacityError
 
 from conftest import relation_from_masks, relation_from_rows
-from oracles import euler_characteristic, inconsistent_input_indices
+from oracles import euler_characteristic, inconsistent_input_indices, skeleton_components
 
 A, B, C, D = 1, 2, 4, 8
 TRIO_ABC = {A, B, C, A | B, A | C, B | C, A | B | C}
@@ -115,6 +117,19 @@ def test_connected_components(toy_relation):
     assert count == 2 and partition == ((0,), (1,))
     empty = relation_from_masks([0], m=2)
     assert connected_components(build_complex(empty)) == (0, ())
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_connected_components_match_graph_search(m):
+    rng = random.Random(m)
+    for _ in range(12):
+        n = rng.randint(1, 12)
+        density = rng.choice([0.1, 0.3, 0.6])
+        rows = ["".join("1" if rng.random() < density else "0" for _ in range(n))
+                for _ in range(m)]
+        expected = skeleton_components(rows)
+        assert connected_components(build_complex(relation_from_rows(rows))) == (
+            len(expected), tuple(expected))
 
 
 def test_betti_toy(toy_relation):

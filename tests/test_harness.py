@@ -511,6 +511,33 @@ def test_job_directory_is_empty_for_the_next_job(tmp_path):
     assert cwds[2] == cwds[1] and cwds[4] == cwds[3]
 
 
+def test_job_directory_its_tool_changed_is_not_reused(tmp_path):
+    # the job on doc1 leaves its directory empty but read-only; each job
+    # reports its working directory and that directory's mode
+    stub = tmp_path / "chmod.py"
+    stub.write_text(
+        "import os, sys\n"
+        "sys.stderr.write(os.getcwd() + '|' + oct(os.stat('.').st_mode))\n"
+        "if sys.argv[1].endswith('doc1'):\n"
+        "    os.chmod('.', 0o555)\n"
+    )
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for k in range(4):
+        (corpus / f"doc{k}").write_text("x")
+    cfg = RunConfig(
+        parsers=(ParserSpec(name="chmod", command=f"{sys.executable} {stub} {{input}}",
+                            policy="exit-zero"),),
+        corpus=str(corpus),
+        glob="doc*",
+        timeout_secs=20,
+    )
+    _, results = run_corpus(cfg)
+    cwds, modes = zip(*(r.stderr.decode().split("|") for r in results))
+    assert len(set(modes)) == 1
+    assert cwds[1] == cwds[0] and cwds[2] != cwds[1] and cwds[3] == cwds[2]
+
+
 def test_missing_pidfd_fails_before_running(tmp_path, monkeypatch):
     marker = tmp_path / "ran"
     (tmp_path / "doc").write_text("x")

@@ -41,7 +41,7 @@ def _run(argv, openblas_threads=None) -> subprocess.CompletedProcess:
     )
 
 
-def probe(openblas_threads=None, module="tdt") -> dict:
+def probe(openblas_threads=None, module="tdt.relation") -> dict:
     proc = _run(["-c", PROBE, module], openblas_threads)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -71,16 +71,21 @@ MODULES = sorted(
 
 @pytest.mark.parametrize("module", MODULES)
 def test_each_module_imported_first_loads_numpy_behind_the_guard(module):
-    unset, preset = probe(module=module), probe("1", module)
+    unset, own, one = probe(module=module), probe("2", module), probe("1", module)
     assert unset["unchanged"] and unset["value"] is None
-    assert preset["unchanged"] and preset["value"] == "1"
+    assert own["unchanged"] and own["value"] == "2"
     if unset["threads"] is not None:
-        assert unset["threads"] <= preset["threads"]
+        assert unset["threads"] <= one["threads"]
 
 
-def _imported(argv) -> set[str]:
-    """The modules a ``python -m tdt.cli`` process imports, from -X importtime."""
-    proc = _run(["-X", "importtime", "-m", "tdt.cli", *argv])
+# ``python -m tdt.cli``, and what the installed ``tdt`` script runs
+LAUNCHERS = {"module": ["-m", "tdt.cli"],
+             "script": ["-c", "import sys; from tdt.__main__ import main; sys.exit(main())"]}
+
+
+def _imported(argv, launcher="module") -> set[str]:
+    """The modules a tdt process imports, from -X importtime."""
+    proc = _run(["-X", "importtime", *LAUNCHERS[launcher], *argv])
     assert proc.returncode in (0, 2), proc.stderr
     return {
         line.rsplit("|", 1)[1].strip()
@@ -92,15 +97,17 @@ def _imported(argv) -> set[str]:
 RELATION = Path(__file__).resolve().parent / "data" / "relation_3x14.golden.json"
 
 
+@pytest.mark.parametrize("launcher", LAUNCHERS)
 @pytest.mark.parametrize("argv", [["--help"], ["no-such-command"]], ids=["help", "usage-error"])
-def test_cli_without_a_command_loads_no_numpy_and_no_harness(argv):
-    imported = _imported(argv)
+def test_cli_without_a_command_loads_no_numpy_and_no_harness(argv, launcher):
+    imported = _imported(argv, launcher)
     assert "tdt.util" in imported
     assert not imported & {"numpy", "tdt.harness"}
 
 
-def test_score_loads_neither_harness_nor_features_nor_classify():
-    imported = _imported(["score", str(RELATION)])
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_score_loads_neither_harness_nor_features_nor_classify(launcher):
+    imported = _imported(["score", str(RELATION)], launcher)
     assert {"numpy", "tdt.distill"} <= imported
     assert not imported & {"tdt.harness", "subprocess", "tdt.features", "tdt.classify"}
 
@@ -160,3 +167,14 @@ def test_distill_stays_the_function_when_its_module_loads_first():
     proc = _run(["-c", probe])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True"]
+
+
+def test_import_of_cli_loads_every_subcommand_module():
+    # in-process callers and perfbench's tracer find every module loaded
+    probe = ("import json, sys, tdt.cli, tdt.relation; print(json.dumps(["
+             "sorted(m for m in sys.modules if m.startswith('tdt.')),"
+             "tdt.cli.load_relation is tdt.relation.load_relation]))")
+    proc = _run(["-c", probe])
+    assert proc.returncode == 0, proc.stderr
+    loaded, bound = json.loads(proc.stdout)
+    assert {"tdt." + m for m in EXPORTS} <= set(loaded) and bound
