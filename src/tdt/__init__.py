@@ -28,7 +28,8 @@ _EXPORTS = {
               "InconsistentDiagramError StatisticUndefinedError TdtError ValidationError",
     "features": "FeatureAttribution attribute_features greedy_feature_pruning relation_product "
                 "variation_of_information",
-    "harness": "KeywordTable RunConfig RunResult keyword_table load_run_config run_corpus",
+    "harness": "KeywordTable RunConfig RunResult accept_rows keyword_table load_run_config "
+               "run_corpus run_relation",
     "relation": "FeatureRelation MAX_PROGRAMS Relation acceptance_rates column_masks "
                 "conditional_acceptance load_feature_relation load_relation mask_from_names "
                 "names_from_mask restrict_inputs restrict_programs save_relation",

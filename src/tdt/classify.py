@@ -8,11 +8,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .distill import ScoreVector
+from ._numpy import np
 from .errors import FormatError, ValidationError
 from .relation import Relation, _read_01_rows, _read_csv
 from .util import canonical_dumps
+
+if TYPE_CHECKING:
+    from .distill import ScoreVector
 
 
 @dataclass(frozen=True)
@@ -27,7 +31,7 @@ class GroundTruth:
             raise ValidationError("labels and inputs differ in length")
 
     def noncompliant_indices(self) -> set[int]:
-        return {k for k, ok in enumerate(self.compliant) if not ok}
+        return set(np.flatnonzero(~np.array(self.compliant, dtype=bool)).tolist())
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,7 @@ def vote_classifier(rel: Relation, reject_threshold: int) -> set[int]:
     if not 1 <= reject_threshold <= rel.m:
         raise ValidationError(f"reject_threshold must lie in 1..{rel.m}")
     rejects = rel.m - rel.accepts.sum(axis=0)
-    return {k for k in range(rel.n) if rejects[k] >= reject_threshold}
+    return set(np.flatnonzero(rejects >= reject_threshold).tolist())
 
 
 def score_rule_classifier(scores: ScoreVector, below: int, equal: int) -> set[int]:
@@ -65,9 +69,12 @@ def evaluate(predicted: set[int], truth: GroundTruth) -> ClassifierReport:
     Zero-denominator metrics are reported as None, never 0.
     """
     n = len(truth.inputs)
-    for k in predicted:
-        if not 0 <= k < n:
-            raise ValidationError(f"predicted index {k} out of range for n={n}")
+    indices = np.fromiter(predicted, dtype=np.int64, count=len(predicted))
+    bad = indices[(indices < 0) | (indices >= n)]
+    if bad.size:
+        raise ValidationError(f"predicted index {int(bad[0])} out of range for n={n}")
+    flags = np.zeros(n, dtype=bool)
+    flags[indices] = True
     actual = truth.noncompliant_indices()
     tp = len(predicted & actual)
     fp = len(predicted - actual)
@@ -79,7 +86,7 @@ def evaluate(predicted: set[int], truth: GroundTruth) -> ClassifierReport:
     if precision is not None and recall is not None and precision + recall > 0:
         f1 = 2 * precision * recall / (precision + recall)
     return ClassifierReport(
-        predicted=tuple(k in predicted for k in range(n)),
+        predicted=tuple(flags.tolist()),
         tp=tp,
         fp=fp,
         fn=fn,

@@ -7,8 +7,9 @@ with identical inputs are byte-identical.
 
 Run as a program (``python -m tdt.cli``, or the ``tdt`` command through
 ``tdt.__main__``), each subcommand imports the modules it runs when it runs, so
-``tdt --help`` loads no numpy and ``tdt score`` no harness.  Imported as a
-module, for in-process calls of :func:`main`, it loads them all up front.
+``tdt --help`` and ``tdt run`` load no numpy and ``tdt score`` no harness.
+Imported as a module, for in-process calls of :func:`main`, it loads them all
+up front.
 
 Exit codes: 0 success, 1 runtime/partial failure, 2 usage or validation.
 """
@@ -21,7 +22,7 @@ import json
 import sys
 
 from .errors import TdtError
-from .util import canonical_dumps, write_text
+from .util import canonical_dumps, relation_json_text, write_text
 
 if __name__ != "__main__":
     # imported, not run: load every subcommand's modules and bind the loader
@@ -130,20 +131,20 @@ def _write_or_print(path, text: str) -> None:
 
 
 def cmd_run(args) -> int:
-    from .harness import (keyword_table, keyword_table_csv, load_run_config, results_jsonl,
-                          run_corpus, run_summary)
-    from .relation import save_relation
+    from .harness import (accept_rows, keyword_table, keyword_table_csv, load_run_config,
+                          results_jsonl, run_corpus, run_summary)
 
     cfg = load_run_config(args.config)
-    relation, results = run_corpus(cfg)
-    save_relation(relation, args.out, fmt="json")
+    inputs, results = run_corpus(cfg)
+    rows = accept_rows(inputs, results)
+    write_text(args.out, relation_json_text(list(rows), inputs, list(rows.values())))
     if args.results:
         write_text(args.results, results_jsonl(results))
     if args.keywords_out:
         keywords = {p.name: p.keywords for p in cfg.parsers}
         table = keyword_table(results, keywords)
         write_text(args.keywords_out, keyword_table_csv(table))
-    print(run_summary(relation, results))
+    print(run_summary(inputs, results))
     failures = sum(1 for r in results if r.error)
     return 1 if failures else 0
 
@@ -266,7 +267,6 @@ def cmd_features(args) -> int:
 def cmd_classify(args) -> int:
     from .classify import (evaluate, load_ground_truth, report_json, score_rule_classifier,
                            vote_classifier)
-    from .distill import inconsistency_scores
     from .relation import load_relation
 
     rel = load_relation(args.relation, fmt="json")
@@ -275,6 +275,8 @@ def cmd_classify(args) -> int:
     elif args.below is not None or args.equal is not None:
         below = args.below if args.below is not None else 0
         equal = args.equal if args.equal is not None else -1
+        from .distill import inconsistency_scores
+
         vec = inconsistency_scores(rel, min_subset_size=args.min_size)
         predicted = score_rule_classifier(vec, below=below, equal=equal)
     else:

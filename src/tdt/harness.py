@@ -23,11 +23,13 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import ConfigurationError, FormatError, ValidationError
-from .relation import Relation
 from .util import csv_text, json_field, load_json_object, open_text
+
+if TYPE_CHECKING:
+    from .relation import Relation
 
 POLICIES = ("stderr-empty", "exit-zero", "both")
 DEFAULT_STDERR_CAP = 64 * 1024
@@ -299,13 +301,15 @@ def _run_jobs(jobs: Iterable[tuple[ParserSpec, str, list[str]]], cfg: RunConfig)
     return [results[index] for index in range(len(results))]
 
 
-def run_corpus(cfg: RunConfig) -> tuple[Relation, list[RunResult]]:
-    """Execute every (parser, input) pair and materialize the accept relation.
+def run_corpus(cfg: RunConfig) -> tuple[tuple[str, ...], list[RunResult]]:
+    """Execute every (parser, input) pair: the input ids and the results.
 
-    Rows follow the config's parser order; columns follow sorted filename
-    order.  Per-pair I/O failures are recorded as rejects with a diagnostic,
-    not raised.  Each job runs in its own process group, which is killed at
-    the job's timeout; at most ``cfg.parallelism`` jobs run at once.
+    Inputs follow sorted filename order; results are grouped by parser, in the
+    config's parser order, and within a parser follow the inputs.  Per-pair
+    I/O failures are recorded as rejects with a diagnostic, not raised.  Each
+    job runs in its own process group, which is killed at the job's timeout;
+    at most ``cfg.parallelism`` jobs run at once.  :func:`accept_rows` and
+    :func:`run_relation` read the accept relation off the results.
     """
     corpus = Path(cfg.corpus)
     if not corpus.is_dir():
@@ -315,7 +319,7 @@ def run_corpus(cfg: RunConfig) -> tuple[Relation, list[RunResult]]:
                    key=lambda p: p.name)
     if not files:
         raise ConfigurationError(f"no corpus files match {cfg.glob!r} under {cfg.corpus!r}")
-    input_ids = [p.name for p in files]
+    input_ids = tuple(p.name for p in files)
     # files are sorted by name, so colliding ids are adjacent
     for name, following in zip(input_ids, input_ids[1:]):
         if name == following:
@@ -330,15 +334,26 @@ def run_corpus(cfg: RunConfig) -> tuple[Relation, list[RunResult]]:
         for spec, template in zip(cfg.parsers, templates)
         for ki, path in enumerate(paths)
     )
-    ordered = _run_jobs(jobs, cfg)
-    n = len(files)
-    matrix = [[r.accept for r in ordered[j * n:(j + 1) * n]] for j in range(len(cfg.parsers))]
-    relation = Relation(
-        programs=tuple(p.name for p in cfg.parsers),
-        inputs=tuple(input_ids),
-        accepts=matrix,
-    )
-    return relation, ordered
+    return input_ids, _run_jobs(jobs, cfg)
+
+
+def accept_rows(inputs: tuple[str, ...], results: list[RunResult]) -> dict[str, str]:
+    """Each parser's accepts over the inputs as a '0'/'1' string, in parser
+    order, from :func:`run_corpus`'s results."""
+    n = len(inputs)
+    return {
+        results[i].parser: "".join("1" if r.accept else "0" for r in results[i:i + n])
+        for i in range(0, len(results), n)
+    }
+
+
+def run_relation(inputs: tuple[str, ...], results: list[RunResult]) -> Relation:
+    """The accept relation of :func:`run_corpus`'s results (this loads numpy)."""
+    from .relation import Relation
+
+    rows = accept_rows(inputs, results)
+    return Relation(programs=tuple(rows), inputs=inputs,
+                    accepts=[[c == "1" for c in row] for row in rows.values()])
 
 
 def results_jsonl(results: list[RunResult]) -> str:
@@ -453,15 +468,14 @@ def keyword_table_csv(table: KeywordTable) -> str:
     return csv_text(header, ([name, *("1" if v else "0" for v in row)] for name, row in rows))
 
 
-def run_summary(rel: Relation, results: list[RunResult]) -> str:
+def run_summary(inputs: tuple[str, ...], results: list[RunResult]) -> str:
+    rows = accept_rows(inputs, results)
     failures = sum(1 for r in results if r.error)
     timeouts = sum(1 for r in results if r.timed_out)
     lines = [
-        f"ran {len(rel.programs)} parsers over {rel.n} inputs "
+        f"ran {len(rows)} parsers over {len(inputs)} inputs "
         f"({len(results)} invocations, {timeouts} timeouts, {failures} launch failures)"
     ]
-    for j, name in enumerate(rel.programs):
-        accepted = int(rel.accepts[j].sum())
-        lines.append(f"  {name}: accepted {accepted}/{rel.n}")
+    for name, row in rows.items():
+        lines.append(f"  {name}: accepted {row.count('1')}/{len(inputs)}")
     return "\n".join(lines)
-

@@ -16,7 +16,8 @@ from typing import Iterable
 
 from ._numpy import np
 from .errors import CapacityError, FormatError, StatisticUndefinedError, ValidationError
-from .util import canonical_dumps, csv_text, json_field, load_json_object, open_text, write_text
+from .util import (csv_text, json_field, load_json_object, open_text, relation_json_text,
+                   write_text)
 
 # Analysis operations hold dense vectors over all 2^m program subsets, so the
 # program count is capped where accept-set masks are formed (not at loading).
@@ -251,12 +252,10 @@ def save_relation(rel: Relation, path, fmt: str | None = None) -> None:
 
 def relation_json(rel: Relation) -> str:
     """Canonical JSON serialization (rows are '0'/'1' strings, one per program)."""
-    payload = {
-        "programs": list(rel.programs),
-        "inputs": list(rel.inputs),
-        "rows": ["".join("1" if v else "0" for v in row) for row in rel.accepts],
-    }
-    return canonical_dumps(payload)
+    # each bool cell as the ASCII byte '0' or '1', one decode per row
+    cells = rel.accepts.view(np.uint8) + np.uint8(ord("0"))
+    rows = [row.tobytes().decode("ascii") for row in cells]
+    return relation_json_text(rel.programs, rel.inputs, rows)
 
 
 def _load_json(path) -> Relation:

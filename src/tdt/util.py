@@ -1,5 +1,7 @@
 """Small shared helpers: bitmask subsets, canonical JSON and CSV output,
-reading UTF-8 files, and checking the fields of a JSON object."""
+reading UTF-8 files, and checking the fields of a JSON object.
+
+Nothing here loads numpy, so ``tdt run`` can use it all."""
 
 from __future__ import annotations
 
@@ -7,6 +9,7 @@ import contextlib
 import csv
 import json
 import types
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import FormatError
@@ -42,6 +45,22 @@ def canonical_dumps(payload) -> str:
     Used for every JSON artifact so identical inputs give byte-identical files.
     """
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def relation_json_text(programs: Sequence[str], inputs: Sequence[str],
+                       rows: Sequence[str]) -> str:
+    """The canonical relation JSON (``canonical_dumps`` of its three string
+    arrays), with each array written in one join: ``rows`` holds one '0'/'1'
+    string per program."""
+
+    def array(items: Sequence[str]) -> str:
+        # json.dumps escapes every string with this same function (ensure_ascii)
+        if not items:
+            return "[]"
+        return "[\n    " + ",\n    ".join(map(encode_basestring_ascii, items)) + "\n  ]"
+
+    return (f'{{\n  "inputs": {array(inputs)},\n  "programs": {array(programs)},\n'
+            f'  "rows": {array(rows)}\n}}\n')
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:

@@ -1,3 +1,7 @@
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +23,34 @@ TRIO_ROWS = (
     "00001011010101",
     "11010000110110",
 )
+
+DATA = Path(__file__).parent / "data"
+
+
+def write_run_config(tmp_path, parallelism=1):
+    """A ``tdt run`` configuration in tmp_path: three copies of the pattern stub,
+    one per TRIO_ROWS row, over ``data/corpus14``; it gives
+    ``data/relation_3x14.golden.json``."""
+    stub = DATA / "stubs" / "pattern_parser.py"
+    cfg = {
+        "parsers": [
+            {
+                "name": name,
+                "command": f"{sys.executable} {stub} {pattern} {{input}}",
+                "policy": "stderr-empty",
+                "keywords": ["parse error"],
+            }
+            for name, pattern in zip("ABC", TRIO_ROWS)
+        ],
+        "corpus": str(DATA / "corpus14"),
+        "glob": "f*",
+        "timeout_secs": 20,
+        "parallelism": parallelism,
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
 
 # Region counts for the graded 3x1000 example: already consistent, used for
 # threshold selection and stalk display vectors.

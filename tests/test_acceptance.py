@@ -25,7 +25,7 @@ from tdt.dowker import (
     inconsistent_inputs,
 )
 from tdt.errors import EmptyScreenError
-from tdt.harness import load_run_config, run_corpus
+from tdt.harness import load_run_config, run_corpus, run_relation
 from tdt.relation import load_relation, relation_json, restrict_programs
 from tdt.sheaf import display_vector
 
@@ -257,7 +257,7 @@ def test_criterion_6_harness_end_to_end(tmp_path):
         }
         cfg_path = tmp_path / f"run{parallelism}.json"
         cfg_path.write_text(json.dumps(cfg))
-        rel, _ = run_corpus(load_run_config(cfg_path))
+        rel = run_relation(*run_corpus(load_run_config(cfg_path)))
         assert relation_json(rel).encode() == golden_path.read_bytes()
     _passed("criterion 6 (harness reproduces the golden relation)", started, 10.0)
 

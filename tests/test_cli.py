@@ -11,8 +11,9 @@ from tdt.errors import FormatError
 from tdt.harness import load_results_jsonl, load_run_config
 from tdt.relation import load_feature_relation, load_relation, save_relation
 
+from conftest import write_run_config
+
 DATA = Path(__file__).parent / "data"
-STUB = DATA / "stubs" / "pattern_parser.py"
 
 
 @pytest.fixture
@@ -36,29 +37,6 @@ def graded_json(tmp_path, graded_relation):
     return path
 
 
-def write_run_config(tmp_path, parallelism=1):
-    from conftest import TRIO_ROWS
-
-    cfg = {
-        "parsers": [
-            {
-                "name": name,
-                "command": f"{sys.executable} {STUB} {pattern} {{input}}",
-                "policy": "stderr-empty",
-                "keywords": ["parse error"],
-            }
-            for name, pattern in zip("ABC", TRIO_ROWS)
-        ],
-        "corpus": str(DATA / "corpus14"),
-        "glob": "f*",
-        "timeout_secs": 20,
-        "parallelism": parallelism,
-    }
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps(cfg))
-    return path
-
-
 def test_run_subcommand(tmp_path, capsys):
     cfg = write_run_config(tmp_path, parallelism=8)
     out = tmp_path / "rel.json"
@@ -72,6 +50,12 @@ def test_run_subcommand(tmp_path, capsys):
     assert len(results.read_text().splitlines()) == 42
     assert kw.read_text().startswith("input,")
     assert "accepted 7/14" in capsys.readouterr().out
+
+
+def test_run_writes_the_golden_relation(tmp_path):
+    out = tmp_path / "rel.json"
+    assert main(["run", "--config", str(write_run_config(tmp_path)), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "relation_3x14.golden.json").read_bytes()
 
 
 def test_run_missing_corpus(tmp_path, capsys):

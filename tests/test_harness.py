@@ -17,12 +17,15 @@ from tdt.harness import (
     ParserSpec,
     RunConfig,
     RunResult,
+    accept_rows,
     keyword_table,
     keyword_table_csv,
     load_results_jsonl,
     load_run_config,
     results_jsonl,
     run_corpus,
+    run_relation,
+    run_summary,
 )
 
 from conftest import TRIO_ROWS
@@ -52,7 +55,8 @@ def pattern_config(parallelism=1, policy="stderr-empty", keywords=()):
 
 @pytest.fixture(scope="module")
 def pattern_run():
-    return run_corpus(pattern_config(parallelism=8))
+    inputs, results = run_corpus(pattern_config(parallelism=8))
+    return run_relation(inputs, results), results
 
 
 def test_run_corpus_reproduces_patterns(pattern_run):
@@ -65,8 +69,20 @@ def test_run_corpus_reproduces_patterns(pattern_run):
     assert all(not r.timed_out and r.error is None for r in results)
 
 
+def test_rows_and_summary_read_the_parser_major_results(pattern_run):
+    rel, results = pattern_run
+    inputs = rel.inputs
+    assert [(r.parser, r.input) for r in results] == [(p, i) for p in "ABC" for i in inputs]
+    rows = accept_rows(inputs, results)
+    assert rows == dict(zip("ABC", TRIO_ROWS))
+    assert run_summary(inputs, results) == (
+        "ran 3 parsers over 14 inputs (42 invocations, 0 timeouts, 0 launch failures)\n"
+        + "\n".join(f"  {p}: accepted {row.count('1')}/14" for p, row in rows.items())
+    )
+
+
 def test_run_corpus_parallelism_is_invisible(pattern_run):
-    rel1, _ = run_corpus(pattern_config(parallelism=1))
+    rel1 = run_relation(*run_corpus(pattern_config(parallelism=1)))
     rel8, _ = pattern_run
     assert rel1 == rel8
 
@@ -74,7 +90,7 @@ def test_run_corpus_parallelism_is_invisible(pattern_run):
 def test_run_corpus_policies_agree_for_stub():
     # the stub pairs stderr output with a nonzero exit, so all policies match
     for policy in ("exit-zero", "both"):
-        rel, _ = run_corpus(pattern_config(parallelism=8, policy=policy))
+        rel = run_relation(*run_corpus(pattern_config(parallelism=8, policy=policy)))
         assert "".join("1" if v else "0" for v in rel.accepts[0]) == TRIO_ROWS[0]
 
 
@@ -89,7 +105,7 @@ def test_accept_all_stub(tmp_path):
         glob="doc*",
         timeout_secs=20,
     )
-    rel, _ = run_corpus(cfg)
+    rel = run_relation(*run_corpus(cfg))
     assert rel.accepts.all() and rel.n == 5
 
 
@@ -109,7 +125,8 @@ def test_odd_size_stub(tmp_path):
         glob="doc*",
         timeout_secs=20,
     )
-    rel, results = run_corpus(cfg)
+    inputs, results = run_corpus(cfg)
+    rel = run_relation(inputs, results)
     assert rel.accepts[0].tolist() == [size % 2 == 0 for size in sizes]
     assert all(r.stderr == b"err\n" for r in results if not r.accept)
 
@@ -126,7 +143,8 @@ def test_timeout_is_reject(tmp_path):
         timeout_secs=0.4,
         parallelism=2,
     )
-    rel, results = run_corpus(cfg)
+    inputs, results = run_corpus(cfg)
+    rel = run_relation(inputs, results)
     assert not rel.accepts.any()
     assert all(r.timed_out and not r.accept for r in results)
 
@@ -312,7 +330,8 @@ def test_launch_failure_is_recorded_not_fatal(tmp_path):
         glob="doc",
         timeout_secs=5,
     )
-    rel, results = run_corpus(cfg)
+    inputs, results = run_corpus(cfg)
+    rel = run_relation(inputs, results)
     assert not rel.accepts.any()
     assert results[0].error is not None and not results[0].accept
 
@@ -338,7 +357,8 @@ def test_jobs_get_isolated_working_directories(tmp_path):
         timeout_secs=20,
         parallelism=6,
     )
-    rel, results = run_corpus(cfg)
+    inputs, results = run_corpus(cfg)
+    rel = run_relation(inputs, results)
     assert rel.accepts.all()
     assert all(r.stderr == b"" for r in results)
 
@@ -477,7 +497,7 @@ def test_job_directories_are_removed(tmp_path, monkeypatch):
         timeout_secs=20,
         parallelism=2,
     )
-    rel, _ = run_corpus(cfg)
+    rel = run_relation(*run_corpus(cfg))
     assert rel.accepts.all()
     assert list((tmp_path / "tmp").iterdir()) == []
 

@@ -366,3 +366,25 @@ def test_csv_writers_leave_plain_ids_bare(toy_relation, toy_features):
     assert lines[1] == "f01,1,0,0,0"
     assert len(lines) == 21
     assert feature_relation_csv(toy_features).count('"') == 0
+
+
+# ids the JSON writer must escape as json.dumps does: non-ASCII (a lone
+# surrogate too), quotes, backslashes, control characters, commas
+JSON_IDS = ("café", "日本", "\U0001f600", "\ud800", "back\\slash", "tab\there", "\x00",
+            *AWKWARD_IDS)
+
+
+@pytest.mark.parametrize("n", [0, 1, len(JSON_IDS)])
+def test_relation_json_writer_matches_json_dumps(n):
+    from tdt.relation import relation_json
+    from tdt.util import relation_json_text
+
+    ids = JSON_IDS[:n]
+    programs = ("A", 'q"uote', "über,x", "sl\\ash")
+    rel = Relation(programs=programs, inputs=ids,
+                   accepts=np.random.default_rng(n).random((4, n)) < 0.5)
+    rows = ["".join("1" if v else "0" for v in row) for row in rel.accepts]
+    expected = json.dumps({"programs": list(programs), "inputs": list(ids), "rows": rows},
+                          sort_keys=True, indent=2) + "\n"
+    assert relation_json_text(programs, ids, rows) == expected
+    assert relation_json(rel) == expected

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import write_run_config
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 TASKS = Path("/proc/self/task")
 
@@ -25,6 +27,7 @@ print(json.dumps({
     "unchanged": dict(os.environ) == before,
     "value": os.environ.get("OPENBLAS_NUM_THREADS"),
     "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+    "numpy": "numpy" in sys.modules,
 }))
 """
 
@@ -67,11 +70,14 @@ def test_user_setting_is_kept():
 MODULES = sorted(
     "tdt" if p.name == "__init__.py" else f"tdt.{p.stem}" for p in (SRC / "tdt").glob("*.py")
 )
+# the modules ``tdt run`` and argument parsing load, and the launcher
+NUMPY_FREE = {"tdt", "tdt.__main__", "tdt.errors", "tdt.harness", "tdt.util"}
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_each_module_imported_first_loads_numpy_behind_the_guard(module):
     unset, own, one = probe(module=module), probe("2", module), probe("1", module)
+    assert unset["numpy"] is (module not in NUMPY_FREE)
     assert unset["unchanged"] and unset["value"] is None
     assert own["unchanged"] and own["value"] == "2"
     if unset["threads"] is not None:
@@ -103,6 +109,23 @@ def test_cli_without_a_command_loads_no_numpy_and_no_harness(argv, launcher):
     imported = _imported(argv, launcher)
     assert "tdt.util" in imported
     assert not imported & {"numpy", "tdt.harness"}
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_run_loads_neither_numpy_nor_the_relation_module(launcher, tmp_path):
+    out = tmp_path / "rel.json"
+    imported = _imported(["run", "--config", str(write_run_config(tmp_path)), "--out", str(out)],
+                         launcher)
+    assert out.read_bytes() == RELATION.read_bytes()
+    assert "tdt.harness" in imported
+    assert not imported & {"numpy", "tdt.relation"}
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_classify_vote_loads_no_scoring_modules(launcher):
+    imported = _imported(["classify", str(RELATION), "--vote", "2"], launcher)
+    assert {"numpy", "tdt.classify"} <= imported
+    assert not imported & {"tdt.distill", "tdt.dowker", "tdt.diagram"}
 
 
 @pytest.mark.parametrize("launcher", LAUNCHERS)
