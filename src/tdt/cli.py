@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Execution (``run``) is strictly separated from analysis: every other
-subcommand consumes the canonical relation JSON, never a raw corpus.  All
-outputs are canonical (sorted keys, fixed order, newline-terminated) so reruns
-with identical inputs are byte-identical.
+subcommand consumes the relation ``run`` writes, never a raw corpus, and
+:func:`main` loads it once.  A relation file named ``*.csv`` is the transposed
+CSV, any other the canonical JSON.  All outputs are canonical (sorted keys,
+fixed order, newline-terminated) so reruns with identical inputs are
+byte-identical.
 
 Run as a program (``python -m tdt.cli``, or the ``tdt`` command through
 ``tdt.__main__``), each subcommand imports the modules it runs when it runs, so
@@ -59,8 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("relation")
     p.add_argument("--trace", help="distillation trace JSON to write")
     p.add_argument("--out", help="restricted relation to write")
-    p.add_argument("--format", choices=["json", "csv"], default="json",
-                   help="format for --out and --restricted-out style relation files")
     p.set_defaults(func=cmd_distill)
 
     p = sub.add_parser("score", help="per-input inconsistency scores")
@@ -72,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restrict-below", type=int, metavar="N",
                    help="also restrict the corpus to inputs with score < N")
     p.add_argument("--restricted-out", help="restricted relation to write")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("select", help="keep inputs whose region weight clears a threshold")
@@ -80,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=int, required=True)
     p.add_argument("--out", help="selected relation to write")
     p.add_argument("--report", help="per-threshold report CSV to write")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("sheaf", help="acceptance-pattern stalk over a program subset")
@@ -149,13 +147,11 @@ def cmd_run(args) -> int:
     return 1 if failures else 0
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(rel, args) -> int:
     from .diagram import build_diagram, diagram_report, is_consistent
     from .dowker import (betti_numbers, build_complex, build_graph, consistent_core, graph_dot,
                          inconsistent_inputs)
-    from .relation import load_relation
 
-    rel = load_relation(args.relation, fmt="json")
     diag = build_diagram(rel)
     cpx = build_complex(rel)
     graph = build_graph(cpx)
@@ -181,16 +177,15 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_distill(args) -> int:
+def cmd_distill(rel, args) -> int:
     from .distill import distill, trace_json
-    from .relation import load_relation, save_relation
+    from .relation import save_relation
 
-    rel = load_relation(args.relation, fmt="json")
     trace = distill(rel)
     if args.trace:
         write_text(args.trace, trace_json(trace))
     if args.out:
-        save_relation(trace.final_relation, args.out, fmt=args.format)
+        save_relation(trace.final_relation, args.out)
     screened = ", ".join(r.program for r in trace.initial_removals) or "none"
     stepped = ", ".join(s.removed for s in trace.steps) or "none"
     print(f"screened out: {screened}")
@@ -199,11 +194,10 @@ def cmd_distill(args) -> int:
     return 0
 
 
-def cmd_score(args) -> int:
+def cmd_score(rel, args) -> int:
     from .distill import histogram_csv, inconsistency_scores, scores_csv
-    from .relation import load_relation, restrict_inputs, save_relation
+    from .relation import restrict_inputs, save_relation
 
-    rel = load_relation(args.relation, fmt="json")
     vec = inconsistency_scores(rel, min_subset_size=args.min_size, mode=args.mode)
     if args.scores:
         write_text(args.scores, scores_csv(vec))
@@ -213,32 +207,30 @@ def cmd_score(args) -> int:
         kept = [k for k, s in enumerate(vec.scores) if s < args.restrict_below]
         restricted = restrict_inputs(rel, kept)
         if args.restricted_out:
-            save_relation(restricted, args.restricted_out, fmt=args.format)
+            save_relation(restricted, args.restricted_out)
         print(f"restricted to score < {args.restrict_below}: kept {len(kept)} / {rel.n}")
     top = max(vec.scores) if vec.scores else 0
     print(f"scored {rel.n} inputs over {len(vec.swept)} subsets; max score {top}")
     return 0
 
 
-def cmd_select(args) -> int:
+def cmd_select(rel, args) -> int:
     from .distill import select_inputs, selection_report_csv
-    from .relation import load_relation, restrict_inputs, save_relation
+    from .relation import restrict_inputs, save_relation
 
-    rel = load_relation(args.relation, fmt="json")
     kept, report = select_inputs(rel, args.threshold)
     if args.out:
-        save_relation(restrict_inputs(rel, kept), args.out, fmt=args.format)
+        save_relation(restrict_inputs(rel, kept), args.out)
     if args.report:
         write_text(args.report, selection_report_csv(report))
     print(f"kept {len(kept)} / {rel.n}")
     return 0
 
 
-def cmd_sheaf(args) -> int:
-    from .relation import load_relation, mask_from_names
+def cmd_sheaf(rel, args) -> int:
+    from .relation import mask_from_names
     from .sheaf import display_vector, stalk_json
 
-    rel = load_relation(args.relation, fmt="json")
     names = [s for s in args.sigma.split(",") if s]
     sigma = mask_from_names(rel, names)
     _write_or_print(args.out, stalk_json(rel, sigma))
@@ -247,11 +239,10 @@ def cmd_sheaf(args) -> int:
     return 0
 
 
-def cmd_features(args) -> int:
+def cmd_features(rel, args) -> int:
     from .features import attribution_json
-    from .relation import load_feature_relation, load_relation
+    from .relation import load_feature_relation
 
-    rel = load_relation(args.relation, fmt="json")
     feats = load_feature_relation(args.features)
     text = attribution_json(
         rel,
@@ -264,12 +255,10 @@ def cmd_features(args) -> int:
     return 0
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(rel, args) -> int:
     from .classify import (evaluate, load_ground_truth, report_json, score_rule_classifier,
                            vote_classifier)
-    from .relation import load_relation
 
-    rel = load_relation(args.relation, fmt="json")
     if args.vote is not None:
         predicted = vote_classifier(rel, args.vote)
     elif args.below is not None or args.equal is not None:
@@ -296,10 +285,9 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_export_pgm(args) -> int:
-    from .relation import load_relation, relation_pgm
+def cmd_export_pgm(rel, args) -> int:
+    from .relation import relation_pgm
 
-    rel = load_relation(args.relation, fmt="json")
     write_text(args.out, relation_pgm(rel))
     print(f"wrote {rel.m}x{rel.n} matrix image to {args.out}")
     return 0
@@ -309,7 +297,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if "relation" not in args:  # run
+            return args.func(args)
+        from .relation import load_relation
+
+        return args.func(load_relation(args.relation), args)
     except (TdtError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -197,9 +197,7 @@ def scores_csv(vec: ScoreVector) -> str:
 
 
 def histogram_csv(vec: ScoreVector) -> str:
-    lines = ["score,count"]
-    lines.extend(f"{score},{count}" for score, count in vec.histogram())
-    return "\n".join(lines) + "\n"
+    return csv_text(["score", "count"], vec.histogram())
 
 
 def select_inputs(
@@ -235,6 +233,5 @@ def select_inputs(
 
 
 def selection_report_csv(report: tuple[ThresholdRow, ...]) -> str:
-    lines = ["threshold,excluded,components"]
-    lines.extend(f"{r.threshold},{r.excluded},{r.components}" for r in report)
-    return "\n".join(lines) + "\n"
+    return csv_text(["threshold", "excluded", "components"],
+                    ((r.threshold, r.excluded, r.components) for r in report))

@@ -10,6 +10,7 @@ at any parallelism level.
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import ConfigurationError, FormatError, ValidationError
-from .util import csv_text, json_field, load_json_object, open_text
+from .util import csv_text, json_field, json_object, load_json_object, open_text
 
 if TYPE_CHECKING:
     from .relation import Relation
@@ -196,6 +197,8 @@ def _run_jobs(jobs: Iterable[tuple[ParserSpec, str, list[str]]], cfg: RunConfig)
     the nearest deadline.  A job ends when its child has exited and its stderr
     reached EOF, or at its deadline; either way its whole process group is
     killed before the child is reaped, so no process it started outlives it.
+    A launch that runs out of file descriptors waits for a job in flight to
+    end and is tried again; with no job in flight it is a launch failure.
     """
     cap = cfg.stderr_cap_bytes
     results: dict[int, RunResult] = {}
@@ -269,27 +272,32 @@ def _run_jobs(jobs: Iterable[tuple[ParserSpec, str, list[str]]], cfg: RunConfig)
         for index, (spec, input_id, argv) in enumerate(jobs):
             while len(running) >= cfg.parallelism:
                 wait()
-            # an empty working directory per job in flight: concurrent tools
-            # that write scratch files cannot collide, and none sees another's
-            # leftovers; a directory its last tool left empty is reused
-            start = time.monotonic()
-            try:
-                if free:
-                    workdir = free.pop()
-                else:
-                    workdir = os.path.join(root, str(index))
-                    os.mkdir(workdir, 0o700)
-                proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                                        cwd=workdir, start_new_session=True)
-            except OSError as exc:
-                _reclaim(workdir, free)
-                record(index, spec, input_id, start, error=str(exc))
-                continue
-            child = running[index] = _Child(index, spec, input_id, proc, workdir, start,
-                                            start + cfg.timeout_secs)
-            selector.register(proc.stderr, selectors.EVENT_READ, child)
-            child.pidfd = os.pidfd_open(proc.pid)
-            selector.register(child.pidfd, selectors.EVENT_READ, child)
+            while True:
+                # an empty working directory per job in flight: concurrent tools
+                # that write scratch files cannot collide, and none sees another's
+                # leftovers; a directory its last tool left empty is reused
+                start = time.monotonic()
+                workdir = free.pop() if free else tempfile.mkdtemp(dir=root)
+                child = None
+                try:
+                    proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                            cwd=workdir, start_new_session=True)
+                    child = running[index] = _Child(index, spec, input_id, proc, workdir, start,
+                                                    start + cfg.timeout_secs)
+                    selector.register(proc.stderr, selectors.EVENT_READ, child)
+                    child.pidfd = os.pidfd_open(proc.pid)
+                    selector.register(child.pidfd, selectors.EVENT_READ, child)
+                    break
+                except OSError as exc:
+                    if child is None:
+                        free.append(workdir)  # no tool ran in it
+                    else:
+                        close(child)
+                    if exc.errno not in (errno.EMFILE, errno.ENFILE) or not running:
+                        record(index, spec, input_id, start, error=str(exc))
+                        break
+                # out of descriptors: the jobs in flight free theirs as they end
+                wait()
         while running:
             wait()
     finally:
@@ -357,26 +365,13 @@ def run_relation(inputs: tuple[str, ...], results: list[RunResult]) -> Relation:
 
 
 def results_jsonl(results: list[RunResult]) -> str:
-    """One JSON record per (parser, input); stderr bytes are latin-1 mapped for fidelity."""
-    lines = []
-    for r in results:
-        lines.append(
-            json.dumps(
-                {
-                    "parser": r.parser,
-                    "input": r.input,
-                    "accept": r.accept,
-                    "exit_status": r.exit_status,
-                    "timed_out": r.timed_out,
-                    "stderr": r.stderr.decode("latin-1"),
-                    "truncated": r.truncated,
-                    "wall_time": round(r.wall_time, 6),
-                    "error": r.error,
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """One JSON record per (parser, input), keyed by the RunResult fields; stderr
+    bytes are latin-1 mapped for fidelity and wall_time rounded to microseconds."""
+    return "\n".join(
+        json.dumps(vars(r) | {"stderr": r.stderr.decode("latin-1"),
+                              "wall_time": round(r.wall_time, 6)}, sort_keys=True)
+        for r in results
+    ) + "\n"
 
 
 # Each field of a results record: the JSON types it may hold, how to name
@@ -401,12 +396,7 @@ def load_results_jsonl(path) -> list[RunResult]:
             line = line.strip()
             if not line:
                 continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc.msg}") from None
-            if not isinstance(rec, dict):
-                raise FormatError(f"{path}: line {lineno}: expected an object")
+            rec = json_object(line, f"{path}: line {lineno}")
             fields = {
                 key: json_field(path, rec, key, *spec, where=f"line {lineno}: ")
                 for key, spec in _RESULT_FIELDS.items()

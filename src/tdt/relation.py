@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 from typing import Iterable
 
 from ._numpy import np
@@ -221,33 +220,20 @@ def conditional_acceptance(rel: Relation) -> np.ndarray:
 # on-disk formats
 
 
-def _infer_format(path, fmt: str | None) -> str:
-    if fmt is not None:
-        if fmt not in ("json", "csv"):
-            raise ValidationError(f"unknown relation format {fmt!r}")
-        return fmt
-    suffix = Path(path).suffix.lower()
-    if suffix == ".json":
-        return "json"
-    if suffix == ".csv":
-        return "csv"
-    raise ValidationError(f"cannot infer relation format from {path!r}")
+def _is_csv(path) -> bool:
+    """The rule for a relation file's format: a name ending in ``.csv`` (any
+    case) is the transposed CSV, and every other name the canonical JSON."""
+    return str(path).lower().endswith(".csv")
 
 
-def load_relation(path, fmt: str | None = None) -> Relation:
-    """Load a relation from the canonical JSON format or the transposed CSV format."""
-    fmt = _infer_format(path, fmt)
-    if fmt == "json":
-        return _load_json(path)
-    return _load_csv(path)
+def load_relation(path) -> Relation:
+    """Load a relation from the transposed CSV or the canonical JSON format, by its name."""
+    return _load_csv(path) if _is_csv(path) else _load_json(path)
 
 
-def save_relation(rel: Relation, path, fmt: str | None = None) -> None:
-    fmt = _infer_format(path, fmt)
-    if fmt == "json":
-        write_text(path, relation_json(rel))
-    else:
-        write_text(path, relation_csv(rel))
+def save_relation(rel: Relation, path) -> None:
+    """Write a relation in the transposed CSV or the canonical JSON format, by its name."""
+    write_text(path, relation_csv(rel) if _is_csv(path) else relation_json(rel))
 
 
 def relation_json(rel: Relation) -> str:
@@ -288,11 +274,15 @@ def _load_json(path) -> Relation:
     return Relation(programs=tuple(programs), inputs=tuple(inputs), accepts=matrix)
 
 
+def _01_csv(inputs, columns, matrix: np.ndarray) -> str:
+    """Header ``input,<columns...>``, then a row of 0/1 cells per input of the matrix."""
+    cells = np.where(matrix, "1", "0").tolist()
+    return csv_text(["input", *columns], ([name, *row] for name, row in zip(inputs, cells)))
+
+
 def relation_csv(rel: Relation) -> str:
     """Transposed CSV: header ``input,<prog...>``, one row per input, cells 0/1."""
-    cells = np.where(rel.accepts.T, "1", "0").tolist()
-    rows = ([name, *row] for name, row in zip(rel.inputs, cells))
-    return csv_text(["input", *rel.programs], rows)
+    return _01_csv(rel.inputs, rel.programs, rel.accepts.T)
 
 
 def _read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -380,6 +370,4 @@ def load_feature_relation(path) -> FeatureRelation:
 
 
 def feature_relation_csv(feats: FeatureRelation) -> str:
-    cells = np.where(feats.has_feature, "1", "0").tolist()
-    rows = ([name, *row] for name, row in zip(feats.inputs, cells))
-    return csv_text(["input", *feats.features], rows)
+    return _01_csv(feats.inputs, feats.features, feats.has_feature)

@@ -437,3 +437,96 @@ def test_analyze_relation_that_is_not_utf8_exits_two(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 2
     err = capsys.readouterr().err
     assert "byte 32 is not valid UTF-8" in err and "Traceback" not in err
+
+
+# Each JSON loader's file with a value the decoder gives up on: nesting deeper
+# than the recursion limit, or an integer longer than Python converts.
+_DEEP = "[" * 200_000
+UNDECODABLE_JSON = {
+    "relation-deep": ("rel.json", load_relation, _DEEP, "maximum recursion depth"),
+    "relation-long-integer": ("rel.json", load_relation,
+                              '{"programs": [' + "1" * 5000 + "]}", "Exceeds the limit"),
+    "run-config-deep": ("run.json", load_run_config, _DEEP, "maximum recursion depth"),
+    "results-jsonl-deep": ("results.jsonl", load_results_jsonl,
+                           _RESULT % "e" + _DEEP + "\n", "maximum recursion depth"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNDECODABLE_JSON))
+def test_json_loaders_reject_what_the_decoder_cannot_hold(tmp_path, name):
+    filename, load, text, reason = UNDECODABLE_JSON[name]
+    path = tmp_path / filename
+    path.write_text(text)
+    with pytest.raises(FormatError) as excinfo:
+        load(path)
+    where = f"{path}: line 2" if filename.endswith(".jsonl") else str(path)
+    assert str(excinfo.value).startswith(f"{where}: invalid JSON: {reason}")
+
+
+def test_undecodable_json_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP)
+    for argv in (["analyze", str(path)],
+                 ["run", "--config", str(path), "--out", str(tmp_path / "rel.json")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid JSON: maximum recursion depth")
+        assert "Traceback" not in err
+    assert not (tmp_path / "rel.json").exists()
+
+
+def test_json_object_messages(tmp_path):
+    path = tmp_path / "rel.json"
+    where = re.escape(str(path))
+    path.write_text("[1]")
+    with pytest.raises(FormatError, match=rf"^{where}: top-level value must be an object$"):
+        load_relation(path)
+    path.write_text('{"programs": ')
+    with pytest.raises(FormatError, match=rf"^{where}: invalid JSON: Expecting value: line 1 column 14"):
+        load_relation(path)
+    results = tmp_path / "results.jsonl"
+    results.write_text(_RESULT % "e" + "\n" + "7\n")
+    with pytest.raises(FormatError, match=r": line 3: top-level value must be an object$"):
+        load_results_jsonl(results)
+
+
+def test_relation_outputs_take_their_format_from_the_name(tmp_path, trio_json, graded_json,
+                                                           trio_relation, capsys):
+    from tdt.relation import relation_csv, relation_json
+
+    def write(argv, name):
+        """Run argv with the relation file name appended; that file's text."""
+        assert main([*argv, str(tmp_path / name)]) == 0
+        return (tmp_path / name).read_text()
+
+    distill = ["distill", str(trio_json), "--out"]
+    distilled = write(distill, "d.json")
+    assert distilled == relation_json(load_relation(tmp_path / "d.json"))
+    assert write(distill, "d") == distilled  # a name without .csv is JSON
+    assert write(distill, "d.csv") == relation_csv(load_relation(tmp_path / "d.json"))
+    score = ["score", str(trio_json), "--restrict-below", "1", "--restricted-out"]
+    write(score, "r.json")
+    assert write(score, "r.CSV") == relation_csv(load_relation(tmp_path / "r.json"))
+    select = ["select", str(graded_json), "--threshold", "20", "--out"]
+    write(select, "s.json")
+    assert write(select, "s.csv") == relation_csv(load_relation(tmp_path / "s.json"))
+    (tmp_path / "t.csv").write_text(relation_csv(trio_relation))
+    capsys.readouterr()
+    # analysis commands read each CSV back as the same relation as its JSON
+    for stem, rel_json in (("d", tmp_path / "d.json"), ("s", tmp_path / "s.json"),
+                           ("t", trio_json)):
+        assert main(["analyze", str(rel_json)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["analyze", str(tmp_path / f"{stem}.csv")]) == 0
+        assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("command", ["distill", "score", "select"])
+def test_format_option_is_gone(trio_json, capsys, command):
+    argv = [command, str(trio_json), "--format", "csv"]
+    if command == "select":
+        argv += ["--threshold", "1"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err

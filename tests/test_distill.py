@@ -169,6 +169,20 @@ def test_selection_report_csv(graded_relation):
     assert "900,100,1" in lines
 
 
+def test_histogram_and_selection_report_text():
+    from tdt.distill import ScoreVector, ThresholdRow
+
+    def vector(scores):
+        return ScoreVector(inputs=tuple(f"f{k}" for k in range(len(scores))), scores=scores,
+                           swept=(3,), min_subset_size=2, mode="subset")
+
+    assert histogram_csv(vector((0, 3, 0))) == "score,count\n0,2\n3,1\n"
+    assert histogram_csv(vector(())) == "score,count\n"
+    rows = (ThresholdRow(1, 2, 1), ThresholdRow(5, 0, 0))
+    assert selection_report_csv(rows) == "threshold,excluded,components\n1,2,1\n5,0,0\n"
+    assert selection_report_csv(()) == "threshold,excluded,components\n"
+
+
 def test_pairs_mode_matches_pairwise_blame(toy_relation):
     from tdt.diagram import pair_inconsistent_inputs
     from tdt.util import popcount, submasks

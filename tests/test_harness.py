@@ -259,6 +259,23 @@ def test_results_jsonl_round_trip(pattern_run):
     assert len(text.splitlines()) == 42
 
 
+def test_results_jsonl_text():
+    results = [
+        RunResult(parser="A", input="f\u00e9", accept=False, exit_status=1, timed_out=False,
+                  stderr=b"\xff\xfeerr\n\x00\x80", truncated=True, wall_time=0.12345678),
+        RunResult(parser="B", input="x,y", accept=True, exit_status=None, timed_out=True,
+                  stderr=b"", truncated=False, wall_time=2.0000004, error="boom"),
+    ]
+    assert results_jsonl(results) == (
+        '{"accept": false, "error": null, "exit_status": 1, "input": "f\\u00e9", '
+        '"parser": "A", "stderr": "\\u00ff\\u00feerr\\n\\u0000\\u0080", '
+        '"timed_out": false, "truncated": true, "wall_time": 0.123457}\n'
+        '{"accept": true, "error": "boom", "exit_status": null, "input": "x,y", '
+        '"parser": "B", "stderr": "", "timed_out": true, "truncated": false, '
+        '"wall_time": 2.0}\n'
+    )
+
+
 def test_results_jsonl_reload(tmp_path, pattern_run):
     _, results = pattern_run
     path = tmp_path / "results.jsonl"
@@ -571,3 +588,77 @@ def test_missing_pidfd_fails_before_running(tmp_path, monkeypatch):
     with pytest.raises(ConfigurationError, match="pidfd"):
         run_corpus(cfg)
     assert not marker.exists()
+
+
+def test_descriptor_exhaustion_holds_launches_back(tmp_path):
+    # Each job in flight holds two descriptors (its stderr pipe and its pidfd)
+    # and each launch briefly a few more, so 30 jobs in flight need more than
+    # the 48 the `tdt run` process allows itself here: a launch that meets
+    # EMFILE waits for a job to end instead of recording a reject.
+    import resource
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for k in range(20):
+        (corpus / f"doc{k:02d}").write_text("x" * (k % 3))
+    script = 'sleep 0.05; test -s "$0" || echo empty >&2'
+    parsers = [{"name": name, "command": f"sh -c {shlex.quote(script)} {{input}}"}
+               for name in ("A", "B")]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"),
+                                                      env.get("PYTHONPATH")]))
+
+    def lower_limit():
+        _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (48, hard))
+
+    outputs = {}
+    for parallelism, limit in ((1, None), (30, lower_limit)):
+        cfg = tmp_path / f"run{parallelism}.json"
+        cfg.write_text(json.dumps({"parsers": parsers, "corpus": str(corpus),
+                                   "timeout_secs": 20, "parallelism": parallelism}))
+        out = tmp_path / f"rel{parallelism}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tdt.cli", "run", "--config", str(cfg), "--out", str(out)],
+            capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "(40 invocations, 0 timeouts, 0 launch failures)" in proc.stdout
+        outputs[parallelism] = out.read_bytes()
+    assert outputs[30] == outputs[1]
+    row = "".join("1" if k % 3 else "0" for k in range(20))
+    assert json.loads(outputs[1])["rows"] == [row, row]
+
+
+@pytest.mark.parametrize("failing_call, errors", [(2, 1), (3, 0)],
+                         ids=["first-job-alone", "second-job-behind-the-first"])
+def test_pidfd_exhaustion_at_launch(tmp_path, monkeypatch, failing_call, errors):
+    # os.pidfd_open runs once up front, then once per launch; the failing call
+    # meets EMFILE.  Behind a job in flight the launch waits and is tried
+    # again; with none in flight it is a launch failure.  The run goes on.
+    import errno
+
+    calls = []
+    real = os.pidfd_open
+
+    def pidfd_open(pid, *args):
+        calls.append(pid)
+        if len(calls) == failing_call:
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        return real(pid, *args)
+
+    monkeypatch.setattr(os, "pidfd_open", pidfd_open)
+    for k in range(3):
+        (tmp_path / f"doc{k}").write_text("x")
+    cfg = RunConfig(
+        parsers=(ParserSpec(name="slow", command=f"sh -c 'sleep 0.2' {{input}}"),),
+        corpus=str(tmp_path),
+        glob="doc*",
+        timeout_secs=20,
+        parallelism=2,
+    )
+    _, results = run_corpus(cfg)
+    assert [r.error is not None for r in results].count(True) == errors
+    assert [r.accept for r in results].count(True) == 3 - errors
+    if errors:
+        assert "Too many open files" in results[0].error
