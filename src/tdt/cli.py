@@ -24,7 +24,7 @@ import json
 import sys
 
 from .errors import TdtError
-from .util import canonical_dumps, relation_json_text, write_text
+from .util import canonical_dumps, is_csv, relation_csv_text, relation_json_text, write_text
 
 if __name__ != "__main__":
     # imported, not run: load every subcommand's modules and bind the loader
@@ -135,7 +135,8 @@ def cmd_run(args) -> int:
     cfg = load_run_config(args.config)
     inputs, results = run_corpus(cfg)
     rows = accept_rows(inputs, results)
-    write_text(args.out, relation_json_text(list(rows), inputs, list(rows.values())))
+    relation_text = relation_csv_text if is_csv(args.out) else relation_json_text
+    write_text(args.out, relation_text(list(rows), inputs, list(rows.values())))
     if args.results:
         write_text(args.results, results_jsonl(results))
     if args.keywords_out:

@@ -197,8 +197,9 @@ def _run_jobs(jobs: Iterable[tuple[ParserSpec, str, list[str]]], cfg: RunConfig)
     the nearest deadline.  A job ends when its child has exited and its stderr
     reached EOF, or at its deadline; either way its whole process group is
     killed before the child is reaped, so no process it started outlives it.
-    A launch that runs out of file descriptors waits for a job in flight to
-    end and is tried again; with no job in flight it is a launch failure.
+    A launch that runs out of file descriptors (a tool already started is
+    killed) waits for a job in flight to end and starts the tool again; with
+    no job in flight it is a launch failure.
     """
     cap = cfg.stderr_cap_bytes
     results: dict[int, RunResult] = {}
@@ -277,9 +278,13 @@ def _run_jobs(jobs: Iterable[tuple[ParserSpec, str, list[str]]], cfg: RunConfig)
                 # that write scratch files cannot collide, and none sees another's
                 # leftovers; a directory its last tool left empty is reused
                 start = time.monotonic()
-                workdir = free.pop() if free else tempfile.mkdtemp(dir=root)
                 child = None
                 try:
+                    if free:
+                        workdir = free.pop()
+                    else:
+                        workdir = os.path.join(root, str(index))
+                        os.mkdir(workdir, 0o700)
                     proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                                             cwd=workdir, start_new_session=True)
                     child = running[index] = _Child(index, spec, input_id, proc, workdir, start,
@@ -290,8 +295,8 @@ def _run_jobs(jobs: Iterable[tuple[ParserSpec, str, list[str]]], cfg: RunConfig)
                     break
                 except OSError as exc:
                     if child is None:
-                        free.append(workdir)  # no tool ran in it
-                    else:
+                        _reclaim(workdir, free)
+                    else:  # the tool started: kill it, and start it anew below
                         close(child)
                     if exc.errno not in (errno.EMFILE, errno.ENFILE) or not running:
                         record(index, spec, input_id, start, error=str(exc))
@@ -422,11 +427,7 @@ class KeywordTable:
     def coverage(self, results: list[RunResult]) -> dict[str, bool]:
         """Per rejected input: did at least one keyword match some parser's stderr?"""
         rejected = {r.input for r in results if not r.accept}
-        out = {}
-        for name, row in zip(self.inputs, self.cells):
-            if name in rejected:
-                out[name] = any(row)
-        return out
+        return {name: any(row) for name, row in zip(self.inputs, self.cells) if name in rejected}
 
 
 def keyword_table(
@@ -436,20 +437,13 @@ def keyword_table(
     if not any(keywords_by_parser.values()):
         raise ValidationError("at least one parser needs a nonempty keyword list")
     inputs = list(dict.fromkeys(r.input for r in results))
-    columns = [
-        (parser, kw)
-        for parser, kws in keywords_by_parser.items()
-        for kw in kws
-    ]
+    columns = tuple((parser, kw) for parser, kws in keywords_by_parser.items() for kw in kws)
     stderr_of = {(r.parser, r.input): r.stderr for r in results}
-    cells = []
-    for name in inputs:
-        row = []
-        for parser, kw in columns:
-            blob = stderr_of.get((parser, name), b"")
-            row.append(kw.encode("utf-8") in blob)
-        cells.append(tuple(row))
-    return KeywordTable(inputs=tuple(inputs), columns=tuple(columns), cells=tuple(cells))
+    cells = tuple(
+        tuple(kw.encode("utf-8") in stderr_of.get((parser, name), b"") for parser, kw in columns)
+        for name in inputs
+    )
+    return KeywordTable(inputs=tuple(inputs), columns=columns, cells=cells)
 
 
 def keyword_table_csv(table: KeywordTable) -> str:

@@ -15,8 +15,8 @@ from typing import Iterable
 
 from ._numpy import np
 from .errors import CapacityError, FormatError, StatisticUndefinedError, ValidationError
-from .util import (csv_text, json_field, load_json_object, open_text, relation_json_text,
-                   write_text)
+from .util import (is_csv, json_field, load_json_object, open_text, relation_csv_text,
+                   relation_json_text, write_text)
 
 # Analysis operations hold dense vectors over all 2^m program subsets, so the
 # program count is capped where accept-set masks are formed (not at loading).
@@ -220,28 +220,26 @@ def conditional_acceptance(rel: Relation) -> np.ndarray:
 # on-disk formats
 
 
-def _is_csv(path) -> bool:
-    """The rule for a relation file's format: a name ending in ``.csv`` (any
-    case) is the transposed CSV, and every other name the canonical JSON."""
-    return str(path).lower().endswith(".csv")
-
-
 def load_relation(path) -> Relation:
     """Load a relation from the transposed CSV or the canonical JSON format, by its name."""
-    return _load_csv(path) if _is_csv(path) else _load_json(path)
+    return _load_csv(path) if is_csv(path) else _load_json(path)
 
 
 def save_relation(rel: Relation, path) -> None:
     """Write a relation in the transposed CSV or the canonical JSON format, by its name."""
-    write_text(path, relation_csv(rel) if _is_csv(path) else relation_json(rel))
+    write_text(path, relation_csv(rel) if is_csv(path) else relation_json(rel))
+
+
+def _01_rows(matrix: np.ndarray) -> list[str]:
+    """Each row of a bool matrix as a '0'/'1' string."""
+    # each cell as the ASCII byte '0' or '1', one decode per row
+    cells = matrix.view(np.uint8) + np.uint8(ord("0"))
+    return [row.tobytes().decode("ascii") for row in cells]
 
 
 def relation_json(rel: Relation) -> str:
     """Canonical JSON serialization (rows are '0'/'1' strings, one per program)."""
-    # each bool cell as the ASCII byte '0' or '1', one decode per row
-    cells = rel.accepts.view(np.uint8) + np.uint8(ord("0"))
-    rows = [row.tobytes().decode("ascii") for row in cells]
-    return relation_json_text(rel.programs, rel.inputs, rows)
+    return relation_json_text(rel.programs, rel.inputs, _01_rows(rel.accepts))
 
 
 def _load_json(path) -> Relation:
@@ -274,15 +272,9 @@ def _load_json(path) -> Relation:
     return Relation(programs=tuple(programs), inputs=tuple(inputs), accepts=matrix)
 
 
-def _01_csv(inputs, columns, matrix: np.ndarray) -> str:
-    """Header ``input,<columns...>``, then a row of 0/1 cells per input of the matrix."""
-    cells = np.where(matrix, "1", "0").tolist()
-    return csv_text(["input", *columns], ([name, *row] for name, row in zip(inputs, cells)))
-
-
 def relation_csv(rel: Relation) -> str:
     """Transposed CSV: header ``input,<prog...>``, one row per input, cells 0/1."""
-    return _01_csv(rel.inputs, rel.programs, rel.accepts.T)
+    return relation_csv_text(rel.programs, rel.inputs, _01_rows(rel.accepts))
 
 
 def _read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -370,4 +362,4 @@ def load_feature_relation(path) -> FeatureRelation:
 
 
 def feature_relation_csv(feats: FeatureRelation) -> str:
-    return _01_csv(feats.inputs, feats.features, feats.has_feature)
+    return relation_csv_text(feats.features, feats.inputs, _01_rows(feats.has_feature.T))

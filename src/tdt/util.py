@@ -63,6 +63,18 @@ def relation_json_text(programs: Sequence[str], inputs: Sequence[str],
             f'  "rows": {array(rows)}\n}}\n')
 
 
+def relation_csv_text(programs: Sequence[str], inputs: Sequence[str],
+                      rows: Sequence[str]) -> str:
+    """The transposed relation CSV: header ``input,<programs...>``, then a row of
+    0/1 cells per input; ``rows`` as for :func:`relation_json_text`."""
+    return csv_text(["input", *programs], zip(inputs, *rows))
+
+
+def is_csv(path) -> bool:
+    """A relation file named ``*.csv``, in any case, is the transposed CSV; any other is JSON."""
+    return str(path).lower().endswith(".csv")
+
+
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """CSV text, each row ending in a newline; a field is quoted only if it holds
     a comma, a double quote, a newline or a carriage return, so plain ids are

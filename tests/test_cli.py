@@ -58,6 +58,21 @@ def test_run_writes_the_golden_relation(tmp_path):
     assert out.read_bytes() == (DATA / "relation_3x14.golden.json").read_bytes()
 
 
+def test_run_out_takes_its_format_from_the_name(tmp_path, capsys):
+    from tdt.relation import relation_csv
+
+    cfg = str(write_run_config(tmp_path))
+    for name in ("rel.json", "rel.csv"):
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+    golden = load_relation(DATA / "relation_3x14.golden.json")
+    assert (tmp_path / "rel.csv").read_text() == relation_csv(golden)
+    capsys.readouterr()
+    assert main(["analyze", str(tmp_path / "rel.json")]) == 0
+    expected = capsys.readouterr().out
+    assert main(["analyze", str(tmp_path / "rel.csv")]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_run_missing_corpus(tmp_path, capsys):
     cfg = {
         "parsers": [{"name": "A", "command": f"{sys.executable} -c pass {{input}}"}],
@@ -482,7 +497,8 @@ def test_json_object_messages(tmp_path):
     with pytest.raises(FormatError, match=rf"^{where}: top-level value must be an object$"):
         load_relation(path)
     path.write_text('{"programs": ')
-    with pytest.raises(FormatError, match=rf"^{where}: invalid JSON: Expecting value: line 1 column 14"):
+    with pytest.raises(FormatError,
+                       match=rf"^{where}: invalid JSON: Expecting value: line 1 column 14"):
         load_relation(path)
     results = tmp_path / "results.jsonl"
     results.write_text(_RESULT % "e" + "\n" + "7\n")

@@ -634,8 +634,10 @@ def test_descriptor_exhaustion_holds_launches_back(tmp_path):
                          ids=["first-job-alone", "second-job-behind-the-first"])
 def test_pidfd_exhaustion_at_launch(tmp_path, monkeypatch, failing_call, errors):
     # os.pidfd_open runs once up front, then once per launch; the failing call
-    # meets EMFILE.  Behind a job in flight the launch waits and is tried
-    # again; with none in flight it is a launch failure.  The run goes on.
+    # meets EMFILE.  Behind a job in flight the tool just started is killed,
+    # and started again once that job ends; with none in flight it is a launch
+    # failure.  The run goes on.  Each tool writes its pid, so a job's result
+    # comes from its last start.
     import errno
 
     calls = []
@@ -651,7 +653,8 @@ def test_pidfd_exhaustion_at_launch(tmp_path, monkeypatch, failing_call, errors)
     for k in range(3):
         (tmp_path / f"doc{k}").write_text("x")
     cfg = RunConfig(
-        parsers=(ParserSpec(name="slow", command=f"sh -c 'sleep 0.2' {{input}}"),),
+        parsers=(ParserSpec(name="slow", command="sh -c 'echo $$ >&2; sleep 0.2' {input}",
+                            policy="exit-zero"),),
         corpus=str(tmp_path),
         glob="doc*",
         timeout_secs=20,
@@ -662,3 +665,5 @@ def test_pidfd_exhaustion_at_launch(tmp_path, monkeypatch, failing_call, errors)
     assert [r.accept for r in results].count(True) == 3 - errors
     if errors:
         assert "Too many open files" in results[0].error
+    launched = calls[1:failing_call - 1] + calls[failing_call:]
+    assert [r.stderr for r in results if not r.error] == [b"%d\n" % pid for pid in launched]
