@@ -23,7 +23,7 @@ import importlib
 import json
 import sys
 
-from .errors import TdtError
+from .errors import TdtError, ValidationError
 from .util import canonical_dumps, is_csv, relation_csv_text, relation_json_text, write_text
 
 if __name__ != "__main__":
@@ -199,6 +199,8 @@ def cmd_score(rel, args) -> int:
     from .distill import histogram_csv, inconsistency_scores, scores_csv
     from .relation import restrict_inputs, save_relation
 
+    if args.restricted_out and args.restrict_below is None:
+        raise ValidationError("--restricted-out needs --restrict-below N")
     vec = inconsistency_scores(rel, min_subset_size=args.min_size, mode=args.mode)
     if args.scores:
         write_text(args.scores, scores_csv(vec))
@@ -260,22 +262,21 @@ def cmd_classify(rel, args) -> int:
     from .classify import (evaluate, load_ground_truth, report_json, score_rule_classifier,
                            vote_classifier)
 
+    if (args.vote is None) == (args.below is None and args.equal is None):
+        raise ValidationError("choose either --vote K or a score rule (--below/--equal)")
+    truth = load_ground_truth(args.truth, rel) if args.truth else None
     if args.vote is not None:
         predicted = vote_classifier(rel, args.vote)
-    elif args.below is not None or args.equal is not None:
+    else:
         below = args.below if args.below is not None else 0
         equal = args.equal if args.equal is not None else -1
         from .distill import inconsistency_scores
 
         vec = inconsistency_scores(rel, min_subset_size=args.min_size)
         predicted = score_rule_classifier(vec, below=below, equal=equal)
-    else:
-        print("error: choose --vote K or a score rule (--below/--equal)", file=sys.stderr)
-        return 2
     flagged = sorted(predicted)
     print(f"flagged {len(flagged)} / {rel.n} inputs as non-compliant")
-    if args.truth:
-        truth = load_ground_truth(args.truth, rel)
+    if truth is not None:
         report = evaluate(predicted, truth)
         _write_or_print(args.out, report_json(report, rel.inputs))
         for label in ("precision", "recall", "f1"):

@@ -36,9 +36,9 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _check_budget(face_flags: np.ndarray, budget: int) -> None:
-    if np.count_nonzero(face_flags) > budget:
-        raise CapacityError(f"complex exceeds the {budget}-face budget")
+def _check_budget(face_flags: np.ndarray) -> None:
+    if np.count_nonzero(face_flags) > FACE_BUDGET:
+        raise CapacityError(f"complex exceeds the {FACE_BUDGET}-face budget")
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,9 +70,9 @@ class DowkerComplex:
     def weight(self, mask: int) -> int:
         return int(self.weights[mask]) if self.has_face(mask) else 0
 
-    def faces(self, budget: int = FACE_BUDGET) -> frozenset[int]:
+    def faces(self) -> frozenset[int]:
         """All faces, materialized."""
-        _check_budget(self.face_flags, budget)
+        _check_budget(self.face_flags)
         return frozenset(np.flatnonzero(self.face_flags).tolist())
 
     def has_face(self, mask: int) -> bool:
@@ -107,7 +107,7 @@ def build_complex(rel: Relation) -> DowkerComplex:
     weights = build_diagram(rel).weights
     faces = superset_or(weights > 0, rel.m)
     faces[0] = False
-    _check_budget(faces, FACE_BUDGET)
+    _check_budget(faces)
     return DowkerComplex(
         width=rel.m, labels=rel.programs, face_flags=_frozen(faces), weights=weights
     )
@@ -201,11 +201,11 @@ def gf2_rank(rows: list[int]) -> int:
     return rank
 
 
-def betti_numbers(cpx: DowkerComplex, max_dim: int, budget: int = FACE_BUDGET) -> tuple[int, ...]:
+def betti_numbers(cpx: DowkerComplex, max_dim: int) -> tuple[int, ...]:
     """Betti numbers beta_0..beta_max_dim over GF(2) via boundary-matrix ranks."""
     if max_dim < 0:
         raise ValidationError("max_dim must be >= 0")
-    _check_budget(cpx.face_flags, budget)  # before any rank work
+    _check_budget(cpx.face_flags)  # before any rank work
     faces = np.flatnonzero(cpx.face_flags)
     sizes = region_sizes(cpx.width)[faces]
     faces_by_dim = [faces[sizes == d + 1] for d in range(max_dim + 2)]

@@ -28,6 +28,29 @@ def _check_alignment(rel: Relation, feats: FeatureRelation) -> None:
         raise ValidationError("feature relation inputs do not match the relation's inputs")
 
 
+def _accept_set_flags(rel: Relation, feats: FeatureRelation):
+    """The distinct accept-sets, how many inputs hold each, and per accept-set
+    and feature: does some input holding it lack the feature, does some carry it?
+
+    Whether an input is inconsistent under a restriction depends only on its
+    accept-set, so the relation product needs no more than these flags.
+    """
+    masks, inverse, counts = np.unique(column_masks(rel), return_inverse=True, return_counts=True)
+    carriers = np.empty((masks.size, feats.p), dtype=np.int64)
+    for i, column in enumerate(feats.has_feature.T):
+        carriers[:, i] = np.bincount(inverse[column], minlength=masks.size)
+    return masks, counts, carriers < counts[:, None], carriers > 0
+
+
+def _product(lacks: np.ndarray, carries: np.ndarray, inconsistent: np.ndarray,
+             strict: bool) -> np.ndarray:
+    """Relation-product flags given each accept-set's inconsistency (an empty ``all`` is true)."""
+    out = ~lacks[inconsistent].any(axis=0)
+    if strict:
+        out &= ~carries[~inconsistent].any(axis=0)
+    return out
+
+
 def relation_product(
     rel: Relation, feats: FeatureRelation, subset: int, strict: bool = False
 ) -> np.ndarray:
@@ -41,16 +64,8 @@ def relation_product(
     if subset == 0:
         raise ValidationError("program subset must be nonempty")
     validate_mask(rel, subset)
-    masks, inverse, counts = np.unique(column_masks(rel), return_inverse=True, return_counts=True)
-    return _product(feats, inconsistent_accept_sets(masks, counts, subset)[inverse], strict)
-
-
-def _product(feats: FeatureRelation, inconsistent: np.ndarray, strict: bool) -> np.ndarray:
-    """Relation-product flags given each input's inconsistency (an empty ``all`` is true)."""
-    out = feats.has_feature[inconsistent].all(axis=0)
-    if strict:
-        out &= ~feats.has_feature[~inconsistent].any(axis=0)
-    return out
+    masks, counts, lacks, carries = _accept_set_flags(rel, feats)
+    return _product(lacks, carries, inconsistent_accept_sets(masks, counts, subset), strict)
 
 
 @dataclass(frozen=True)
@@ -61,34 +76,15 @@ class FeatureAttribution:
     level r collects the features flagged for EVERY subset of size m - r; the
     stratification assigns each feature the smallest such r (None if it reaches
     none within the sweep).  Raw levels may overlap, the stratification is a
-    partition by construction.
+    partition by construction.  ``clean[r]`` says no input is inconsistent
+    under any subset of size m - r.
     """
 
     features: tuple[str, ...]
     product: dict[tuple[int, str], bool]
     levels: dict[int, frozenset[str]]
     stratification: dict[str, int | None]
-
-
-def _top_level(rel: Relation, max_removed: int | None) -> int:
-    top = rel.m - 1 if max_removed is None else max_removed
-    if top < 0 or top > rel.m - 1:
-        raise ValidationError(f"max_removed must lie in 0..{rel.m - 1}")
-    return top
-
-
-def _sweep(rel: Relation, feats: FeatureRelation, top: int, strict: bool):
-    """Yield (r, mask, flags, clean) for every subset of size m - r, r = 0..top.
-
-    ``clean`` says no input is inconsistent under the subset: it is the flag of
-    a feature that no input carries.
-    """
-    masks, inverse, counts = np.unique(column_masks(rel), return_inverse=True, return_counts=True)
-    sizes = region_sizes(rel.m)
-    for r in range(top + 1):
-        for mask in np.flatnonzero(sizes == rel.m - r).tolist():
-            inconsistent = inconsistent_accept_sets(masks, counts, mask)[inverse]
-            yield r, mask, _product(feats, inconsistent, strict), not inconsistent.any()
+    clean: dict[int, bool]
 
 
 def _stratify(features: tuple[str, ...], hits: np.ndarray) -> dict[str, int | None]:
@@ -106,19 +102,28 @@ def attribute_features(
 ) -> FeatureAttribution:
     """Sweep the relation product over every subset of size m-r for r = 0..max_removed."""
     _check_alignment(rel, feats)
-    top = _top_level(rel, max_removed)
+    top = rel.m - 1 if max_removed is None else max_removed
+    if top < 0 or top > rel.m - 1:
+        raise ValidationError(f"max_removed must lie in 0..{rel.m - 1}")
+    masks, counts, lacks, carries = _accept_set_flags(rel, feats)
+    sizes = region_sizes(rel.m)
     product: dict[tuple[int, str], bool] = {}
     hits = np.ones((top + 1, feats.p), dtype=bool)
-    for r, mask, flags, _ in _sweep(rel, feats, top, strict):
-        for i, name in enumerate(feats.features):
-            product[(mask, name)] = bool(flags[i])
-        hits[r] &= flags
+    clean = [True] * (top + 1)
+    for r in range(top + 1):
+        for mask in np.flatnonzero(sizes == rel.m - r).tolist():
+            inconsistent = inconsistent_accept_sets(masks, counts, mask)
+            flags = _product(lacks, carries, inconsistent, strict)
+            product.update(zip([(mask, name) for name in feats.features], flags.tolist()))
+            hits[r] &= flags
+            clean[r] &= not inconsistent.any()
     return FeatureAttribution(
         features=feats.features,
         product=product,
         levels={r: frozenset(feats.features[i] for i in np.flatnonzero(row))
                 for r, row in enumerate(hits)},
         stratification=_stratify(feats.features, hits),
+        clean=dict(enumerate(clean)),
     )
 
 
@@ -168,11 +173,7 @@ class PruneStep:
 
 
 def greedy_feature_pruning(
-    rel: Relation,
-    feats: FeatureRelation,
-    rounds: int,
-    max_removed: int | None = None,
-    strict: bool = False,
+    attribution: FeatureAttribution, rounds: int
 ) -> tuple[PruneStep, ...]:
     """Repeatedly blank out the feature whose removal least disturbs the stratification.
 
@@ -181,25 +182,21 @@ def greedy_feature_pruning(
     variation of information and drops the minimizer, ties to the lowest
     feature index.
     """
-    _check_alignment(rel, feats)
-    if rounds < 0 or rounds > feats.p:
-        raise ValidationError(f"rounds must lie in 0..{feats.p}")
+    features = attribution.features
+    if rounds < 0 or rounds > len(features):
+        raise ValidationError(f"rounds must lie in 0..{len(features)}")
     if rounds == 0:
         return ()
-    top = _top_level(rel, max_removed)
-    # The relation product is computed column by column, and a zeroed column's
-    # flag under a subset is that subset's ``clean`` flag, so one sweep gives
-    # every candidate's levels.
-    hits = np.ones((top + 1, feats.p), dtype=bool)
-    clean = np.ones((top + 1, 1), dtype=bool)
-    for r, _, flags, ok in _sweep(rel, feats, top, strict):
-        hits[r] &= flags
-        clean[r] &= ok
+    # A zeroed column's flag under a subset is that subset's ``clean`` flag,
+    # so the attribution's levels give every candidate's levels.
+    levels = range(len(attribution.levels))
+    hits = np.array([[name in attribution.levels[r] for name in features] for r in levels])
+    clean = np.array([[attribution.clean[r]] for r in levels])
 
     def partition(zeroed: np.ndarray) -> list[set[str]]:
-        return _strat_partition(_stratify(feats.features, np.where(zeroed, clean, hits)))
+        return _strat_partition(_stratify(features, np.where(zeroed, clean, hits)))
 
-    zeroed = np.zeros(feats.p, dtype=bool)
+    zeroed = np.zeros(len(features), dtype=bool)
     steps: list[PruneStep] = []
     for _ in range(rounds):
         before = partition(zeroed)
@@ -213,7 +210,7 @@ def greedy_feature_pruning(
         assert best is not None
         vi, index = best
         zeroed[index] = True
-        steps.append(PruneStep(feature=feats.features[index], vi=vi))
+        steps.append(PruneStep(feature=features[index], vi=vi))
     return tuple(steps)
 
 
@@ -225,9 +222,7 @@ def attribution_json(
     prune_rounds: int = 0,
 ) -> str:
     attribution = attribute_features(rel, feats, max_removed=max_removed, strict=strict)
-    pruning = greedy_feature_pruning(
-        rel, feats, prune_rounds, max_removed=max_removed, strict=strict
-    )
+    pruning = greedy_feature_pruning(attribution, prune_rounds)
     payload = {
         "levels": {str(r): sorted(members) for r, members in attribution.levels.items()},
         "stratification": {name: attribution.stratification[name] for name in feats.features},

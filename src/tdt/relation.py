@@ -344,8 +344,8 @@ def _load_csv(path) -> Relation:
 
 def relation_pgm(rel: Relation) -> str:
     """ASCII PGM (P2) image of the matrix: accept=255, reject=0, one pixel per cell."""
-    rows = np.where(rel.accepts, "255", "0").tolist()
-    return "\n".join(["P2", f"{rel.n} {rel.m}", "255", *map(" ".join, rows)]) + "\n"
+    rows = (" ".join(row).replace("1", "255") for row in _01_rows(rel.accepts))
+    return "\n".join(["P2", f"{rel.n} {rel.m}", "255", *rows]) + "\n"
 
 
 # ---------------------------------------------------------------------------

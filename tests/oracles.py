@@ -112,6 +112,39 @@ def restrict_rows(rows: list[str], keep: list[int]) -> list[str]:
     return [rows[j] for j in keep]
 
 
+def relation_product(rows: list[str], columns: list[list[bool]], subset: int,
+                     strict: bool = False) -> list[bool]:
+    """Per feature column: does every input inconsistent under the restriction
+    to ``subset`` carry it (strict: and no other input)?  Input by input."""
+    bad = inconsistent_input_indices(restrict_rows(rows, _members(subset, len(rows))))
+    return [
+        all(column[k] for k in bad)
+        and not (strict and any(has for k, has in enumerate(column) if k not in bad))
+        for column in columns
+    ]
+
+
+def attribution(rows: list[str], columns: list[list[bool]], top: int, strict: bool = False):
+    """Feature attribution by direct enumeration: the relation product of every
+    subset of size m - r for r = 0..top keyed (mask, column), each level's set
+    of columns flagged under all its subsets, each column's first level (or
+    None), and per level whether no input is inconsistent under any subset."""
+    m = len(rows)
+    product, levels, clean = {}, {}, {}
+    for r in range(top + 1):
+        levels[r], clean[r] = set(range(len(columns))), True
+        for combo in combinations(range(m), m - r):
+            mask = sum(1 << j for j in combo)
+            for i, flag in enumerate(relation_product(rows, columns, mask, strict)):
+                product[(mask, i)] = flag
+                if not flag:
+                    levels[r].discard(i)
+            if inconsistent_input_indices(restrict_rows(rows, list(combo))):
+                clean[r] = False
+    first = [next((r for r in levels if i in levels[r]), None) for i in range(len(columns))]
+    return product, levels, first, clean
+
+
 def sweep_scores(rows: list[str], min_size: int = 2) -> list[int]:
     """Inconsistency scores via the per-subset sweep, all by direct enumeration."""
     m = len(rows)

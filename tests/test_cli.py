@@ -203,6 +203,16 @@ def test_score_restriction(tmp_path, toy_json):
     assert rel.n == 14  # drops the five score-3 files and the score-4 file
 
 
+def test_score_restricted_out_needs_restrict_below(tmp_path, toy_json, capsys):
+    restricted = tmp_path / "restricted.json"
+    code = main(["score", str(toy_json), "--restricted-out", str(restricted)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--restrict-below" in captured.err
+    assert not restricted.exists()
+
+
 def test_select_subcommand(tmp_path, graded_json, capsys):
     report = tmp_path / "report.csv"
     out = tmp_path / "selected.json"
@@ -253,6 +263,16 @@ def test_features_subcommand(tmp_path, toy_json, toy_features):
     assert len(payload["pruning"]) == 1
 
 
+def test_features_without_feature_columns(tmp_path, toy_json, toy_relation, capsys):
+    feats_csv = tmp_path / "none.csv"
+    feats_csv.write_text("input\n" + "".join(f"{name}\n" for name in toy_relation.inputs))
+    assert main(["features", str(toy_json), "--features", str(feats_csv), "--prune", "0"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "levels": {\n    "0": [],\n    "1": [],\n    "2": [],\n    "3": []\n  },\n'
+        '  "pruning": [],\n  "stratification": {}\n}\n'
+    )
+
+
 def test_classify_vote(tmp_path, trio_relation, trio_json, capsys):
     truth_csv = tmp_path / "truth.csv"
     lines = ["input,compliant"]
@@ -271,6 +291,23 @@ def test_classify_vote(tmp_path, trio_relation, trio_json, capsys):
 def test_classify_rule_without_mode_is_usage_error(tmp_path, trio_json, capsys):
     code = main(["classify", str(trio_json)])
     assert code == 2
+
+
+def test_classify_vote_with_a_score_rule_is_usage_error(trio_json, capsys):
+    for rule in (["--below", "1"], ["--equal", "0"]):
+        assert main(["classify", str(trio_json), "--vote", "1", *rule]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--vote" in captured.err
+
+
+def test_classify_bad_truth_fails_before_printing(tmp_path, trio_json, capsys):
+    code = main(["classify", str(trio_json), "--vote", "1",
+                 "--truth", str(tmp_path / "missing.csv")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "missing.csv" in captured.err
 
 
 def test_export_pgm(tmp_path, trio_json):

@@ -159,12 +159,6 @@ def test_face_budget_counts_faces():
         betti_numbers(dual, 1)
     with pytest.raises(CapacityError, match=message):
         build_complex(relation_from_masks([(1 << 20) - 1], m=20))
-    small = build_complex(relation_from_masks([7], m=3))
-    assert len(small.faces(budget=7)) == 7
-    with pytest.raises(CapacityError, match="complex exceeds the 6-face budget"):
-        small.faces(budget=6)
-    with pytest.raises(CapacityError, match="complex exceeds the 6-face budget"):
-        betti_numbers(small, 1, budget=6)
 
 
 def test_graph_arrays_are_read_only_and_in_dot_order(toy_relation):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tdt.dowker import inconsistent_accept_sets
 from tdt.errors import ValidationError
 from tdt.features import (
     attribute_features,
@@ -9,6 +10,8 @@ from tdt.features import (
     variation_of_information,
 )
 from tdt.relation import FeatureRelation
+
+from conftest import relation_from_masks
 
 FULL = 0b1111
 
@@ -138,14 +141,14 @@ def test_pruning_removes_silent_feature_first(toy_relation):
     feats = FeatureRelation(
         inputs=toy_relation.inputs, features=("marker", "silent"), has_feature=matrix
     )
-    steps = greedy_feature_pruning(toy_relation, feats, rounds=2)
+    steps = greedy_feature_pruning(attribute_features(toy_relation, feats), rounds=2)
     assert steps[0].feature == "silent"
     assert steps[0].vi == 0.0
     assert steps[1].feature == "marker"
 
 
 def test_pruning_zero_rounds(toy_relation, toy_features):
-    assert greedy_feature_pruning(toy_relation, toy_features, 0) == ()
+    assert greedy_feature_pruning(attribute_features(toy_relation, toy_features), 0) == ()
 
 
 def test_pruning_first_removal_matches_exhaustive_search(toy_relation):
@@ -176,14 +179,14 @@ def test_pruning_first_removal_matches_exhaustive_search(toy_relation):
         )
         candidates.append((variation_of_information(before, after), i, name))
     best_vi, _, best_name = min(candidates)
-    steps = greedy_feature_pruning(toy_relation, feats, rounds=1)
+    steps = greedy_feature_pruning(attribute_features(toy_relation, feats), rounds=1)
     assert steps[0].feature == best_name
     assert steps[0].vi == pytest.approx(best_vi)
 
 
 def test_pruning_round_bounds(toy_relation, toy_features):
     with pytest.raises(ValidationError):
-        greedy_feature_pruning(toy_relation, toy_features, rounds=4)
+        greedy_feature_pruning(attribute_features(toy_relation, toy_features), rounds=4)
 
 
 def test_attribution_product_table(toy_relation, toy_features):
@@ -250,11 +253,11 @@ def test_pruning_and_attribution_match_reference_sweeps():
         )
         max_removed = rng.choice((None, rng.randrange(m)))
         strict = rng.random() < 0.5
-        steps = greedy_feature_pruning(rel, feats, p, max_removed=max_removed, strict=strict)
+        attribution = attribute_features(rel, feats, max_removed=max_removed, strict=strict)
+        steps = greedy_feature_pruning(attribution, p)
         assert [(s.feature, s.vi) for s in steps] == _reference_pruning(
             rel, feats, p, max_removed, strict
         )
-        attribution = attribute_features(rel, feats, max_removed=max_removed, strict=strict)
         top = m - 1 if max_removed is None else max_removed
         for r in range(top + 1):
             level = np.ones(p, dtype=bool)
@@ -266,3 +269,66 @@ def test_pruning_and_attribution_match_reference_sweeps():
                     )
                     level &= flags
             assert attribution.levels[r] == {f"k{i}" for i in np.flatnonzero(level)}
+
+
+def test_attribution_matches_the_per_input_oracle():
+    import random
+
+    import oracles
+
+    rng = random.Random(23)
+    mixed_inconsistent = 0
+    for m in range(1, 9):
+        for strict in (False, True):
+            n, p = rng.randint(6, 16), rng.randint(1, 4)
+            masks = [rng.randrange(1 << m) for _ in range(n)]
+            columns = [[rng.random() < 0.5 for _ in range(n)] for _ in range(p)]
+            # the first accept-set is held twice, once with the first feature
+            # and once without it
+            masks.append(masks[0])
+            for column in columns:
+                column.append(not column[0] if column is columns[0] else column[0])
+            rel = relation_from_masks(masks, m=m)
+            rows = ["".join("1" if mask >> j & 1 else "0" for mask in masks) for j in range(m)]
+            feats = FeatureRelation(
+                inputs=rel.inputs,
+                features=tuple(f"k{i}" for i in range(p)),
+                has_feature=np.array(columns, dtype=bool).T,
+            )
+            top = rng.randrange(m)
+            product, levels, first, clean = oracles.attribution(rows, columns, top, strict)
+            attribution = attribute_features(rel, feats, max_removed=top, strict=strict)
+            assert attribution.product == {
+                (mask, f"k{i}"): flag for (mask, i), flag in product.items()
+            }
+            assert attribution.levels == {
+                r: frozenset(f"k{i}" for i in members) for r, members in levels.items()
+            }
+            assert attribution.stratification == {f"k{i}": r for i, r in enumerate(first)}
+            assert attribution.clean == clean
+            for mask in range(1, 1 << m):
+                expected = oracles.relation_product(rows, columns, mask, strict)
+                assert relation_product(rel, feats, mask, strict=strict).tolist() == expected
+                bad = oracles.inconsistent_input_indices(
+                    [row for j, row in enumerate(rows) if mask >> j & 1]
+                )
+                mixed_inconsistent += n in bad
+    # the accept-set held with and without the feature was inconsistent somewhere
+    assert mixed_inconsistent
+
+
+def test_attribution_json_sweeps_each_subset_once(monkeypatch, toy_relation, toy_features):
+    import tdt.features
+
+    calls = []
+
+    def counted(masks, counts, sigma):
+        calls.append(sigma)
+        return inconsistent_accept_sets(masks, counts, sigma)
+
+    monkeypatch.setattr(tdt.features, "inconsistent_accept_sets", counted)
+    tdt.features.attribution_json(toy_relation, toy_features, prune_rounds=3)
+    assert sorted(calls) == list(range(1, 16))
+    calls.clear()
+    tdt.features.attribution_json(toy_relation, toy_features, max_removed=1, prune_rounds=2)
+    assert sorted(calls) == [0b0111, 0b1011, 0b1101, 0b1110, 0b1111]
