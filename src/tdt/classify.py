@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 from ._numpy import np
 from .errors import FormatError, ValidationError
-from .relation import Relation, _read_01_rows, _read_csv
+from .relation import Relation, _read_01_csv
 from .util import canonical_dumps
 
 if TYPE_CHECKING:
@@ -99,27 +99,31 @@ def evaluate(predicted: set[int], truth: GroundTruth) -> ClassifierReport:
 
 def load_ground_truth(path, rel: Relation) -> GroundTruth:
     """CSV ``input,compliant`` with 0/1 cells, aligned to the relation by input id."""
-    columns, records = _read_csv(path)
-    if columns != ["compliant"]:
-        raise FormatError(f"{path}: line 1: header must be 'input,compliant'")
-    inputs, compliant = _read_01_rows(
-        path, records, ["compliant"], lambda _, cell: f"cell {cell!r}, expected 0 or 1"
+
+    def check_columns(columns):
+        if columns != ["compliant"]:
+            raise FormatError(f"{path}: line 1: header must be 'input,compliant'")
+
+    _, inputs, compliant = _read_01_csv(
+        path, check_columns, lambda _, cell: f"cell {cell!r}, expected 0 or 1"
     )
-    labels: dict[str, bool] = {}
-    for name, ok in zip(inputs, compliant[:, 0].tolist()):
-        if name in labels:
-            raise ValidationError(f"{path}: duplicate input {name!r}")
-        labels[name] = ok
-    missing = [name for name in rel.inputs if name not in labels]
-    if missing or len(labels) != rel.n:
-        raise ValidationError(
-            f"{path}: labels do not cover exactly the relation's inputs "
-            f"(missing {missing[:3]}, {len(labels)} labeled vs {rel.n} inputs)"
-        )
-    return GroundTruth(
-        inputs=rel.inputs,
-        compliant=tuple(labels[name] for name in rel.inputs),
-    )
+    flags = compliant[:, 0].tolist()
+    if inputs != list(rel.inputs):  # equal lists hold no duplicate and cover exactly
+        labels = dict(zip(inputs, flags))
+        if len(labels) != len(inputs):
+            seen: set[str] = set()
+            for name in inputs:
+                if name in seen:
+                    raise ValidationError(f"{path}: duplicate input {name!r}")
+                seen.add(name)
+        if labels.keys() != set(rel.inputs):  # the relation's inputs are distinct
+            missing = [name for name in rel.inputs if name not in labels]
+            raise ValidationError(
+                f"{path}: labels do not cover exactly the relation's inputs "
+                f"(missing {missing[:3]}, {len(labels)} labeled vs {rel.n} inputs)"
+            )
+        flags = map(labels.__getitem__, rel.inputs)
+    return GroundTruth(inputs=rel.inputs, compliant=tuple(flags))
 
 
 def _render(value: Fraction | None) -> float | None:

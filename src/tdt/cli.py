@@ -107,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="flag inputs rejected by at least K programs")
     p.add_argument("--below", type=int, help="flag inputs with inconsistency score < BELOW")
     p.add_argument("--equal", type=int, help="also flag inputs with score == EQUAL")
-    p.add_argument("--min-size", type=int, default=2, help="score sweep floor (rule mode)")
+    p.add_argument("--min-size", type=int,
+                   help="score sweep floor (score rule only; default 2)")
     p.add_argument("--truth", help="ground-truth CSV (input,compliant)")
     p.add_argument("--out", help="report JSON to write")
     p.set_defaults(func=cmd_classify)
@@ -264,6 +265,8 @@ def cmd_classify(rel, args) -> int:
 
     if (args.vote is None) == (args.below is None and args.equal is None):
         raise ValidationError("choose either --vote K or a score rule (--below/--equal)")
+    if args.vote is not None and args.min_size is not None:
+        raise ValidationError("--min-size applies to a score rule (--below/--equal), not --vote")
     truth = load_ground_truth(args.truth, rel) if args.truth else None
     if args.vote is not None:
         predicted = vote_classifier(rel, args.vote)
@@ -272,13 +275,15 @@ def cmd_classify(rel, args) -> int:
         equal = args.equal if args.equal is not None else -1
         from .distill import inconsistency_scores
 
-        vec = inconsistency_scores(rel, min_subset_size=args.min_size)
+        min_size = args.min_size if args.min_size is not None else 2
+        vec = inconsistency_scores(rel, min_subset_size=min_size)
         predicted = score_rule_classifier(vec, below=below, equal=equal)
     flagged = sorted(predicted)
     print(f"flagged {len(flagged)} / {rel.n} inputs as non-compliant")
     if truth is not None:
         report = evaluate(predicted, truth)
-        _write_or_print(args.out, report_json(report, rel.inputs))
+        if args.out:
+            write_text(args.out, report_json(report, rel.inputs))
         for label in ("precision", "recall", "f1"):
             value = getattr(report, label)
             print(f"{label}: " + ("undefined" if value is None else f"{float(value):.4f}"))

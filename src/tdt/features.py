@@ -172,6 +172,11 @@ class PruneStep:
     vi: float
 
 
+def _check_rounds(rounds: int, p: int) -> None:
+    if rounds < 0 or rounds > p:
+        raise ValidationError(f"rounds must lie in 0..{p}")
+
+
 def greedy_feature_pruning(
     attribution: FeatureAttribution, rounds: int
 ) -> tuple[PruneStep, ...]:
@@ -183,8 +188,7 @@ def greedy_feature_pruning(
     feature index.
     """
     features = attribution.features
-    if rounds < 0 or rounds > len(features):
-        raise ValidationError(f"rounds must lie in 0..{len(features)}")
+    _check_rounds(rounds, len(features))
     if rounds == 0:
         return ()
     # A zeroed column's flag under a subset is that subset's ``clean`` flag,
@@ -221,6 +225,7 @@ def attribution_json(
     strict: bool = False,
     prune_rounds: int = 0,
 ) -> str:
+    _check_rounds(prune_rounds, feats.p)  # a bad count fails before the sweep
     attribution = attribute_features(rel, feats, max_removed=max_removed, strict=strict)
     pruning = greedy_feature_pruning(attribution, prune_rounds)
     payload = {

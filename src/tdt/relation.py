@@ -9,6 +9,7 @@ these two representations.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
@@ -180,12 +181,12 @@ def restrict_programs(rel: Relation, keep: int) -> Relation:
 def restrict_inputs(rel: Relation, keep: Iterable[int]) -> Relation:
     """Column restriction to the given input indices (kept in ascending order)."""
     indices = sorted(set(keep))
-    for k in indices:
-        if not 0 <= k < rel.n:
-            raise ValidationError(f"input index {k} out of range for n={rel.n}")
+    if indices and (indices[0] < 0 or indices[-1] >= rel.n):
+        k = next(k for k in indices if not 0 <= k < rel.n)
+        raise ValidationError(f"input index {k} out of range for n={rel.n}")
     return Relation(
         programs=rel.programs,
-        inputs=tuple(rel.inputs[k] for k in indices),
+        inputs=tuple(map(rel.inputs.__getitem__, indices)),
         accepts=rel.accepts[:, indices] if indices else rel.accepts[:, :0],
     )
 
@@ -248,9 +249,9 @@ def _load_json(path) -> Relation:
         json_field(path, payload, key, (list,), "an array") for key in ("programs", "inputs", "rows")
     )
     for field, names in (("programs", programs), ("inputs", inputs)):
-        for i, value in enumerate(names):
-            if not isinstance(value, str):
-                raise FormatError(f"{path}: {field}[{i}] must be a string")
+        if not set(map(type, names)) <= {str}:  # json.load makes no str subclass
+            i = next(i for i, value in enumerate(names) if not isinstance(value, str))
+            raise FormatError(f"{path}: {field}[{i}] must be a string")
     if len(rows) != len(programs):
         raise FormatError(
             f"{path}: field 'rows' has {len(rows)} entries for {len(programs)} programs"
@@ -277,17 +278,87 @@ def relation_csv(rel: Relation) -> str:
     return relation_csv_text(rel.programs, rel.inputs, _01_rows(rel.accepts))
 
 
-def _read_csv(path) -> tuple[list[str], list[list[str]]]:
-    """The column names after ``input`` in a CSV file's header, and the records after it.
+def _read_01_csv(path, check_columns, cell_error) -> tuple[list[str], list[str], np.ndarray]:
+    """The column names after ``input`` in a 0/1 CSV file's header, its input
+    ids, and the (rows x columns) bool matrix of its body.
+
+    Errors come in file order, each naming the physical line it is on: a
+    record the csv module cannot parse, then the header, then whatever
+    ``check_columns(columns)`` raises, then the first malformed body row, a
+    bad cell worded by ``cell_error(column, cell)``.  Blank records are skipped.
+    """
+    with open_text(path, newline="") as fh:
+        text = fh.read()
+    bulk = _bulk_01_csv(text)
+    if bulk is not None:
+        check_columns(bulk[0])
+        return bulk
+    columns, records = _read_csv(path, text)
+    check_columns(columns)
+    return (columns, *_read_01_rows(path, text, records, columns, cell_error))
+
+
+_NEWLINE, _COMMA, _ZERO, _ONE = (ord(c) for c in "\n,01")
+
+
+def _bulk_01_csv(text: str) -> tuple[list[str], list[str], np.ndarray] | None:
+    """:func:`_read_01_csv`'s result for a well-formed file whose records are
+    plain lines of unquoted fields, read in whole-file passes; None for any
+    other file, which the csv module reads record by record.
+
+    Without a double quote, carriage return or NUL, and with every line under
+    the csv module's field limit, the csv module splits each line at its commas
+    and nothing else, so each nonblank line must be an id and ``,0`` or ``,1``
+    per column.  Cells and commas are ASCII, so the UTF-8 bytes of the text
+    locate them.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    head, _, body = text.partition("\n")
+    header = head.split(",")
+    if header[0] != "input" or len(head) > csv.field_size_limit():
+        return None
+    columns = header[1:]
+    if body and not body.endswith("\n"):
+        body += "\n"
+    data = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
+    newlines = np.flatnonzero(data == _NEWLINE)
+    lengths = np.diff(newlines, prepend=-1) - 1
+    if lengths.size and lengths.max() > csv.field_size_limit():  # bytes: at least the characters
+        return None
+    # a record is an id, then a comma and a cell per column: the last 2p bytes
+    # of its line.  With those p commas on every nonblank line and no other
+    # comma in the body, no id holds a comma.
+    blank = lengths == 0
+    ends = newlines[~blank]
+    p = len(columns)
+    if (lengths[~blank] < 2 * p).any() or np.count_nonzero(data == _COMMA) != p * ends.size:
+        return None
+    keep = np.ones(data.size, dtype=bool)  # the bytes of the ids and their newlines
+    keep[newlines[blank]] = False
+    ones = np.empty((ends.size, p), dtype=bool)
+    for c in range(p):
+        comma, cell = ends - 2 * (p - c), ends - 2 * (p - c) + 1
+        cells = data[cell]
+        if (data[comma] != _COMMA).any() or ((cells != _ZERO) & (cells != _ONE)).any():
+            return None
+        ones[:, c] = cells == _ONE
+        keep[comma] = keep[cell] = False
+    inputs = data[keep].tobytes().decode("utf-8").split("\n")[:-1]
+    return columns, inputs, ones
+
+
+def _read_csv(path, text: str) -> tuple[list[str], list[list[str]]]:
+    """The column names after ``input`` in a CSV text's header, and the records
+    after it, read by the csv module.
 
     A record the csv module cannot parse is a FormatError naming its line.
     """
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            records = list(reader)
-        except csv.Error as exc:
-            raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        records = list(reader)
+    except csv.Error as exc:
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not records:
         raise FormatError(f"{path}: empty file")
     if not records[0] or records[0][0] != "input":
@@ -295,23 +366,19 @@ def _read_csv(path) -> tuple[list[str], list[list[str]]]:
     return records[0][1:], records[1:]
 
 
-def _line_of(path, record: int) -> int:
-    """The physical line on which body record ``record`` of a CSV file ends,
+def _line_of(text: str, record: int) -> int:
+    """The physical line on which body record ``record`` of a CSV text ends,
     as the csv module counts lines (a quoted field may span several)."""
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for _ in range(record + 2):  # the header, then records 0..record
-            next(reader)
-        return reader.line_num
+    reader = csv.reader(io.StringIO(text, newline=""))
+    for _ in range(record + 2):  # the header, then records 0..record
+        next(reader)
+    return reader.line_num
 
 
-def _read_01_rows(path, records, columns: list[str], cell_error) -> tuple[list[str], np.ndarray]:
-    """Input ids and the (rows x columns) bool matrix of a 0/1 CSV body.
-
-    Blank records are skipped.  The first malformed row in file order is
-    reported with the physical line it ends on, a bad cell worded by
-    ``cell_error(column, cell)``.
-    """
+def _read_01_rows(path, text: str, records, columns: list[str],
+                  cell_error) -> tuple[list[str], np.ndarray]:
+    """Input ids and the (rows x columns) bool matrix of a 0/1 CSV body, from
+    the csv module's records, for :func:`_read_01_csv`."""
     width = len(columns) + 1
     lengths = np.fromiter(map(len, records), np.int64, len(records))
     (wrong,) = np.nonzero((lengths != width) & (lengths != 0))
@@ -323,20 +390,21 @@ def _read_01_rows(path, records, columns: list[str], cell_error) -> tuple[list[s
     bad = ~ones & (cells != "0")
     if bad.any():
         r, c = divmod(int(np.argmax(bad)), len(columns))
-        line = _line_of(path, int(np.flatnonzero(lengths)[r]))
+        line = _line_of(text, int(np.flatnonzero(lengths)[r]))
         raise FormatError(f"{path}: line {line}: {cell_error(columns[c], cells[r, c])}")
     if wrong.size:
-        line = _line_of(path, end)
+        line = _line_of(text, end)
         raise FormatError(f"{path}: line {line}: expected {width} cells, got {lengths[end]}")
     return table[:, 0].tolist(), ones
 
 
 def _load_csv(path) -> Relation:
-    programs, records = _read_csv(path)
-    if not programs:
-        raise FormatError(f"{path}: line 1: no program columns")
-    inputs, matrix = _read_01_rows(
-        path, records, programs,
+    def check_columns(programs):
+        if not programs:
+            raise FormatError(f"{path}: line 1: no program columns")
+
+    programs, inputs, matrix = _read_01_csv(
+        path, check_columns,
         lambda field, cell: f"column {field!r} is {cell!r}, expected 0 or 1",
     )
     return Relation(programs=tuple(programs), inputs=tuple(inputs), accepts=matrix.T)
@@ -354,9 +422,8 @@ def relation_pgm(rel: Relation) -> str:
 
 def load_feature_relation(path) -> FeatureRelation:
     """CSV with header ``input,<feat...>`` and 0/1 cells."""
-    features, records = _read_csv(path)
-    inputs, matrix = _read_01_rows(
-        path, records, features, lambda _, cell: f"cell {cell!r}, expected 0 or 1"
+    features, inputs, matrix = _read_01_csv(
+        path, lambda features: None, lambda _, cell: f"cell {cell!r}, expected 0 or 1"
     )
     return FeatureRelation(inputs=tuple(inputs), features=tuple(features), has_feature=matrix)
 

@@ -43,24 +43,46 @@ def canonical_dumps(payload) -> str:
     """Canonical JSON: sorted keys, two-space indent, newline terminated.
 
     Used for every JSON artifact so identical inputs give byte-identical files.
+    The text is ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"`` for a
+    payload whose object keys are strings.  That indent makes json use its
+    pure-Python encoder; here each array and object is written in one join.
     """
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _json(payload, "\n") + "\n"
+
+
+def _json(value, newline: str) -> str:
+    """``value`` as canonical JSON, each line inside it starting with ``newline``
+    (a newline and the indent of the line ``value`` starts on) plus two spaces."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if not isinstance(value, (list, tuple, dict)):
+        return _json_scalar(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(key)}: {_json(item, inner)}"
+                 for key, item in sorted(value.items())]
+        return "{" + inner + f",{inner}".join(items) + newline + "}"
+    if set(map(type, value)) == {str}:  # ids and row strings: escaped in one pass
+        items = map(encode_basestring_ascii, value)
+    else:
+        items = [_json(item, inner) for item in value]
+    return "[" + inner + f",{inner}".join(items) + newline + "]"
+
+
+def _json_scalar(value) -> str:
+    """A number or literal as json.dumps writes it; any other value is a TypeError."""
+    if isinstance(value, int) and not isinstance(value, bool):  # the common case, kept fast
+        return int.__repr__(value)
+    return json.dumps(value)
 
 
 def relation_json_text(programs: Sequence[str], inputs: Sequence[str],
                        rows: Sequence[str]) -> str:
-    """The canonical relation JSON (``canonical_dumps`` of its three string
-    arrays), with each array written in one join: ``rows`` holds one '0'/'1'
-    string per program."""
-
-    def array(items: Sequence[str]) -> str:
-        # json.dumps escapes every string with this same function (ensure_ascii)
-        if not items:
-            return "[]"
-        return "[\n    " + ",\n    ".join(map(encode_basestring_ascii, items)) + "\n  ]"
-
-    return (f'{{\n  "inputs": {array(inputs)},\n  "programs": {array(programs)},\n'
-            f'  "rows": {array(rows)}\n}}\n')
+    """The canonical relation JSON of its three string arrays: ``rows`` holds one
+    '0'/'1' string per program."""
+    return canonical_dumps({"programs": programs, "inputs": inputs, "rows": rows})
 
 
 def relation_csv_text(programs: Sequence[str], inputs: Sequence[str],

@@ -431,15 +431,18 @@ def selection_report(weights: dict[int, int], m: int, input_weights: list[int], 
 
 
 def read_01_csv(path, kind: str):
-    """A 0/1 CSV (``kind`` 'relation' or 'feature') read record by record and cell
-    by cell: ('ok', columns, inputs, rows of bools) or ('error', message).  An
-    error names the physical line its record ends on."""
+    """A 0/1 CSV (``kind`` 'relation', 'feature' or 'truth') read record by record
+    and cell by cell: ('ok', columns, inputs, rows of bools) or ('error', message).
+    An error names the physical line its record ends on."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         records, ends = [], []
-        for record in reader:
-            records.append(record)
-            ends.append(reader.line_num)
+        try:
+            for record in reader:
+                records.append(record)
+                ends.append(reader.line_num)
+        except csv.Error as exc:
+            return "error", f"{path}: line {reader.line_num}: {exc}"
     if not records:
         return "error", f"{path}: empty file"
     if not records[0] or records[0][0] != "input":
@@ -447,6 +450,8 @@ def read_01_csv(path, kind: str):
     columns = records[0][1:]
     if kind == "relation" and not columns:
         return "error", f"{path}: line 1: no program columns"
+    if kind == "truth" and columns != ["compliant"]:
+        return "error", f"{path}: line 1: header must be 'input,compliant'"
     inputs, rows = [], []
     for lineno, record in zip(ends[1:], records[1:]):
         if not record:

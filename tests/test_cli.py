@@ -273,6 +273,25 @@ def test_features_without_feature_columns(tmp_path, toy_json, toy_relation, caps
     )
 
 
+def test_features_checks_prune_rounds_before_the_sweep(tmp_path, trio_json, trio_relation,
+                                                    capsys, monkeypatch):
+    import tdt.features
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the attribution sweep ran")
+
+    monkeypatch.setattr(tdt.features, "attribute_features", no_sweep)
+    feats_csv = tmp_path / "feats.csv"
+    feats_csv.write_text("input,odd,low\n" + "".join(
+        f"{name},{k % 2},{int(k < 7)}\n" for k, name in enumerate(trio_relation.inputs)))
+    for rounds in ("5", "-1"):
+        argv = ["features", str(trio_json), "--features", str(feats_csv), "--prune", rounds]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rounds must lie in 0..2\n"
+
+
 def test_classify_vote(tmp_path, trio_relation, trio_json, capsys):
     truth_csv = tmp_path / "truth.csv"
     lines = ["input,compliant"]
@@ -299,6 +318,30 @@ def test_classify_vote_with_a_score_rule_is_usage_error(trio_json, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--vote" in captured.err
+
+
+def test_classify_vote_with_min_size_is_usage_error(trio_json, capsys):
+    assert main(["classify", str(trio_json), "--vote", "1", "--min-size", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--min-size" in captured.err and "--vote" in captured.err
+    # a score rule takes it
+    assert main(["classify", str(trio_json), "--below", "1", "--min-size", "3"]) == 0
+
+
+def test_classify_truth_without_out_prints_only_plain_lines(tmp_path, trio_relation, trio_json,
+                                                            capsys):
+    truth_csv = tmp_path / "truth.csv"
+    truth_csv.write_text("input,compliant\n" + "".join(
+        f"{name},{int(k % 3 != 0)}\n" for k, name in enumerate(trio_relation.inputs)))
+    assert main(["classify", str(trio_json), "--vote", "1", "--truth", str(truth_csv)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ")[0] for line in lines] == ["flagged", "precision:", "recall:", "f1:"]
+    out = tmp_path / "report.json"
+    assert main(["classify", str(trio_json), "--vote", "1", "--truth", str(truth_csv),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+    assert set(json.loads(out.read_text())) == {"counts", "f1", "flagged", "precision", "recall"}
 
 
 def test_classify_bad_truth_fails_before_printing(tmp_path, trio_json, capsys):

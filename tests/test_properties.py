@@ -1,5 +1,6 @@
 """Property tests for the structural invariants, driven by hypothesis."""
 
+import json
 import warnings
 
 import numpy as np
@@ -248,6 +249,28 @@ def test_select_monotone_after_distill(rel, data):
     kept_lo, _ = select_inputs(survivor, lo)
     kept_hi, _ = select_inputs(survivor, hi)
     assert set(kept_hi) <= set(kept_lo)
+
+
+# Strings as tdt writes them (ids, names, reasons): any code point, lone
+# surrogates and control characters included, with the ones json escapes
+# drawn often.
+JSON_TEXT = st.text(st.characters(exclude_categories=())
+                    | st.sampled_from(["\ud800", "\udfff", "\x00", "\x1f", "\x7f", '"', "\\",
+                                       "\n", "\u2028", "\u00e9", "\U0001f600"]))
+JSON_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | JSON_TEXT,
+    lambda inner: (st.lists(inner) | st.lists(JSON_TEXT) | st.tuples(inner, inner)
+                   | st.dictionaries(JSON_TEXT, inner)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(JSON_PAYLOADS)
+def test_canonical_dumps_matches_json_dumps(payload):
+    from tdt.util import canonical_dumps
+
+    assert canonical_dumps(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def test_subdiagram_deficiency_counts_are_monitored():

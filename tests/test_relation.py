@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdt.errors import FormatError, StatisticUndefinedError, ValidationError
 from tdt.relation import (
@@ -85,6 +87,21 @@ def test_load_json_rejects_non_string_ids(tmp_path, capsys, payload, field):
     assert main(["analyze", str(path), "--weights", str(weights)]) == 2
     assert "must be a string" in capsys.readouterr().err
     assert not weights.exists()
+
+
+def test_load_json_names_the_first_non_string_id(tmp_path):
+    ids = [f"i{k}" for k in range(1000)]
+    ids[700], ids[900] = 7, None
+    programs = ["A", "B", True, 2.5]
+    path = tmp_path / "rel.json"
+    for payload, message in (
+        ({"programs": ["A"], "inputs": ids, "rows": ["0" * 1000]}, "inputs[700]"),
+        ({"programs": programs, "inputs": ["f"], "rows": ["1"] * 4}, "programs[2]"),
+    ):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError) as excinfo:
+            load_relation(path)
+        assert str(excinfo.value) == f"{path}: {message} must be a string"
 
 
 # Bad cells the row check must report: a lone surrogate (json.load accepts
@@ -324,6 +341,131 @@ def test_csv_loaders_match_per_cell_oracle(tmp_path):
             assert loaded.has_feature.reshape(len(rows), p).tolist() == rows
     assert 40 < errors < 130
 
+
+def _check_against_oracle(path, kind):
+    """The loader of ``kind`` gives the oracle's result or raises its exact error."""
+    from tdt.classify import load_ground_truth
+
+    from oracles import read_01_csv
+
+    expected = read_01_csv(path, kind)
+    load = {"relation": load_relation, "feature": load_feature_relation,
+            "truth": lambda path: load_ground_truth(path, None)}[kind]
+    if expected[0] == "error":
+        with pytest.raises(FormatError) as excinfo:
+            load(path)
+        assert str(excinfo.value) == expected[1]
+        return expected
+    _, columns, inputs, rows = expected
+    if kind != "truth" and (len(set(inputs)) < len(inputs) or len(set(columns)) < len(columns)):
+        with pytest.raises(ValidationError, match="^duplicate .* identifiers$"):
+            load(path)
+    elif kind == "relation":
+        rel = load(path)
+        assert (rel.programs, rel.inputs) == (tuple(columns), tuple(inputs))
+        assert rel.accepts.T.tolist() == rows
+    elif kind == "feature":
+        feats = load(path)
+        assert (feats.features, feats.inputs) == (tuple(columns), tuple(inputs))
+        assert feats.has_feature.reshape(len(rows), len(columns)).tolist() == rows
+    elif len(set(inputs)) < len(inputs):
+        first = next(name for k, name in enumerate(inputs) if name in inputs[:k])
+        distinct = tuple(dict.fromkeys(inputs))
+        rel = Relation(programs=("A",), inputs=distinct,
+                       accepts=np.zeros((1, len(distinct)), dtype=bool))
+        with pytest.raises(ValidationError) as excinfo:
+            load_ground_truth(path, rel)
+        assert str(excinfo.value) == f"{path}: duplicate input {first!r}"
+    else:
+        # in the file's order, and reversed, which the loader aligns by id
+        for order in (inputs, inputs[::-1]):
+            rel = Relation(programs=("A",), inputs=tuple(order),
+                           accepts=np.zeros((1, len(order)), dtype=bool))
+            truth = load_ground_truth(path, rel)
+            labels = dict(zip(inputs, (row[0] for row in rows)))
+            assert truth.compliant == tuple(labels[name] for name in order)
+    return expected
+
+
+# Edits of one body line of a plain (unquoted) file that the bulk reader must
+# reject as the csv module's records do.
+PLAIN_REJECTIONS = {
+    "bad-last-cell": lambda line: line[:-1] + "2",
+    "bad-first-cell": lambda line: line.replace(",", ",x", 1),
+    "empty-cell": lambda line: line[:-1],
+    "spaced-cell": lambda line: line[:-1] + " " + line[-1],
+    "two-digit-cell": lambda line: line + "0",
+    "extra-comma": lambda line: line + ",",
+    "extra-cell": lambda line: line + ",1",
+    "comma-in-id": lambda line: "a," + line,
+    "short-row": lambda line: line.rsplit(",", 1)[0],
+    "only-id": lambda line: line.split(",", 1)[0],
+    "non-ascii-cell": lambda line: line[:-1] + "\u0661",
+}
+
+
+@pytest.mark.parametrize("kind", ["relation", "feature", "truth"])
+@pytest.mark.parametrize("edit", sorted(PLAIN_REJECTIONS))
+def test_csv_loaders_match_oracle_on_plain_rejections(tmp_path, kind, edit):
+    """Plain files, each with one edited line, with and without blank lines and
+    non-ASCII ids: the loaders raise the record-by-record reader's exact error."""
+    rng = random.Random(f"{kind}-{edit}")
+    p = 1 if kind == "truth" else 3
+    header = "input,compliant" if kind == "truth" else "input,c0,c1,c2"
+    for blanks, ids in ((0, "in{}"), (5, "\u65e5{}\u00e9")):
+        lines = [",".join([ids.format(k), *(rng.choice("01") for _ in range(p))])
+                 for k in range(40)]
+        k = rng.randrange(40)
+        lines[k] = PLAIN_REJECTIONS[edit](lines[k])
+        for _ in range(blanks):
+            lines.insert(rng.randrange(41), "")
+        path = tmp_path / f"{kind}.csv"
+        path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        assert _check_against_oracle(path, kind)[0] == "error"
+    # an extra comma on one line and one missing on the next keep the count
+    lines = [",".join([f"in{k}", *("1" * p)]) for k in range(6)]
+    lines[2] += ",1"
+    lines[3] = lines[3].rsplit(",", 1)[0]
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    assert _check_against_oracle(path, kind)[0] == "error"
+
+
+# Pieces of 0/1 CSV text: the csv module's special characters (a NUL is an
+# error under Python 3.10 and a plain character from 3.11), cells, and
+# non-ASCII code points of each UTF-8 length.
+CSV_PIECES = ("0", "1", "0", "1", ",", ",", '"', "\r", "\n", "\r\n", "\0", ",0", ",1",
+              "x", " ", "\u00e9", "\u65e5", "\U0001f600")
+
+
+@st.composite
+def csv_01_texts(draw):
+    kind = draw(st.sampled_from(["relation", "feature", "truth"]))
+    p = 1 if kind == "truth" else draw(st.integers(0, 3))
+    lines = ["input,compliant" if kind == "truth"
+             else ",".join(["input", *(f"c{j}" for j in range(p))])]
+    pieces = st.lists(st.sampled_from(CSV_PIECES), max_size=6).map("".join)
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):  # a well-formed record, its id maybe quoted
+            name = draw(st.text(st.sampled_from("ab,\"\u00e9\n"), max_size=3))
+            if set(name) & set(',"\n') or draw(st.booleans()):
+                name = '"' + name.replace('"', '""') + '"'
+            lines.append(name + "".join(draw(st.sampled_from([",0", ",1"])) for _ in range(p)))
+        else:
+            lines.append(draw(pieces))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n", "\r\n"]))
+    if draw(st.booleans()):  # one more piece anywhere, the header included
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(pieces) + text[at:]
+    return kind, text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(csv_01_texts())
+def test_csv_loaders_match_oracle_on_generated_text(tmp_path_factory, case):
+    kind, text = case
+    path = tmp_path_factory.mktemp("csv") / f"{kind}.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _check_against_oracle(path, kind)
 
 def test_csv_writers_quote_awkward_ids(tmp_path):
     import csv
