@@ -431,10 +431,11 @@ def test_csv_loaders_match_oracle_on_plain_rejections(tmp_path, kind, edit):
 
 
 # Pieces of 0/1 CSV text: the csv module's special characters (a NUL is an
-# error under Python 3.10 and a plain character from 3.11), cells, and
-# non-ASCII code points of each UTF-8 length.
+# error under Python 3.10 and a plain character from 3.11), cells, non-ASCII
+# code points of each UTF-8 length, and characters that str.splitlines breaks
+# lines at but the csv module does not.
 CSV_PIECES = ("0", "1", "0", "1", ",", ",", '"', "\r", "\n", "\r\n", "\0", ",0", ",1",
-              "x", " ", "\u00e9", "\u65e5", "\U0001f600")
+              "x", " ", "\u00e9", "\u65e5", "\U0001f600", "\x0b", "\x1c", "\x85", "\u2028")
 
 
 @st.composite
