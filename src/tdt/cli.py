@@ -151,25 +151,26 @@ def cmd_run(args) -> int:
 
 def cmd_analyze(rel, args) -> int:
     from .diagram import build_diagram, diagram_report, is_consistent
-    from .dowker import (betti_numbers, build_complex, build_graph, consistent_core, graph_dot,
+    from .dowker import (betti_numbers, build_complex, build_graph, complex_counts, graph_dot,
                          inconsistent_inputs)
 
+    if args.betti is not None and args.betti < 0:
+        raise ValidationError("max_dim must be >= 0")
     diag = build_diagram(rel)
-    cpx = build_complex(rel)
-    graph = build_graph(cpx)
-    core = consistent_core(graph)
+    # only the outputs that list faces build the complex, under its face budget
+    cpx = build_complex(rel) if args.dot or args.betti is not None else None
+    faces, red, core = complex_counts(diag.weights, rel.m)
     inconsistent = sorted(inconsistent_inputs(rel))
     if args.weights:
         write_text(args.weights, diagram_report(rel, diag))
     if args.dot:
-        write_text(args.dot, graph_dot(graph))
+        write_text(args.dot, graph_dot(build_graph(cpx)))
     if args.inconsistent:
         write_text(args.inconsistent, canonical_dumps([rel.inputs[k] for k in inconsistent]))
-    red = int(graph.consistent.size - graph.consistent.sum())
     print(
         f"{rel.m} programs, {rel.n} inputs: "
-        f"{len(graph.faces)} faces, {red} inconsistent edges, "
-        f"{len(core)} faces in the consistent core, "
+        f"{faces} faces, {red} inconsistent edges, "
+        f"{core} faces in the consistent core, "
         f"{len(inconsistent)} inconsistent inputs"
     )
     print(f"diagram consistent: {is_consistent(diag)}")

@@ -18,7 +18,7 @@ from typing import Sequence
 from ._numpy import np
 from .errors import ValidationError
 from .relation import Relation, column_masks, validate_mask
-from .util import bits, canonical_dumps, popcount
+from .util import canonical_dumps, popcount
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,14 +124,6 @@ def heaviest_facet(weights: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def project_masks(masks: np.ndarray, sigma: int) -> np.ndarray:
-    """Masks restricted to the programs in sigma; bit t is sigma's t-th set bit."""
-    out = np.zeros_like(masks)
-    for t, j in enumerate(bits(sigma)):
-        out |= (masks >> j & 1) << t
-    return out
-
-
 def region_weights(masks: np.ndarray, m: int, counts: np.ndarray | None = None) -> np.ndarray:
     """Weight vector over 2^m regions of the given masks, each counted ``counts`` times."""
     # bincount sums weights in float64, exact for every total below 2**53
@@ -165,15 +157,17 @@ def project_diagram(diag: WeightedDiagram, sigma: int) -> WeightedDiagram:
     """Diagram of the relation restricted to the programs in ``sigma``.
 
     Region Z of the projection collects every region X with X & sigma == Z;
-    bit t of the result corresponds to the t-th set bit of sigma.
+    bit t of the result corresponds to the t-th set bit of sigma. Viewed as a
+    2x...x2 array, the weights hold program j on axis m-1-j, so the projection
+    sums over the dropped programs' axes and keeps sigma's in bit order.
     """
     if sigma == 0:
         raise ValidationError("cannot project onto an empty program set")
     if sigma >> diag.m:
         raise ValidationError(f"mask {sigma:#x} sets bits outside the {diag.m} programs")
-    regions = project_masks(np.arange(1 << diag.m, dtype=np.int64), sigma)
-    k = popcount(sigma)
-    return WeightedDiagram(m=k, weights=region_weights(regions, k, diag.weights))
+    dropped = tuple(diag.m - 1 - j for j in range(diag.m) if not sigma >> j & 1)
+    weights = diag.weights.reshape((2,) * diag.m).sum(axis=dropped)
+    return WeightedDiagram(m=popcount(sigma), weights=weights.ravel())
 
 
 def pair_blame(masks: np.ndarray, sigma: int, tau: int) -> np.ndarray:

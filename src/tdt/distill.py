@@ -10,6 +10,7 @@ restriction it is inconsistent.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Literal
 
@@ -62,10 +63,7 @@ class ScoreVector:
     mode: str
 
     def histogram(self) -> list[tuple[int, int]]:
-        counts: dict[int, int] = {}
-        for s in self.scores:
-            counts[s] = counts.get(s, 0) + 1
-        return sorted(counts.items())
+        return sorted(Counter(self.scores).items())
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ from functools import cached_property
 
 from ._numpy import np
 from .diagram import (
+    _halves,
     any_cover,
     build_diagram,
     heaviest_facet,
-    project_masks,
     region_sizes,
     region_weights,
     subset_labels,
@@ -160,10 +160,24 @@ def consistent_core(graph: DowkerGraph) -> frozenset[int]:
     return frozenset(np.flatnonzero(consistent_regions(graph.weights, graph.width)).tolist())
 
 
+def complex_counts(weights: np.ndarray, m: int) -> tuple[int, int, int]:
+    """Faces, inconsistent covering edges and consistent-core faces of the complex
+    of a weight vector, counted on the vectors without listing a face."""
+    faces = superset_or(weights > 0, m)
+    faces[0] = False
+    red = 0
+    for j in range(m):
+        (head_faces, tail_faces), (heads, tails) = _halves(faces, j), _halves(weights, j)
+        red += int(np.count_nonzero(head_faces & tail_faces & (heads > tails)))
+    return int(np.count_nonzero(faces)), red, int(np.count_nonzero(consistent_regions(weights, m)))
+
+
 def inconsistent_accept_sets(masks: np.ndarray, counts: np.ndarray, sigma: int) -> np.ndarray:
     """Per distinct accept-set (held by ``counts`` inputs each): is it inconsistent
     in the relation restricted to the programs in ``sigma``?"""
-    restricted = project_masks(masks, sigma)
+    restricted = np.zeros_like(masks)  # bit t of a restricted mask is sigma's t-th program
+    for t, j in enumerate(bits(sigma)):
+        restricted |= (masks >> j & 1) << t
     width = popcount(sigma)
     core = consistent_regions(region_weights(restricted, width, counts), width)
     return (restricted != 0) & ~core[restricted]
@@ -171,9 +185,9 @@ def inconsistent_accept_sets(masks: np.ndarray, counts: np.ndarray, sigma: int) 
 
 def inconsistent_inputs(rel: Relation) -> set[int]:
     """Inputs whose nonempty accept-set lies outside the consistent core."""
-    masks, inverse, counts = np.unique(column_masks(rel), return_inverse=True, return_counts=True)
-    flags = inconsistent_accept_sets(masks, counts, (1 << rel.m) - 1)
-    return set(np.flatnonzero(flags[inverse]).tolist())
+    masks = column_masks(rel)
+    core = consistent_regions(region_weights(masks, rel.m), rel.m)
+    return set(np.flatnonzero((masks != 0) & ~core[masks]).tolist())
 
 
 def connected_components(cpx: DowkerComplex) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -133,16 +133,12 @@ def variation_of_information(
     """Entropy-based distance between two partitions of the same ground set, in bits."""
     blocks_a = [frozenset(block) for block in parts_a if len(frozenset(block))]
     blocks_b = [frozenset(block) for block in parts_b if len(frozenset(block))]
-    ground_a: set = set()
-    for block in blocks_a:
-        if ground_a & block:
-            raise ValidationError("first partition has overlapping blocks")
-        ground_a |= block
-    ground_b: set = set()
-    for block in blocks_b:
-        if ground_b & block:
-            raise ValidationError("second partition has overlapping blocks")
-        ground_b |= block
+    ground_a, ground_b = frozenset().union(*blocks_a), frozenset().union(*blocks_b)
+    # blocks overlap iff their sizes add up to more than their union
+    if sum(map(len, blocks_a)) != len(ground_a):
+        raise ValidationError("first partition has overlapping blocks")
+    if sum(map(len, blocks_b)) != len(ground_b):
+        raise ValidationError("second partition has overlapping blocks")
     if ground_a != ground_b:
         raise ValidationError("partitions must cover the same ground set")
     if not ground_a:
@@ -200,19 +196,15 @@ def greedy_feature_pruning(
     def partition(zeroed: np.ndarray) -> list[set[str]]:
         return _strat_partition(_stratify(features, np.where(zeroed, clean, hits)))
 
+    indices = np.arange(len(features))
     zeroed = np.zeros(len(features), dtype=bool)
     steps: list[PruneStep] = []
     for _ in range(rounds):
         before = partition(zeroed)
-        best: tuple[float, int] | None = None
-        for i in np.flatnonzero(~zeroed).tolist():
-            candidate = zeroed.copy()
-            candidate[i] = True
-            vi = variation_of_information(before, partition(candidate))
-            if best is None or (vi, i) < best:
-                best = (vi, i)
-        assert best is not None
-        vi, index = best
+        vi, index = min(
+            (variation_of_information(before, partition(zeroed | (indices == i))), i)
+            for i in np.flatnonzero(~zeroed).tolist()
+        )
         zeroed[index] = True
         steps.append(PruneStep(feature=features[index], vi=vi))
     return tuple(steps)

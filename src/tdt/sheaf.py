@@ -18,27 +18,26 @@ from ._numpy import np
 from .diagram import WeightedDiagram, build_diagram, is_consistent, project_diagram, region_sizes
 from .errors import ValidationError
 from .relation import Relation, names_from_mask, validate_mask
-from .util import canonical_dumps
+from .util import bits, canonical_dumps
 
 
 @dataclass(frozen=True)
 class SheafAssignment:
     """Stalks over every nonempty program subset, derived from one weight vector."""
 
-    m: int
-    labels: tuple[str, ...]
     diagram: WeightedDiagram
 
     def stalk(self, sigma: int) -> dict[int, int]:
         """Counts of inputs per acceptance pattern Z within sigma (keys are submasks of sigma)."""
-        counts = project_diagram(self.diagram, sigma).weights
-        # the submasks of sigma, ascending: the projection's region order
-        patterns = np.flatnonzero(np.arange(1 << self.m) & ~sigma == 0)
-        return dict(zip(patterns.tolist(), counts.tolist()))
+        counts = project_diagram(self.diagram, sigma).weights.tolist()
+        patterns = [0]  # the submasks of sigma, ascending: the projection's region order
+        for j in bits(sigma):
+            patterns += [pattern | 1 << j for pattern in patterns]
+        return dict(zip(patterns, counts))
 
 
 def build_assignment(rel: Relation) -> SheafAssignment:
-    return SheafAssignment(m=rel.m, labels=rel.programs, diagram=build_diagram(rel))
+    return SheafAssignment(diagram=build_diagram(rel))
 
 
 def consistency_at(assignment: SheafAssignment, sigma: int) -> bool:
@@ -70,14 +69,14 @@ def display_vector(rel: Relation, sigma: int) -> tuple[int, ...]:
 
 def stalk_json(rel: Relation, sigma: int) -> str:
     """Canonical JSON: {"sigma": [...], "stalk": {pattern: count}, "consistent": bool}."""
-    assignment = build_assignment(rel)
-    stalk = assignment.stalk(sigma)
+    projected = project_diagram(build_diagram(rel), sigma)
+    members = names_from_mask(rel, sigma)  # bit t of a projected region is members[t]
     payload = {
-        "sigma": sorted(names_from_mask(rel, sigma)),
+        "sigma": sorted(members),
         "stalk": {
-            ",".join(sorted(names_from_mask(rel, pattern))): count
-            for pattern, count in stalk.items()
+            ",".join(sorted(name for t, name in enumerate(members) if z >> t & 1)): count
+            for z, count in enumerate(projected.weights.tolist())
         },
-        "consistent": consistency_at(assignment, sigma),
+        "consistent": is_consistent(projected),
     }
     return canonical_dumps(payload)

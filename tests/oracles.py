@@ -9,6 +9,8 @@ import csv
 import json
 from itertools import combinations
 
+import numpy as np
+
 
 def masks_from_rows(rows: list[str]) -> list[int]:
     """Column accept-set masks of a matrix given as '0'/'1' row strings."""
@@ -156,6 +158,41 @@ def sweep_scores(rows: list[str], min_size: int = 2) -> list[int]:
             for k in inconsistent_input_indices(sub):
                 scores[k] += 1
     return scores
+
+
+def pair_scores(rows: list[str], min_size: int = 2) -> list[int]:
+    """Pairs-mode scores, pair by pair: for every tau of at least min_size
+    programs and every proper subset sigma of tau (the empty set included) with
+    weight(sigma) > weight(tau), each input accepted by every program in sigma
+    and rejected by some program in tau - sigma scores one."""
+    m = len(rows)
+    weights = region_weights(rows)
+    cols = masks_from_rows(rows)
+    scores = [0] * len(cols)
+    for tau in range(1 << m):
+        if _popcount(tau) < min_size:
+            continue
+        for sigma in range(tau):
+            if sigma & ~tau or weights[sigma] <= weights[tau]:
+                continue
+            for k, col in enumerate(cols):
+                accepted = all(col >> j & 1 for j in _members(sigma, m))
+                if accepted and any(not col >> j & 1 for j in _members(tau & ~sigma, m)):
+                    scores[k] += 1
+    return scores
+
+
+def project_weights(weights: list[int], sigma: int) -> list[int]:
+    """A 2^m weight vector projected onto the programs in sigma, region by
+    region: each mask, restricted to sigma with bit t for sigma's t-th program,
+    collects the weight of the region it restricts."""
+    masks = np.arange(len(weights))
+    regions = np.zeros_like(masks)
+    for t, j in enumerate(_members(sigma, len(weights).bit_length() - 1)):
+        regions |= (masks >> j & 1) << t
+    out = np.zeros(1 << _popcount(sigma), dtype=np.int64)
+    np.add.at(out, regions, weights)
+    return out.tolist()
 
 
 def distill_trace(programs: list[str], rows: list[str]):

@@ -11,7 +11,7 @@ from tdt.errors import FormatError
 from tdt.harness import load_results_jsonl, load_run_config
 from tdt.relation import load_feature_relation, load_relation, save_relation
 
-from conftest import write_run_config
+from conftest import relation_from_masks, write_run_config
 
 DATA = Path(__file__).parent / "data"
 
@@ -169,6 +169,35 @@ def test_analyze_all_ones(tmp_path, capsys):
     assert code == 0
     assert "color=red" not in dot.read_text()
     assert json.loads(inconsistent.read_text()) == []
+
+
+def test_analyze_rejects_a_negative_betti_before_any_work(tmp_path, capsys):
+    inconsistent = tmp_path / "i.json"
+    code = main(["analyze", str(DATA / "relation_3x14.golden.json"), "--betti", "-1",
+                 "--inconsistent", str(inconsistent)])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: max_dim must be >= 0\n")
+    assert not inconsistent.exists()
+
+
+def test_analyze_counts_faces_past_the_face_budget(tmp_path, capsys):
+    # one input accepted by all 20 programs spans 2^20 - 1 faces; the summary
+    # counts them, and only the outputs that list faces hit the budget
+    path = tmp_path / "big.json"
+    save_relation(relation_from_masks([(1 << 20) - 1], m=20), path)
+    inconsistent = tmp_path / "inc.json"
+    assert main(["analyze", str(path), "--inconsistent", str(inconsistent)]) == 0
+    assert capsys.readouterr().out == (
+        "20 programs, 1 inputs: 1048575 faces, 0 inconsistent edges, "
+        "1048575 faces in the consistent core, 0 inconsistent inputs\n"
+        "diagram consistent: True\n"
+    )
+    assert json.loads(inconsistent.read_text()) == []
+    dot, unwritten = tmp_path / "g.dot", tmp_path / "unwritten.json"
+    for option in (["--dot", str(dot)], ["--betti", "1"]):
+        assert main(["analyze", str(path), *option, "--inconsistent", str(unwritten)]) == 2
+        assert capsys.readouterr() == ("", "error: complex exceeds the 1000000-face budget\n")
+    assert not dot.exists() and not unwritten.exists()
 
 
 def test_distill_subcommand(tmp_path, trio_json, capsys):

@@ -1,10 +1,11 @@
 """The vectorised Dowker layer against brute-force oracles at m = 1..8.
 
 Complex (faces, facets, weights, faces by dimension), graph edges and their
-flags, the DOT text, the weights report, Betti numbers, the dual complex and
-the threshold-selection report, on seed-pinned relations that include an
-empty corpus and an all-reject matrix. Program names are drawn so that name
-order differs from program order, which the report's keys depend on.
+flags, the face, red-edge and core counts read off the vectors, the DOT text,
+the weights report, Betti numbers, the dual complex and the threshold-selection
+report, on seed-pinned relations that include an empty corpus and an
+all-reject matrix. Program names are drawn so that name order differs from
+program order, which the report's keys depend on.
 """
 
 import random
@@ -18,7 +19,9 @@ from tdt.dowker import (
     betti_numbers,
     build_complex,
     build_graph,
+    complex_counts,
     connected_components,
+    consistent_core,
     dual_complex,
     graph_dot,
 )
@@ -80,6 +83,10 @@ def test_dowker_layer_matches_oracles(m):
         assert graph.weights[graph.faces].tolist() == [face_weights[f] for f in graph.faces.tolist()]
         assert graph_dot(graph) == oracles.graph_dot(list(rel.programs), faces, face_weights)
         assert diagram_report(rel) == oracles.diagram_report(list(rel.programs), weights)
+        red = int(np.count_nonzero(~graph.consistent))
+        assert complex_counts(cpx.weights, m) == (
+            len(graph.faces), red, len(consistent_core(graph))
+        )
 
         max_dim = min(m, 3)
         assert betti_numbers(cpx, max_dim) == oracles.betti_numbers(

@@ -126,8 +126,10 @@ def test_vi_symmetry_and_triangle():
 def test_vi_rejects_mismatched_ground_sets():
     with pytest.raises(ValidationError):
         variation_of_information([{1, 2}], [{1, 2, 3}])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="first partition has overlapping blocks"):
         variation_of_information([{1}, {1, 2}], [{1, 2}])
+    with pytest.raises(ValidationError, match="second partition has overlapping blocks"):
+        variation_of_information([{1, 2}], [{1, 2}, {2}, {2}])
     with pytest.raises(ValidationError):
         variation_of_information([], [])
 

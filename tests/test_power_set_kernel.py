@@ -1,4 +1,5 @@
-"""The vectorised power-set kernel against the brute-force oracles at m = 6..8.
+"""The vectorised power-set kernel against the brute-force oracles at m = 6..8,
+and the projection and the pairs-mode scores at every m from 1.
 
 The acceptance suites stop at m <= 5; these seed-pinned instances cover the
 program counts where every subset transform runs several passes over
@@ -26,9 +27,9 @@ import oracles
 INSTANCES_PER_M = 40
 
 
-def _instances(m, seed):
+def _instances(m, seed, count=INSTANCES_PER_M):
     rng = random.Random(seed)
-    for _ in range(INSTANCES_PER_M):
+    for _ in range(count):
         n = rng.randint(1, 12)
         # a biased draw gives both consistent and inconsistent diagrams
         density = rng.choice((0.3, 0.6, 0.9))
@@ -68,6 +69,28 @@ def test_kernel_matches_oracles(m):
             expected[z] for z in range(1 << len(kept))
         ]
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_projection_matches_per_mask_oracle(m):
+    rng = np.random.default_rng(1000 + m)
+    weights = rng.integers(0, 6, size=1 << m) * (rng.random(1 << m) < 0.7)
+    diag = WeightedDiagram(m=m, weights=weights)
+    for sigma in range(1, 1 << m):
+        projected = project_diagram(diag, sigma)
+        assert projected.m == bin(sigma).count("1")
+        assert projected.weights.tolist() == oracles.project_weights(weights.tolist(), sigma)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_pair_scores_match_per_pair_oracle(m):
+    blamed = 0
+    for _, rel, rows in _instances(m, seed=850 + m, count=8):
+        for min_size in sorted({1, 2, max(1, m - 1), m, m + 1}):
+            vec = inconsistency_scores(rel, min_size, mode="pairs")
+            assert list(vec.scores) == oracles.pair_scores(rows, min_size)
+            blamed += sum(vec.scores)
+    assert blamed > 0
 
 
 def test_weights_are_read_only_int64(trio_relation):

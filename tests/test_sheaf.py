@@ -134,16 +134,28 @@ def test_stalk_singleton_acceptance_rule():
 def test_consistency_at_matches_the_sheaf_condition_oracle(m):
     """At every nonempty simplex of seeded relations, the one-projection check
     agrees with the definition: cofaces' stalks restrict to sigma's, and the
-    relation restricted to sigma is consistent."""
+    relation restricted to sigma is consistent. ``stalk_json`` reports the
+    same stalk and verdict."""
     verdicts = set()
     for p in (0.3, 0.5, 0.7):
         rng = np.random.default_rng([m, round(10 * p)])
         n = int(rng.integers(1, 41))
         rows = ["".join("1" if x else "0" for x in rng.random(n) < p) for _ in range(m)]
-        assignment = build_assignment(relation_from_rows(rows))
+        rel = relation_from_rows(rows)
+        assignment = build_assignment(rel)
+
+        def names(mask):
+            return sorted(rel.programs[j] for j in range(m) if mask >> j & 1)
+
         for sigma in range(1, 1 << m):
-            assert assignment.stalk(sigma) == oracles.stalk(rows, sigma)
+            stalk = oracles.stalk(rows, sigma)
+            assert assignment.stalk(sigma) == stalk
             verdict = consistency_at(assignment, sigma)
             assert verdict == oracles.consistency_at(assignment.stalk, rows, sigma)
             verdicts.add(verdict)
+            assert json.loads(stalk_json(rel, sigma)) == {
+                "sigma": names(sigma),
+                "stalk": {",".join(names(z)): count for z, count in stalk.items()},
+                "consistent": verdict,
+            }
     assert verdicts == {True, False}
