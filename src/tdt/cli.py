@@ -151,8 +151,8 @@ def cmd_run(args) -> int:
 
 def cmd_analyze(rel, args) -> int:
     from .diagram import build_diagram, diagram_report, is_consistent
-    from .dowker import (betti_numbers, build_complex, build_graph, complex_counts, graph_dot,
-                         inconsistent_inputs)
+    from .dowker import betti_numbers, build_complex, build_graph, complex_counts, graph_dot
+    from .relation import column_masks
 
     if args.betti is not None and args.betti < 0:
         raise ValidationError("max_dim must be >= 0")
@@ -160,7 +160,9 @@ def cmd_analyze(rel, args) -> int:
     # only the outputs that list faces build the complex, under its face budget
     cpx = build_complex(rel) if args.dot or args.betti is not None else None
     faces, red, core = complex_counts(diag.weights, rel.m)
-    inconsistent = sorted(inconsistent_inputs(rel))
+    # inputs whose nonempty accept-set lies outside the core (dowker.inconsistent_inputs)
+    masks = column_masks(rel)
+    inconsistent = ((masks != 0) & ~core[masks]).nonzero()[0].tolist()
     if args.weights:
         write_text(args.weights, diagram_report(rel, diag))
     if args.dot:
@@ -170,7 +172,7 @@ def cmd_analyze(rel, args) -> int:
     print(
         f"{rel.m} programs, {rel.n} inputs: "
         f"{faces} faces, {red} inconsistent edges, "
-        f"{core} faces in the consistent core, "
+        f"{core.sum()} faces in the consistent core, "
         f"{len(inconsistent)} inconsistent inputs"
     )
     print(f"diagram consistent: {is_consistent(diag)}")

@@ -18,7 +18,7 @@ from typing import Sequence
 from ._numpy import np
 from .errors import ValidationError
 from .relation import Relation, column_masks, validate_mask
-from .util import canonical_dumps, popcount
+from .util import canonical_dumps
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,12 +70,13 @@ def superset_or(flags: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def subset_or(flags: np.ndarray, m: int) -> np.ndarray:
-    """Per region: is the flag set on the region or on any subset of it?"""
-    out = flags.copy()
+def subset_sum(vector: np.ndarray, m: int) -> np.ndarray:
+    """Per region, the sum of the vector over the region and its subsets (the zeta
+    transform); on bool flags, numpy's + is OR: is the flag set on any of them?"""
+    out = vector.copy()
     for j in range(m):
         lower, upper = _halves(out, j)
-        upper |= lower
+        upper += lower
     return out
 
 
@@ -167,13 +168,7 @@ def project_diagram(diag: WeightedDiagram, sigma: int) -> WeightedDiagram:
         raise ValidationError(f"mask {sigma:#x} sets bits outside the {diag.m} programs")
     dropped = tuple(diag.m - 1 - j for j in range(diag.m) if not sigma >> j & 1)
     weights = diag.weights.reshape((2,) * diag.m).sum(axis=dropped)
-    return WeightedDiagram(m=popcount(sigma), weights=weights.ravel())
-
-
-def pair_blame(masks: np.ndarray, sigma: int, tau: int) -> np.ndarray:
-    """Per mask: accepted by every program in sigma, rejected by one in tau - sigma?"""
-    extra = tau & ~sigma
-    return (masks & sigma == sigma) & (masks & extra != extra)
+    return WeightedDiagram(m=diag.m - len(dropped), weights=weights.ravel())
 
 
 def pair_inconsistent_inputs(rel: Relation, sigma: int, tau: int) -> set[int]:
@@ -189,7 +184,8 @@ def pair_inconsistent_inputs(rel: Relation, sigma: int, tau: int) -> set[int]:
     masks = column_masks(rel)
     if (masks == sigma).sum() <= (masks == tau).sum():  # weight(sigma) <= weight(tau)
         return set()
-    return set(np.flatnonzero(pair_blame(masks, sigma, tau)).tolist())
+    extra = tau & ~sigma
+    return set(np.flatnonzero((masks & sigma == sigma) & (masks & extra != extra)).tolist())
 
 
 def diagram_report(rel: Relation, diag: WeightedDiagram | None = None) -> str:

@@ -20,14 +20,15 @@ from .diagram import (
     build_diagram,
     deficiency,
     is_consistent,
-    pair_blame,
     project_diagram,
+    region_sizes,
     region_weights,
+    subset_sum,
 )
 from .dowker import inconsistent_accept_sets
 from .errors import EmptyScreenError, InconsistentDiagramError, ValidationError
 from .relation import Relation, column_masks, mask_from_names, restrict_programs
-from .util import bits, canonical_dumps, csv_text, popcount, submasks
+from .util import bits, canonical_dumps, csv_text
 
 
 @dataclass(frozen=True)
@@ -95,10 +96,9 @@ def singleton_screen(rel: Relation) -> tuple[Relation, tuple[ScreenRemoval, ...]
 def _pick_deficient_region(diag: WeightedDiagram) -> int:
     """Largest deficient region; ties by larger deficiency, then ascending mask."""
     shortfall = deficiency(diag)
-    return min(
-        np.flatnonzero(shortfall > 0).tolist(),
-        key=lambda mask: (-popcount(mask), -shortfall[mask], mask),
-    )
+    regions = np.flatnonzero(shortfall > 0)
+    sizes = region_sizes(diag.m)[regions].astype(np.int64)
+    return int(regions[np.lexsort((regions, -shortfall[regions], -sizes))[0]])
 
 
 def _pick_heaviest_facet(diag: WeightedDiagram, region: int) -> int:
@@ -159,8 +159,11 @@ def inconsistency_scores(
 
     ``subset`` mode (canonical) sweeps the restrictions to every program subset
     of size >= min_subset_size and collects each restriction's inconsistent
-    inputs.  ``pairs`` mode instead sweeps every nested pair of subsets and
-    counts pairwise blame.
+    inputs.  ``pairs`` mode instead sweeps every nested pair sigma < tau of
+    subsets, tau swept, and counts the flagged pairs (weight(sigma) >
+    weight(tau)) that blame an input: those with sigma inside its accept-set X
+    and tau not.  That is [sigma <= X] - [tau <= X], so the score is one subset
+    sum over X of ``net``: flagged pairs with sigma = Z minus those with tau = Z.
     """
     if min_subset_size < 1:
         raise ValidationError("min_subset_size must be >= 1")
@@ -168,19 +171,29 @@ def inconsistency_scores(
         raise ValidationError(f"unknown score mode {mode!r}")
     # an input's score depends only on its accept-set: score each distinct one
     masks, inverse, counts = np.unique(column_masks(rel), return_inverse=True, return_counts=True)
-    swept = [
-        mask for mask in range(1, 1 << rel.m) if popcount(mask) >= min_subset_size
-    ]
-    hits = np.zeros(len(masks), dtype=np.int64)
+    tall = region_sizes(rel.m) >= min_subset_size
+    swept = np.flatnonzero(tall).tolist()
     if mode == "subset":
+        hits = np.zeros(len(masks), dtype=np.int64)
         for sigma in swept:
             hits += inconsistent_accept_sets(masks, counts, sigma)
     else:
-        weights = region_weights(masks, rel.m, counts).tolist()
-        for tau in swept:
-            for sigma in submasks(tau):
-                if sigma != tau and weights[sigma] > weights[tau]:
-                    hits += pair_blame(masks, sigma, tau)
+        # program j is axis m-1-j; fixing the axes of a nonempty d at 0 views every
+        # sigma disjoint from d, and at 1 its tau = sigma | d (the trailing ... keeps
+        # a view when d fixes every axis)
+        shape = (2,) * rel.m
+        weights = region_weights(masks, rel.m, counts).reshape(shape)
+        tall = tall.reshape(shape)
+        net = np.zeros(shape, dtype=np.int64)
+        for d in range(1, 1 << rel.m):
+            fixed = [d >> j & 1 for j in reversed(range(rel.m))]
+            low = (*(0 if x else slice(None) for x in fixed), ...)
+            high = (*(1 if x else slice(None) for x in fixed), ...)
+            flagged = (weights[low] > weights[high]) & tall[high]
+            sigmas, taus = net[low], net[high]
+            sigmas += flagged
+            taus -= flagged
+        hits = subset_sum(net.ravel(), rel.m)[masks]
     return ScoreVector(
         inputs=rel.inputs,
         scores=tuple(hits[inverse].tolist()),

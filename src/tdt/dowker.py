@@ -21,12 +21,12 @@ from .diagram import (
     region_sizes,
     region_weights,
     subset_labels,
-    subset_or,
+    subset_sum,
     superset_or,
 )
 from .errors import CapacityError, ValidationError
 from .relation import MAX_PROGRAMS, Relation, column_masks
-from .util import bits, popcount
+from .util import bits
 
 FACE_BUDGET = 10**6
 
@@ -147,7 +147,7 @@ def consistent_regions(weights: np.ndarray, m: int) -> np.ndarray:
     faces = superset_or(weights > 0, m)
     faces[0] = False  # so no edge runs into the empty set
     bad = faces & (heaviest_facet(weights * faces, m) > weights)
-    return faces & ~subset_or(bad, m)
+    return faces & ~subset_sum(bad, m)
 
 
 def consistent_core(graph: DowkerGraph) -> frozenset[int]:
@@ -160,16 +160,17 @@ def consistent_core(graph: DowkerGraph) -> frozenset[int]:
     return frozenset(np.flatnonzero(consistent_regions(graph.weights, graph.width)).tolist())
 
 
-def complex_counts(weights: np.ndarray, m: int) -> tuple[int, int, int]:
-    """Faces, inconsistent covering edges and consistent-core faces of the complex
-    of a weight vector, counted on the vectors without listing a face."""
+def complex_counts(weights: np.ndarray, m: int) -> tuple[int, int, np.ndarray]:
+    """Faces and inconsistent covering edges of the complex of a weight vector,
+    counted on the vectors without listing a face, and its consistent core as
+    ``consistent_regions`` flags."""
     faces = superset_or(weights > 0, m)
     faces[0] = False
     red = 0
     for j in range(m):
         (head_faces, tail_faces), (heads, tails) = _halves(faces, j), _halves(weights, j)
         red += int(np.count_nonzero(head_faces & tail_faces & (heads > tails)))
-    return int(np.count_nonzero(faces)), red, int(np.count_nonzero(consistent_regions(weights, m)))
+    return int(np.count_nonzero(faces)), red, consistent_regions(weights, m)
 
 
 def inconsistent_accept_sets(masks: np.ndarray, counts: np.ndarray, sigma: int) -> np.ndarray:
@@ -178,7 +179,7 @@ def inconsistent_accept_sets(masks: np.ndarray, counts: np.ndarray, sigma: int) 
     restricted = np.zeros_like(masks)  # bit t of a restricted mask is sigma's t-th program
     for t, j in enumerate(bits(sigma)):
         restricted |= (masks >> j & 1) << t
-    width = popcount(sigma)
+    width = bin(sigma).count("1")
     core = consistent_regions(region_weights(restricted, width, counts), width)
     return (restricted != 0) & ~core[restricted]
 

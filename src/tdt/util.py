@@ -1,4 +1,4 @@
-"""Small shared helpers: bitmask subsets, canonical JSON and CSV output,
+"""Small shared helpers: the set bits of a mask, canonical JSON and CSV output,
 reading UTF-8 files, and checking the fields of a JSON object.
 
 Nothing here loads numpy, so ``tdt run`` can use it all."""
@@ -15,10 +15,6 @@ from typing import Iterable, Iterator, Sequence, TextIO
 from .errors import FormatError
 
 
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of a mask, ascending."""
     j = 0
@@ -27,16 +23,6 @@ def bits(mask: int) -> Iterator[int]:
             yield j
         mask >>= 1
         j += 1
-
-
-def submasks(mask: int) -> Iterator[int]:
-    """All subsets of a mask, including 0 and the mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 def canonical_dumps(payload) -> str:

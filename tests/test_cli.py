@@ -171,6 +171,36 @@ def test_analyze_all_ones(tmp_path, capsys):
     assert json.loads(inconsistent.read_text()) == []
 
 
+def test_analyze_builds_one_weight_vector_and_one_core(tmp_path, toy_json, capsys, monkeypatch):
+    import tdt.diagram
+    import tdt.dowker
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    weights = counting("region_weights", tdt.diagram.region_weights)
+    monkeypatch.setattr(tdt.diagram, "region_weights", weights)
+    monkeypatch.setattr(tdt.dowker, "region_weights", weights)
+    monkeypatch.setattr(tdt.dowker, "consistent_regions",
+                        counting("consistent_regions", tdt.dowker.consistent_regions))
+    inconsistent = tmp_path / "inc.json"
+    assert main(["analyze", str(toy_json), "--inconsistent", str(inconsistent)]) == 0
+    assert sorted(calls) == ["consistent_regions", "region_weights"]
+    assert capsys.readouterr().out == (
+        "4 programs, 20 inputs: 10 faces, 3 inconsistent edges, "
+        "7 faces in the consistent core, 6 inconsistent inputs\n"
+        "diagram consistent: False\n"
+    )
+    assert inconsistent.read_text() == (
+        '[\n  "f10",\n  "f13",\n  "f17",\n  "f18",\n  "f19",\n  "f20"\n]\n'
+    )
+
+
 def test_analyze_rejects_a_negative_betti_before_any_work(tmp_path, capsys):
     inconsistent = tmp_path / "i.json"
     code = main(["analyze", str(DATA / "relation_3x14.golden.json"), "--betti", "-1",

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from tdt.diagram import build_diagram, is_consistent
+from tdt.diagram import build_diagram, deficiency, is_consistent, region_sizes
 from tdt.distill import (
     distill,
     histogram_csv,
@@ -185,15 +185,14 @@ def test_histogram_and_selection_report_text():
 
 def test_pairs_mode_matches_pairwise_blame(toy_relation):
     from tdt.diagram import pair_inconsistent_inputs
-    from tdt.util import popcount, submasks
 
     vec = inconsistency_scores(toy_relation, mode="pairs")
     expected = [0] * toy_relation.n
     for tau in range(1, 16):
-        if popcount(tau) < 2:
+        if bin(tau).count("1") < 2:
             continue
-        for sigma in submasks(tau):
-            if sigma == tau:
+        for sigma in range(tau):
+            if sigma & ~tau:
                 continue
             for k in pair_inconsistent_inputs(toy_relation, sigma, tau):
                 expected[k] += 1
@@ -203,16 +202,31 @@ def test_pairs_mode_matches_pairwise_blame(toy_relation):
 def _seeded_rows(m, p, case):
     rng = np.random.default_rng([m, round(10 * p), case])
     n = int(rng.integers(1, 61))
-    names = tuple(str(name) for name in rng.permutation(list("ABCDEFGH"))[:m])
+    names = tuple(str(name) for name in rng.permutation(list("ABCDEFGHIJ"[:max(m, 8)]))[:m])
     return names, ["".join("1" if x else "0" for x in rng.random(n) < p) for _ in range(m)]
 
 
-@pytest.mark.parametrize("m", range(1, 9))
+def _first_round_ties(rel) -> tuple[bool, bool]:
+    """Among the largest deficient regions after the screen: do their deficiencies
+    break a tie of size, and do several share the largest deficiency too?"""
+    diag = build_diagram(singleton_screen(rel)[0])
+    shortfall = deficiency(diag)
+    regions = np.flatnonzero(shortfall > 0)
+    if not len(regions):
+        return False, False
+    sizes = region_sizes(diag.m)[regions]
+    top = shortfall[regions[sizes == sizes.max()]]
+    return len(set(top.tolist())) > 1, np.count_nonzero(top == top.max()) > 1
+
+
+@pytest.mark.parametrize("m", range(1, 11))
 def test_distill_matches_restrict_and_rebuild_oracle(m):
     """Seeded relations at p = 0.3/0.5/0.7: the trace bytes and the final
     relation equal those of recounting the weights of the restricted rows in
-    every round."""
+    every round.  From m = 9 on, some first round breaks a tie of size by
+    deficiency, and some a tie of both by mask."""
     steps = 0
+    tie_by_deficiency = tie_by_mask = False
     for p in (0.3, 0.5, 0.7):
         for case in range(4):
             names, rows = _seeded_rows(m, p, case)
@@ -222,6 +236,9 @@ def test_distill_matches_restrict_and_rebuild_oracle(m):
                 with pytest.raises(EmptyScreenError):
                     distill(rel)
                 continue
+            by_deficiency, by_mask = _first_round_ties(rel)
+            tie_by_deficiency |= by_deficiency
+            tie_by_mask |= by_mask
             screened, oracle_steps, final_names, final_rows = expected
             payload = {
                 "screened": screened,
@@ -233,6 +250,7 @@ def test_distill_matches_restrict_and_rebuild_oracle(m):
             assert trace.final_relation == relation_from_rows(final_rows, programs=final_names)
             steps += len(trace.steps)
     assert steps >= (m > 1)
+    assert m < 9 or (tie_by_deficiency and tie_by_mask)
 
 
 def test_distill_builds_the_diagram_once(monkeypatch):

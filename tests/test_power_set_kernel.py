@@ -1,5 +1,6 @@
 """The vectorised power-set kernel against the brute-force oracles at m = 6..8,
-and the projection and the pairs-mode scores at every m from 1.
+and the projection and the pairs-mode scores at every m from 1 (pairs mode
+against the per-pair loop at m = 9..11).
 
 The acceptance suites stop at m <= 5; these seed-pinned instances cover the
 program counts where every subset transform runs several passes over
@@ -89,6 +90,18 @@ def test_pair_scores_match_per_pair_oracle(m):
         for min_size in sorted({1, 2, max(1, m - 1), m, m + 1}):
             vec = inconsistency_scores(rel, min_size, mode="pairs")
             assert list(vec.scores) == oracles.pair_scores(rows, min_size)
+            blamed += sum(vec.scores)
+    assert blamed > 0
+
+
+@pytest.mark.parametrize("m", [9, 10, 11])
+def test_pair_scores_match_per_pair_loop(m):
+    """Past m = 8 the per-pair loop over submasks is the referee."""
+    blamed = 0
+    for _, rel, rows in _instances(m, seed=870 + m, count=4):
+        for min_size in (2, m - 1, m):
+            vec = inconsistency_scores(rel, min_size, mode="pairs")
+            assert list(vec.scores) == oracles.pair_scores_by_blame(rows, min_size)
             blamed += sum(vec.scores)
     assert blamed > 0
 
