@@ -151,22 +151,23 @@ def cmd_run(args) -> int:
 
 def cmd_analyze(rel, args) -> int:
     from .diagram import build_diagram, diagram_report, is_consistent
-    from .dowker import betti_numbers, build_complex, build_graph, complex_counts, graph_dot
+    from .dowker import (DowkerComplex, betti_numbers, build_graph, complex_counts, faces_of,
+                         graph_dot)
     from .relation import column_masks
 
     if args.betti is not None and args.betti < 0:
         raise ValidationError("max_dim must be >= 0")
     diag = build_diagram(rel)
-    # only the outputs that list faces build the complex, under its face budget
-    cpx = build_complex(rel) if args.dot or args.betti is not None else None
-    faces, red, core = complex_counts(diag.weights, rel.m)
+    cpx = DowkerComplex(rel.m, rel.programs, faces_of(diag.weights, rel.m), diag.weights)
+    graph = build_graph(cpx) if args.dot else None  # under the face budget, before any write
+    faces, red, core = complex_counts(diag.weights, rel.m, cpx.face_flags)
     # inputs whose nonempty accept-set lies outside the core (dowker.inconsistent_inputs)
     masks = column_masks(rel)
     inconsistent = ((masks != 0) & ~core[masks]).nonzero()[0].tolist()
     if args.weights:
         write_text(args.weights, diagram_report(rel, diag))
     if args.dot:
-        write_text(args.dot, graph_dot(build_graph(cpx)))
+        write_text(args.dot, graph_dot(graph))
     if args.inconsistent:
         write_text(args.inconsistent, canonical_dumps([rel.inputs[k] for k in inconsistent]))
     print(

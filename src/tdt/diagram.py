@@ -13,6 +13,9 @@ vectorised subset transforms over it (Yates 1937; Bjorklund et al. 2007).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, islice
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter, ne
 from typing import Sequence
 
 from ._numpy import np
@@ -196,14 +199,17 @@ def diagram_report(rel: Relation, diag: WeightedDiagram | None = None) -> str:
     if diag is None:
         diag = build_diagram(rel)
     regions = np.argsort(region_sizes(diag.m), kind="stable")  # by (size, mask)
-    labels = subset_labels(
-        rel.programs, regions[1:], sorted(range(rel.m), key=rel.programs.__getitem__)
-    )
-    weights = {labels[mask]: w for mask, w in enumerate(diag.weights.tolist())}
+    labels = subset_labels(rel.programs, regions[1:],
+                           sorted(range(rel.m), key=rel.programs.__getitem__))
     deficient = [labels[mask] for mask in regions[deficiency(diag)[regions] > 0].tolist()]
-    payload = {
-        "weights": weights,
-        "deficient": deficient,
-        "consistent": not deficient,
-    }
-    return canonical_dumps(payload)
+    head = canonical_dumps({"deficient": deficient, "consistent": not deficient})
+    # the weights object replaces head's closing brace, in json's sort_keys order (by
+    # raw key); of masks that share a key (names with commas) the last holds it, as in a dict
+    get = itemgetter(*sorted(range(1 << diag.m), key=labels.__getitem__))
+    keys, weights = get(labels), get(diag.weights.tolist())
+    del labels, get  # 2^m dict entries and ints that the lines below do not need
+    last = [*map(ne, keys, keys[1:]), True]
+    lines = map("{}: {}".format, map(encode_basestring_ascii, compress(keys, last)),
+                compress(weights, last))
+    blocks = iter(lambda: ",\n    ".join(islice(lines, 1 << 16)), "")  # few lines live at once
+    return head[:-3] + ',\n  "weights": {\n    ' + ",\n    ".join(blocks) + "\n  }\n}\n"

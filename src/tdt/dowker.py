@@ -102,19 +102,24 @@ class DowkerGraph:
     consistent: np.ndarray
 
 
+def faces_of(weights: np.ndarray, m: int) -> np.ndarray:
+    """Read-only face flags: every nonempty region at or below a nonzero entry."""
+    faces = superset_or(weights > 0, m)
+    faces[0] = False
+    return _frozen(faces)
+
+
 def build_complex(rel: Relation) -> DowkerComplex:
     """Faces = program subsets that jointly accept at least one input."""
     weights = build_diagram(rel).weights
-    faces = superset_or(weights > 0, rel.m)
-    faces[0] = False
+    faces = faces_of(weights, rel.m)
     _check_budget(faces)
-    return DowkerComplex(
-        width=rel.m, labels=rel.programs, face_flags=_frozen(faces), weights=weights
-    )
+    return DowkerComplex(width=rel.m, labels=rel.programs, face_flags=faces, weights=weights)
 
 
 def build_graph(cpx: DowkerComplex) -> DowkerGraph:
     """Covering edges between faces; an edge is inconsistent iff the subset is heavier."""
+    _check_budget(cpx.face_flags)  # the graph lists every face
     sizes = region_sizes(cpx.width)
     faces = np.flatnonzero(cpx.face_flags)
     faces = faces[np.argsort(sizes[faces], kind="stable")]
@@ -138,14 +143,14 @@ def build_graph(cpx: DowkerComplex) -> DowkerGraph:
     )
 
 
-def consistent_regions(weights: np.ndarray, m: int) -> np.ndarray:
+def consistent_regions(weights: np.ndarray, m: int, faces: np.ndarray | None = None) -> np.ndarray:
     """Per region of a weight vector: is it a face of the consistent core?
 
-    A bad tail is a face outweighed by a nonempty facet (an inconsistent
-    covering edge); the core is every face with no bad tail below it.
+    A bad tail is a face (of ``faces``, if given) outweighed by a nonempty facet, an
+    inconsistent covering edge; the core is every face with no bad tail below it.
     """
-    faces = superset_or(weights > 0, m)
-    faces[0] = False  # so no edge runs into the empty set
+    if faces is None:  # the empty set is no face, so no edge runs into it
+        faces = faces_of(weights, m)
     bad = faces & (heaviest_facet(weights * faces, m) > weights)
     return faces & ~subset_sum(bad, m)
 
@@ -160,17 +165,18 @@ def consistent_core(graph: DowkerGraph) -> frozenset[int]:
     return frozenset(np.flatnonzero(consistent_regions(graph.weights, graph.width)).tolist())
 
 
-def complex_counts(weights: np.ndarray, m: int) -> tuple[int, int, np.ndarray]:
+def complex_counts(weights: np.ndarray, m: int,
+                   faces: np.ndarray | None = None) -> tuple[int, int, np.ndarray]:
     """Faces and inconsistent covering edges of the complex of a weight vector,
     counted on the vectors without listing a face, and its consistent core as
-    ``consistent_regions`` flags."""
-    faces = superset_or(weights > 0, m)
-    faces[0] = False
+    ``consistent_regions`` flags; ``faces`` as for ``consistent_regions``."""
+    if faces is None:
+        faces = faces_of(weights, m)
     red = 0
     for j in range(m):
         (head_faces, tail_faces), (heads, tails) = _halves(faces, j), _halves(weights, j)
         red += int(np.count_nonzero(head_faces & tail_faces & (heads > tails)))
-    return int(np.count_nonzero(faces)), red, consistent_regions(weights, m)
+    return int(np.count_nonzero(faces)), red, consistent_regions(weights, m, faces)
 
 
 def inconsistent_accept_sets(masks: np.ndarray, counts: np.ndarray, sigma: int) -> np.ndarray:
@@ -217,9 +223,20 @@ def gf2_rank(rows: list[int]) -> int:
 
 
 def betti_numbers(cpx: DowkerComplex, max_dim: int) -> tuple[int, ...]:
-    """Betti numbers beta_0..beta_max_dim over GF(2) via boundary-matrix ranks."""
+    """Betti numbers beta_0..beta_max_dim over GF(2). An element matching (Forman
+    1998) pairs, for each program j in turn, every remaining cell X without j with
+    X | 1<<j, the empty face included. If no two adjacent dimensions keep unmatched
+    (critical) cells, their counts are the reduced Betti numbers; else ranks decide."""
     if max_dim < 0:
         raise ValidationError("max_dim must be >= 0")
+    cells = np.concatenate(([True], cpx.face_flags[1:]))
+    for j in range(cpx.width):
+        without, with_j = _halves(cells, j)
+        without[...], with_j[...] = without & ~with_j, with_j & ~without
+    # critical[d + 1] counts the critical cells of dimension d = -1..max_dim+1
+    critical = np.bincount(region_sizes(cpx.width)[cells], minlength=max_dim + 3)[: max_dim + 3]
+    if not (critical[:-1] * critical[1:]).any():  # so every Morse boundary map is zero
+        return tuple(int(c) + (d == 0 and not cells[0]) for d, c in enumerate(critical[1:-1]))
     _check_budget(cpx.face_flags)  # before any rank work
     faces = np.flatnonzero(cpx.face_flags)
     sizes = region_sizes(cpx.width)[faces]
@@ -257,29 +274,30 @@ def dual_complex(rel: Relation) -> DowkerComplex:
     # the complex is the downward closure of the program faces
     faces = np.zeros(1 << width, dtype=bool)
     faces[program_faces] = True
-    faces = superset_or(faces, width)
-    faces[0] = False
     return DowkerComplex(
         width=width,
         labels=tuple(rel.inputs[k] for k in accepted[first[order]].tolist()),
-        face_flags=_frozen(faces),
+        face_flags=faces_of(faces, width),
         weights=np.broadcast_to(np.int64(0), faces.shape),  # no region weights
     )
 
 
 def graph_dot(graph: DowkerGraph) -> str:
     """DOT rendering: nodes ``{P1,P2}; w`` ordered by (popcount, mask), red inconsistent edges."""
-    names = subset_labels(graph.labels, graph.faces, range(graph.width))
-    lines = ["digraph dowker {"]
-    lines.extend(
-        f'    n{mask} [label="{{{names[mask]}}}; {w}"];'
+    escaped = [name.replace("\\", "\\\\").replace('"', '\\"') for name in graph.labels]
+    names = subset_labels(escaped, graph.faces, range(graph.width))
+    nodes = "".join(
+        f'    n{mask} [label="{{{names[mask]}}}; {w}"];\n'
         for mask, w in zip(graph.faces.tolist(), graph.weights[graph.faces].tolist())
     )
-    lines.extend(
-        f"    n{tail} -> n{head}{'' if ok else ' [color=red]'};"
-        for tail, head, ok in zip(
-            graph.tails.tolist(), graph.heads.tolist(), graph.consistent.tolist()
-        )
-    )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    # edge lines as byte rows: each mask's digits NUL-padded to one width, between
+    # constant pieces; one boolean index drops the NULs
+    masks = np.arange(1 << graph.width)[:, None]
+    powers = 10 ** np.arange(len(str(masks[-1, 0])))[::-1]
+    digits = np.where((masks >= powers) | (powers == 1), masks // powers % 10 + 48, 0)
+    w = len(powers)
+    line = np.frombuffer(b"    n" + bytes(w) + b" -> n" + bytes(w) + b" [color=red];\n", np.uint8)
+    rows = np.tile(line, (len(graph.tails), 1))
+    rows[:, 5:5 + w], rows[:, 10 + w:10 + 2 * w] = digits[graph.tails], digits[graph.heads]
+    rows[graph.consistent, -14:-2] = 0  # the color only on inconsistent edges
+    return "digraph dowker {\n" + nodes + rows[rows != 0].tobytes().decode() + "}\n"

@@ -529,3 +529,65 @@ def read_01_csv(path, kind: str):
         inputs.append(record[0])
         rows.append([cell == "1" for cell in record[1:]])
     return "ok", columns, inputs, rows
+
+
+# ---------------------------------------------------------------------------
+# The per-face code that the bulk Betti, DOT and weights-report paths replaced,
+# kept as references: boundary-matrix ranks, one f-string per DOT line, and the
+# report as canonical JSON of one dict.
+
+
+def rank_betti_numbers(face_flags: np.ndarray, width: int, max_dim: int) -> tuple[int, ...]:
+    """GF(2) Betti numbers from the ranks of the boundary matrices between the
+    faces of each dimension, with rows as Python ints (the faces as flags over all
+    2^width masks)."""
+    faces = np.flatnonzero(face_flags)
+    sizes = np.array([_popcount(face) for face in faces.tolist()], dtype=int)
+    faces_by_dim = [faces[sizes == d + 1] for d in range(max_dim + 2)]
+    ranks = [0] * (max_dim + 2)  # ranks[d] = rank of boundary map C_d -> C_{d-1}
+    for d in range(1, max_dim + 2):
+        upper, lower = faces_by_dim[d], faces_by_dim[d - 1]
+        rows = [0] * len(upper)
+        for j in range(width):
+            (row_index,) = np.nonzero(upper >> j & 1)
+            position = np.searchsorted(lower, upper[row_index] ^ 1 << j)
+            for r, p in zip(row_index.tolist(), position.tolist()):
+                rows[r] |= 1 << p
+        ranks[d] = _gf2_rank(rows)
+    return tuple(len(faces_by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(max_dim + 1))
+
+
+def dot_label(name: str) -> str:
+    """A program name inside a quoted DOT string."""
+    return name.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def fstring_graph_dot(graph) -> str:
+    """DOT text of a ``DowkerGraph``, one f-string per node and per edge."""
+    lines = ["digraph dowker {"]
+    for mask in graph.faces.tolist():
+        names = ",".join(dot_label(graph.labels[j]) for j in _members(mask, graph.width))
+        lines.append(f'    n{mask} [label="{{{names}}}; {int(graph.weights[mask])}"];')
+    for tail, head, ok in zip(graph.tails.tolist(), graph.heads.tolist(),
+                              graph.consistent.tolist()):
+        lines.append(f"    n{tail} -> n{head}{'' if ok else ' [color=red]'};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def dict_diagram_report(programs: list[str], weights: dict[int, int]) -> str:
+    """The weights report as ``canonical_dumps`` of one dict, keyed in mask order
+    (a key that several masks share keeps the last mask's weight)."""
+    from tdt.util import canonical_dumps
+
+    m = len(programs)
+
+    def label(mask: int) -> str:
+        return ",".join(sorted(programs[j] for j in _members(mask, m)))
+
+    deficient = sorted(deficient_by_covers(weights, m), key=lambda x: (_popcount(x), x))
+    return canonical_dumps({
+        "weights": {label(mask): weights[mask] for mask in range(1 << m)},
+        "deficient": [label(mask) for mask in deficient],
+        "consistent": not deficient,
+    })

@@ -201,6 +201,30 @@ def test_analyze_builds_one_weight_vector_and_one_core(tmp_path, toy_json, capsy
     )
 
 
+def test_analyze_lists_faces_from_one_weight_vector_and_one_face_pass(tmp_path, toy_json,
+                                                                       monkeypatch):
+    import tdt.diagram
+    import tdt.dowker
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    weights = counting("region_weights", tdt.diagram.region_weights)
+    monkeypatch.setattr(tdt.diagram, "region_weights", weights)
+    monkeypatch.setattr(tdt.dowker, "region_weights", weights)
+    monkeypatch.setattr(tdt.dowker, "superset_or",
+                        counting("superset_or", tdt.dowker.superset_or))
+    dot = tmp_path / "g.dot"
+    assert main(["analyze", str(toy_json), "--dot", str(dot), "--betti", "2"]) == 0
+    assert sorted(calls) == ["region_weights", "superset_or"]
+    assert dot.read_text().count("color=red") == 3
+
+
 def test_analyze_rejects_a_negative_betti_before_any_work(tmp_path, capsys):
     inconsistent = tmp_path / "i.json"
     code = main(["analyze", str(DATA / "relation_3x14.golden.json"), "--betti", "-1",
@@ -224,10 +248,40 @@ def test_analyze_counts_faces_past_the_face_budget(tmp_path, capsys):
     )
     assert json.loads(inconsistent.read_text()) == []
     dot, unwritten = tmp_path / "g.dot", tmp_path / "unwritten.json"
-    for option in (["--dot", str(dot)], ["--betti", "1"]):
-        assert main(["analyze", str(path), *option, "--inconsistent", str(unwritten)]) == 2
-        assert capsys.readouterr() == ("", "error: complex exceeds the 1000000-face budget\n")
+    assert main(["analyze", str(path), "--dot", str(dot), "--inconsistent", str(unwritten)]) == 2
+    assert capsys.readouterr() == ("", "error: complex exceeds the 1000000-face budget\n")
     assert not dot.exists() and not unwritten.exists()
+    # Betti numbers need no list of faces
+    assert main(["analyze", str(path), "--betti", "1"]) == 0
+    assert capsys.readouterr().out.endswith("diagram consistent: True\nbetti: 1 0\n")
+
+
+def test_analyze_betti_on_a_hollow_simplex_past_the_face_budget(tmp_path, capsys):
+    # every input rejected by exactly one of 20 programs: the boundary of a
+    # 19-simplex, 2^20 - 2 faces, whose Betti numbers need no list of faces
+    path = tmp_path / "hollow.json"
+    full = (1 << 20) - 1
+    save_relation(relation_from_masks([full ^ 1 << j for j in range(20)], m=20), path)
+    assert main(["analyze", str(path), "--betti", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("20 programs, 20 inputs: 1048574 faces, 0 inconsistent edges, ")
+    assert out.endswith("\nbetti: 1 0 0\n")
+
+
+def test_analyze_escapes_dot_labels(tmp_path, capsys):
+    path = tmp_path / "q.json"
+    save_relation(relation_from_masks([1, 3], m=2, programs=('a"b', "c\\d")), path)
+    dot = tmp_path / "q.dot"
+    assert main(["analyze", str(path), "--dot", str(dot)]) == 0
+    assert dot.read_text() == (
+        "digraph dowker {\n"
+        '    n1 [label="{a\\"b}; 1"];\n'
+        '    n2 [label="{c\\\\d}; 0"];\n'
+        '    n3 [label="{a\\"b,c\\\\d}; 1"];\n'
+        "    n3 -> n1;\n"
+        "    n3 -> n2;\n"
+        "}\n"
+    )
 
 
 def test_distill_subcommand(tmp_path, trio_json, capsys):

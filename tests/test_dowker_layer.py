@@ -162,8 +162,7 @@ def test_face_budget_counts_faces():
     message = "complex exceeds the 1000000-face budget"
     with pytest.raises(CapacityError, match=message):
         dual.faces()
-    with pytest.raises(CapacityError, match=message):
-        betti_numbers(dual, 1)
+    assert betti_numbers(dual, 1) == (1, 0)  # a full simplex: no face is listed
     with pytest.raises(CapacityError, match=message):
         build_complex(relation_from_masks([(1 << 20) - 1], m=20))
 

@@ -16,6 +16,7 @@ from tdt.dowker import (
     build_graph,
     connected_components,
     consistent_core,
+    dual_complex,
     inconsistent_inputs,
 )
 from tdt.errors import EmptyScreenError
@@ -162,6 +163,13 @@ def test_euler_characteristic_equals_alternating_betti_sum(rel):
 def test_betti0_equals_component_count(rel):
     cpx = build_complex(rel)
     assert betti_numbers(cpx, 0)[0] == connected_components(cpx)[0]
+
+
+@COMMON
+@given(relations(max_m=6, max_n=14))
+def test_dowker_duality_keeps_betti_numbers(rel):
+    # the complex and its dual (inputs as vertices) are homotopy equivalent (Dowker 1952)
+    assert betti_numbers(build_complex(rel), 3) == betti_numbers(dual_complex(rel), 3)
 
 
 @COMMON
