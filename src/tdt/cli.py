@@ -155,10 +155,9 @@ def cmd_analyze(rel, args) -> int:
                          graph_dot)
     from .relation import column_masks
 
-    if args.betti is not None and args.betti < 0:
-        raise ValidationError("max_dim must be >= 0")
     diag = build_diagram(rel)
     cpx = DowkerComplex(rel.m, rel.programs, faces_of(diag.weights, rel.m), diag.weights)
+    betti = None if args.betti is None else betti_numbers(cpx, args.betti)  # before any write
     graph = build_graph(cpx) if args.dot else None  # under the face budget, before any write
     faces, red, core = complex_counts(diag.weights, rel.m, cpx.face_flags)
     # inputs whose nonempty accept-set lies outside the core (dowker.inconsistent_inputs)
@@ -177,8 +176,7 @@ def cmd_analyze(rel, args) -> int:
         f"{len(inconsistent)} inconsistent inputs"
     )
     print(f"diagram consistent: {is_consistent(diag)}")
-    if args.betti is not None:
-        betti = betti_numbers(cpx, args.betti)
+    if betti is not None:
         print("betti: " + " ".join(str(b) for b in betti))
     return 0
 

@@ -208,51 +208,51 @@ def connected_components(cpx: DowkerComplex) -> tuple[int, tuple[tuple[int, ...]
     return len(partition), partition
 
 
-def gf2_rank(rows: list[int]) -> int:
-    """Rank of a GF(2) matrix whose rows are given as bitmask ints."""
-    rows = list(rows)
-    rank = 0
-    while rows:
-        pivot = rows.pop()
-        if not pivot:
-            continue
-        rank += 1
-        lsb = pivot & -pivot
-        rows = [row ^ pivot if row & lsb else row for row in rows]
-    return rank
+def _morse_row(cell: int, partner: np.ndarray, lower: dict[int, int]) -> int:
+    """Morse boundary of a critical cell: bit ``lower[X]`` is the parity of the gradient
+    paths to the critical cell X. Paths start at the facets, step from a cell X with a
+    partner j on to the other facets of X | 1<<j, and end at a cell without a partner."""
+    row, reached = 0, {cell ^ 1 << i for i in bits(cell)}
+    while reached:
+        step: set[int] = set()
+        for x in reached:
+            if x in lower:
+                row ^= 1 << lower[x]
+            elif (j := int(partner[x])) >= 0:
+                step ^= {x ^ 1 << i | 1 << j for i in bits(x)}
+        reached = step
+    return row
 
 
 def betti_numbers(cpx: DowkerComplex, max_dim: int) -> tuple[int, ...]:
     """Betti numbers beta_0..beta_max_dim over GF(2). An element matching (Forman
     1998) pairs, for each program j in turn, every remaining cell X without j with
-    X | 1<<j, the empty face included. If no two adjacent dimensions keep unmatched
-    (critical) cells, their counts are the reduced Betti numbers; else ranks decide."""
+    X | 1<<j, the empty face included. The reduced Betti numbers are the unmatched
+    (critical) cell counts less the ranks of the Morse boundaries between them."""
     if max_dim < 0:
         raise ValidationError("max_dim must be >= 0")
     cells = np.concatenate(([True], cpx.face_flags[1:]))
+    partner = np.full(cells.shape, -1, dtype=np.int8)  # j where cell X is matched to X | 1<<j
     for j in range(cpx.width):
-        without, with_j = _halves(cells, j)
-        without[...], with_j[...] = without & ~with_j, with_j & ~without
-    # critical[d + 1] counts the critical cells of dimension d = -1..max_dim+1
-    critical = np.bincount(region_sizes(cpx.width)[cells], minlength=max_dim + 3)[: max_dim + 3]
-    if not (critical[:-1] * critical[1:]).any():  # so every Morse boundary map is zero
-        return tuple(int(c) + (d == 0 and not cells[0]) for d, c in enumerate(critical[1:-1]))
-    _check_budget(cpx.face_flags)  # before any rank work
-    faces = np.flatnonzero(cpx.face_flags)
-    sizes = region_sizes(cpx.width)[faces]
-    faces_by_dim = [faces[sizes == d + 1] for d in range(max_dim + 2)]
-    ranks = [0] * (max_dim + 2)  # ranks[d] = rank of boundary map C_d -> C_{d-1}
-    for d in range(1, max_dim + 2):
-        upper, lower = faces_by_dim[d], faces_by_dim[d - 1]
-        rows = [0] * len(upper)
-        for j in range(cpx.width):
-            (row_index,) = np.nonzero(upper >> j & 1)
-            # position of each facet (upper face minus program j) among the lower faces
-            position = np.searchsorted(lower, upper[row_index] ^ 1 << j)
-            for r, p in zip(row_index.tolist(), position.tolist()):
-                rows[r] |= 1 << p
-        ranks[d] = gf2_rank(rows)
-    return tuple(len(faces_by_dim[d]) - ranks[d] - ranks[d + 1] for d in range(max_dim + 1))
+        (without, with_j), (matched_up, _) = _halves(cells, j), _halves(partner, j)
+        matched = without & with_j
+        matched_up[matched] = j
+        without[...], with_j[...] = without ^ matched, with_j ^ matched
+    critical = np.flatnonzero(cells)
+    sizes = region_sizes(cpx.width)[critical]
+    by_size = [critical[sizes == s].tolist() for s in range(max_dim + 3)]
+    ranks = [0] * (max_dim + 3)  # ranks[s]: rank of the Morse boundary from size s to s - 1
+    for s in range(1, max_dim + 3):
+        lower = {x: k for k, x in enumerate(by_size[s - 1])}
+        pivots: dict[int, int] = {}
+        for row in (_morse_row(x, partner, lower) for x in by_size[s] if lower):
+            while row and (row & -row) in pivots:
+                row ^= pivots[row & -row]
+            if row:
+                pivots[row & -row] = row
+        ranks[s] = len(pivots)
+    return tuple(len(by_size[s]) - ranks[s] - ranks[s + 1] + (s == 1 and not cells[0])
+                 for s in range(1, max_dim + 2))
 
 
 def dual_complex(rel: Relation) -> DowkerComplex:

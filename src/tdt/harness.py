@@ -133,8 +133,6 @@ def _resolve_commands(cfg: RunConfig) -> list[list[str]]:
             tokens = shlex.split(p.command)
         except ValueError as exc:
             raise ConfigurationError(f"parser {p.name!r}: unparsable command: {exc}") from None
-        if not tokens:
-            raise ConfigurationError(f"parser {p.name!r}: empty command")
         exe = shutil.which(tokens[0])
         if exe is None:
             raise ConfigurationError(f"parser {p.name!r}: executable {tokens[0]!r} not found")

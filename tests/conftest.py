@@ -94,6 +94,23 @@ def relation_from_masks(masks, m, programs=None, input_prefix="g"):
 
 
 @pytest.fixture
+def morse_row_calls(monkeypatch):
+    """Counts the Morse boundary rows Betti numbers compute, one per critical cell
+    with critical cells one program smaller."""
+    import tdt.dowker
+
+    calls = []
+
+    def counted(cell, *args):
+        calls.append(cell)
+        return row(cell, *args)
+
+    row = tdt.dowker._morse_row
+    monkeypatch.setattr(tdt.dowker, "_morse_row", counted)
+    return calls
+
+
+@pytest.fixture
 def toy_relation():
     return relation_from_rows(TOY_ROWS)
 

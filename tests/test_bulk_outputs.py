@@ -3,7 +3,7 @@ report against the per-face code they replaced, at m = 1..10.
 
 The seed-pinned relations include an empty corpus, an all-reject matrix,
 complexes whose critical cells sit in adjacent dimensions (so Betti numbers
-fall back to boundary-matrix ranks), and program names whose JSON-escaped order
+rank the Morse boundary between them), and program names whose JSON-escaped order
 differs from their raw order or that hold commas, quotes and backslashes.
 """
 
@@ -11,7 +11,6 @@ import random
 
 import pytest
 
-import tdt.dowker
 from tdt.diagram import diagram_report
 from tdt.dowker import betti_numbers, build_complex, build_graph, dual_complex, graph_dot
 
@@ -22,7 +21,7 @@ import oracles
 # with the pair {x, y}
 NAMES = ("b", "A", "é", "z", "\\", 'q"t', "x,y", "x", "y", "c10")
 
-# how many of each m's seeded complexes (and their duals) reach the rank fallback
+# how many of each m's seeded complexes (and their duals) compute a Morse boundary
 FALLBACKS = {1: 0, 2: 0, 3: 0, 4: 2, 5: 2, 6: 4, 7: 5, 8: 3, 9: 4, 10: 4}
 
 
@@ -46,22 +45,8 @@ def _instances(m, seed, count=16):
         yield relation_from_masks(masks, m=m, programs=names)
 
 
-@pytest.fixture
-def rank_calls(monkeypatch):
-    """Counts the boundary-matrix ranks Betti numbers compute (the fallback)."""
-    calls = []
-
-    def counted(rows):
-        calls.append(len(rows))
-        return rank(rows)
-
-    rank = tdt.dowker.gf2_rank
-    monkeypatch.setattr(tdt.dowker, "gf2_rank", counted)
-    return calls
-
-
 @pytest.mark.parametrize("m", range(1, 11))
-def test_bulk_outputs_match_the_per_face_code(m, rank_calls):
+def test_bulk_outputs_match_the_per_face_code(m, morse_row_calls):
     fallbacks = 0
     for rel in _instances(m, seed=1400 + m):
         cpx = build_complex(rel)
@@ -73,9 +58,9 @@ def test_bulk_outputs_match_the_per_face_code(m, rank_calls):
         )
         for complex_ in (cpx, dual_complex(rel)):
             max_dim = min(complex_.width, 4)
-            before = len(rank_calls)
+            before = len(morse_row_calls)
             assert betti_numbers(complex_, max_dim) == oracles.rank_betti_numbers(
                 complex_.face_flags, complex_.width, max_dim
             )
-            fallbacks += len(rank_calls) > before
+            fallbacks += len(morse_row_calls) > before
     assert fallbacks == FALLBACKS[m]

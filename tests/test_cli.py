@@ -3,13 +3,14 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tdt.classify import load_ground_truth
 from tdt.cli import main
 from tdt.errors import FormatError
 from tdt.harness import load_results_jsonl, load_run_config
-from tdt.relation import load_feature_relation, load_relation, save_relation
+from tdt.relation import Relation, load_feature_relation, load_relation, save_relation
 
 from conftest import relation_from_masks, write_run_config
 
@@ -266,6 +267,21 @@ def test_analyze_betti_on_a_hollow_simplex_past_the_face_budget(tmp_path, capsys
     out = capsys.readouterr().out
     assert out.startswith("20 programs, 20 inputs: 1048574 faces, 0 inconsistent edges, ")
     assert out.endswith("\nbetti: 1 0 0\n")
+
+
+def test_analyze_betti_past_the_face_budget_writes_every_output(tmp_path, capsys):
+    # a uniform m = 22, n = 30 relation spans 1,877,419 faces: the Morse boundary
+    # needs no face list, so --betti neither exits 2 nor leaves the outputs partial
+    rows = np.random.default_rng(0).random((22, 30)) < 0.7
+    path = tmp_path / "m22.json"
+    save_relation(Relation(programs=tuple(f"P{j}" for j in range(22)),
+                           inputs=tuple(f"i{k}" for k in range(30)), accepts=rows), path)
+    inconsistent = tmp_path / "i.json"
+    assert main(["analyze", str(path), "--inconsistent", str(inconsistent), "--betti", "8"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("22 programs, 30 inputs: 1877419 faces, 41 inconsistent edges, ")
+    assert out.endswith("\nbetti: 1 0 0 0 0 0 2 0 0\n")
+    assert len(json.loads(inconsistent.read_text())) == 4
 
 
 def test_analyze_escapes_dot_labels(tmp_path, capsys):

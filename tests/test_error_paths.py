@@ -1,0 +1,106 @@
+"""Raise sites that no other test reaches: each call below must fail with its
+``TdtError`` subclass and its exact message."""
+
+import sys
+
+import numpy as np
+import pytest
+
+from tdt.classify import GroundTruth, evaluate
+from tdt.diagram import WeightedDiagram
+from tdt.distill import select_inputs, singleton_screen
+from tdt.errors import ConfigurationError, FormatError, ValidationError
+from tdt.features import attribute_features, relation_product
+from tdt.harness import ParserSpec, RunConfig, _resolve_commands, load_results_jsonl, \
+    load_run_config, run_corpus
+from tdt.relation import FeatureRelation, Relation, load_relation, restrict_inputs, \
+    validate_mask
+from tdt.sheaf import display_vector
+
+from conftest import relation_from_masks
+
+REL = relation_from_masks([0b01, 0b11, 0b10], m=2)
+FEATS = FeatureRelation(inputs=REL.inputs, features=("x",), has_feature=np.ones((3, 1)))
+PASS = f"{sys.executable} -c pass {{input}}"
+
+
+def _config(**changes):
+    fields = {"parsers": (ParserSpec("A", PASS),), "corpus": "corpus"}
+    return RunConfig(**{**fields, **changes})
+
+
+def _file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+RESULT = (
+    '{"parser": "A", "input": "f", "accept": true, "exit_status": 0, "timed_out": false, '
+    '"stderr": "\\u0100", "truncated": false, "wall_time": 0.1}\n'
+)
+
+# (id, call on a scratch directory, error class, message with {tmp} for that directory)
+CASES = [
+    ("relation-ndim", lambda tmp: Relation(("A",), ("f",), np.zeros(1, bool)),
+     ValidationError, "accept matrix must be two-dimensional"),
+    ("feature-shape", lambda tmp: FeatureRelation(("f",), ("x", "y"), np.zeros((1, 1), bool)),
+     ValidationError, "feature matrix shape (1, 1) does not match 1 inputs x 2 features"),
+    ("feature-duplicates", lambda tmp: FeatureRelation(("f",), ("x", "x"), np.zeros((1, 2))),
+     ValidationError, "duplicate feature identifiers"),
+    ("validate-mask", lambda tmp: validate_mask(REL, 0b100),
+     ValidationError, "mask 0x4 sets bits outside the 2 programs"),
+    ("restrict-inputs", lambda tmp: restrict_inputs(REL, [0, 3]),
+     ValidationError, "input index 3 out of range for n=3"),
+    ("json-row-count",
+     lambda tmp: load_relation(_file(tmp, "r.json", '{"programs": ["A", "B"], "inputs": [], '
+                                                    '"rows": [""]}')),
+     FormatError, "{tmp}/r.json: field 'rows' has 1 entries for 2 programs"),
+    ("csv-empty", lambda tmp: load_relation(_file(tmp, "r.csv", "")),
+     FormatError, "{tmp}/r.csv: empty file"),
+    ("diagram-m", lambda tmp: WeightedDiagram(0, np.zeros(1)),
+     ValidationError, "diagram needs at least one program"),
+    ("diagram-length", lambda tmp: WeightedDiagram(2, np.zeros(3)),
+     ValidationError, "expected 4 region weights, got 3"),
+    ("diagram-negative", lambda tmp: WeightedDiagram(1, np.array([1, -1])),
+     ValidationError, "region weights must be non-negative"),
+    ("screen-empty", lambda tmp: singleton_screen(restrict_inputs(REL, [])),
+     ValidationError, "singleton screen needs a non-empty corpus"),
+    ("select-threshold", lambda tmp: select_inputs(REL, -1),
+     ValidationError, "threshold must be >= 0"),
+    ("product-subset", lambda tmp: relation_product(REL, FEATS, 0),
+     ValidationError, "program subset must be nonempty"),
+    ("attribute-max-removed", lambda tmp: attribute_features(REL, FEATS, max_removed=2),
+     ValidationError, "max_removed must lie in 0..1"),
+    ("display-sigma", lambda tmp: display_vector(REL, 0),
+     ValidationError, "sigma must be a nonempty program subset"),
+    ("truth-lengths", lambda tmp: GroundTruth(("f", "g"), (True,)),
+     ValidationError, "labels and inputs differ in length"),
+    ("evaluate-index", lambda tmp: evaluate({2}, GroundTruth(("f", "g"), (True, False))),
+     ValidationError, "predicted index 2 out of range for n=2"),
+    ("config-no-parsers", lambda tmp: _config(parsers=()),
+     ValidationError, "configuration needs at least one parser"),
+    ("config-parallelism", lambda tmp: _config(parallelism=0),
+     ValidationError, "parallelism must be >= 1"),
+    ("config-stderr-cap", lambda tmp: _config(stderr_cap_bytes=-1),
+     ValidationError, "stderr_cap_bytes must be >= 0"),
+    ("config-parser-entry",
+     lambda tmp: load_run_config(_file(tmp, "run.json", '{"parsers": [5], "corpus": "c"}')),
+     FormatError, "{tmp}/run.json: parsers[0] must be an object"),
+    ("command-unsplittable",
+     lambda tmp: _resolve_commands(_config(parsers=(ParserSpec("A", "'{input}"),))),
+     ConfigurationError, "parser 'A': unparsable command: No closing quotation"),
+    ("corpus-no-match", lambda tmp: run_corpus(_config(corpus=str(tmp), glob="*.none")),
+     ConfigurationError, "no corpus files match '*.none' under '{tmp}'"),
+    ("results-latin-1", lambda tmp: load_results_jsonl(_file(tmp, "r.jsonl", RESULT)),
+     FormatError, "{tmp}/r.jsonl: line 1: field 'stderr' holds characters beyond latin-1"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [case[1:] for case in CASES],
+                         ids=[case[0] for case in CASES])
+def test_error_path(tmp_path, call, error, message):
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert type(info.value) is error
+    assert str(info.value) == message.format(tmp=tmp_path)
