@@ -150,21 +150,19 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(rel, args) -> int:
-    from .diagram import build_diagram, diagram_report, is_consistent
-    from .dowker import (DowkerComplex, betti_numbers, build_graph, complex_counts, faces_of,
-                         graph_dot)
+    from .diagram import diagram_report
+    from .dowker import betti_numbers, build_complex, build_graph, complex_counts, graph_dot
     from .relation import column_masks
 
-    diag = build_diagram(rel)
-    cpx = DowkerComplex(rel.m, rel.programs, faces_of(diag.weights, rel.m), diag.weights)
+    cpx = build_complex(rel)
     betti = None if args.betti is None else betti_numbers(cpx, args.betti)  # before any write
     graph = build_graph(cpx) if args.dot else None  # under the face budget, before any write
-    faces, red, core = complex_counts(diag.weights, rel.m, cpx.face_flags)
+    faces, red, core, consistent = complex_counts(cpx.weights, rel.m, cpx.face_flags)
     # inputs whose nonempty accept-set lies outside the core (dowker.inconsistent_inputs)
     masks = column_masks(rel)
     inconsistent = ((masks != 0) & ~core[masks]).nonzero()[0].tolist()
     if args.weights:
-        write_text(args.weights, diagram_report(rel, diag))
+        write_text(args.weights, diagram_report(rel))
     if args.dot:
         write_text(args.dot, graph_dot(graph))
     if args.inconsistent:
@@ -175,7 +173,7 @@ def cmd_analyze(rel, args) -> int:
         f"{core.sum()} faces in the consistent core, "
         f"{len(inconsistent)} inconsistent inputs"
     )
-    print(f"diagram consistent: {is_consistent(diag)}")
+    print(f"diagram consistent: {consistent}")
     if betti is not None:
         print("betti: " + " ".join(str(b) for b in betti))
     return 0

@@ -191,13 +191,12 @@ def pair_inconsistent_inputs(rel: Relation, sigma: int, tau: int) -> set[int]:
     return set(np.flatnonzero((masks & sigma == sigma) & (masks & extra != extra)).tolist())
 
 
-def diagram_report(rel: Relation, diag: WeightedDiagram | None = None) -> str:
+def diagram_report(rel: Relation) -> str:
     """Canonical JSON report: every region weight, the deficient regions, the verdict.
 
     A region's key is its program names, sorted and comma-joined ('' for the empty set).
     """
-    if diag is None:
-        diag = build_diagram(rel)
+    diag = build_diagram(rel)
     regions = np.argsort(region_sizes(diag.m), kind="stable")  # by (size, mask)
     labels = subset_labels(rel.programs, regions[1:],
                            sorted(range(rel.m), key=rel.programs.__getitem__))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from typing import Literal
 
 from ._numpy import np
@@ -93,10 +94,12 @@ def singleton_screen(rel: Relation) -> tuple[Relation, tuple[ScreenRemoval, ...]
     return restrict_programs(rel, keep), tuple(removed)
 
 
-def _pick_deficient_region(diag: WeightedDiagram) -> int:
-    """Largest deficient region; ties by larger deficiency, then ascending mask."""
+def _pick_deficient_region(diag: WeightedDiagram) -> int | None:
+    """Largest deficient region, or None; ties by larger deficiency, then ascending mask."""
     shortfall = deficiency(diag)
     regions = np.flatnonzero(shortfall > 0)
+    if not len(regions):
+        return None
     sizes = region_sizes(diag.m)[regions].astype(np.int64)
     return int(regions[np.lexsort((regions, -shortfall[regions], -sizes))[0]])
 
@@ -116,17 +119,12 @@ def distill(rel: Relation) -> DistillTrace:
     names = list(screened.programs)  # the program of each bit of the diagram
     diag = build_diagram(screened)
     steps = []
-    while not is_consistent(diag):
-        region = _pick_deficient_region(diag)
+    while (region := _pick_deficient_region(diag)) is not None:
         face = _pick_heaviest_facet(diag, region)
         removed_index = (region & ~face).bit_length() - 1
-        steps.append(
-            DistillStep(
-                region=tuple(names[j] for j in bits(region)),
-                face=tuple(names[j] for j in bits(face)),
-                removed=names[removed_index],
-            )
-        )
+        steps.append(DistillStep(region=tuple(names[j] for j in bits(region)),
+                                 face=tuple(names[j] for j in bits(face)),
+                                 removed=names[removed_index]))
         diag = project_diagram(diag, ((1 << diag.m) - 1) & ~(1 << removed_index))
         del names[removed_index]
     final = restrict_programs(screened, mask_from_names(screened, names))
@@ -178,17 +176,16 @@ def inconsistency_scores(
         for sigma in swept:
             hits += inconsistent_accept_sets(masks, counts, sigma)
     else:
-        # program j is axis m-1-j; fixing the axes of a nonempty d at 0 views every
-        # sigma disjoint from d, and at 1 its tau = sigma | d (the trailing ... keeps
-        # a view when d fixes every axis)
-        shape = (2,) * rel.m
+        # program j is axis m-1-j; for d = 1, 2, ... fixing d's axes at 0 views every sigma
+        # disjoint from d, and at 1 its tau = sigma | d (a length-1 axis keeps these views)
+        shape = (2,) * rel.m + (1,)
         weights = region_weights(masks, rel.m, counts).reshape(shape)
         tall = tall.reshape(shape)
         net = np.zeros(shape, dtype=np.int64)
-        for d in range(1, 1 << rel.m):
-            fixed = [d >> j & 1 for j in reversed(range(rel.m))]
-            low = (*(0 if x else slice(None) for x in fixed), ...)
-            high = (*(1 if x else slice(None) for x in fixed), ...)
+        steps = zip(product((slice(None), 0), repeat=rel.m),
+                    product((slice(None), 1), repeat=rel.m))
+        next(steps)  # d = 0 pairs no sigma with a larger tau
+        for low, high in steps:
             flagged = (weights[low] > weights[high]) & tall[high]
             sigmas, taus = net[low], net[high]
             sigmas += flagged

@@ -112,9 +112,7 @@ def faces_of(weights: np.ndarray, m: int) -> np.ndarray:
 def build_complex(rel: Relation) -> DowkerComplex:
     """Faces = program subsets that jointly accept at least one input."""
     weights = build_diagram(rel).weights
-    faces = faces_of(weights, rel.m)
-    _check_budget(faces)
-    return DowkerComplex(width=rel.m, labels=rel.programs, face_flags=faces, weights=weights)
+    return DowkerComplex(rel.m, rel.programs, faces_of(weights, rel.m), weights)
 
 
 def build_graph(cpx: DowkerComplex) -> DowkerGraph:
@@ -149,9 +147,10 @@ def consistent_regions(weights: np.ndarray, m: int, faces: np.ndarray | None = N
     A bad tail is a face (of ``faces``, if given) outweighed by a nonempty facet, an
     inconsistent covering edge; the core is every face with no bad tail below it.
     """
-    if faces is None:  # the empty set is no face, so no edge runs into it
+    if faces is None:
         faces = faces_of(weights, m)
-    bad = faces & (heaviest_facet(weights * faces, m) > weights)
+    bad = faces & (heaviest_facet(weights, m) > weights)
+    bad[1 << np.arange(m)] = False  # a program's only facet, the empty set, is no face
     return faces & ~subset_sum(bad, m)
 
 
@@ -166,17 +165,19 @@ def consistent_core(graph: DowkerGraph) -> frozenset[int]:
 
 
 def complex_counts(weights: np.ndarray, m: int,
-                   faces: np.ndarray | None = None) -> tuple[int, int, np.ndarray]:
-    """Faces and inconsistent covering edges of the complex of a weight vector,
-    counted on the vectors without listing a face, and its consistent core as
-    ``consistent_regions`` flags; ``faces`` as for ``consistent_regions``."""
+                   faces: np.ndarray | None = None) -> tuple[int, int, np.ndarray, bool]:
+    """Faces and inconsistent covering edges of the complex of a weight vector, counted on
+    the vectors, its ``consistent_regions`` core (``faces`` as there), and whether the diagram
+    is consistent: the edges' comparison run over every region, the empty facet included."""
     if faces is None:
         faces = faces_of(weights, m)
-    red = 0
+    red, consistent = 0, True
     for j in range(m):
         (head_faces, tail_faces), (heads, tails) = _halves(faces, j), _halves(weights, j)
-        red += int(np.count_nonzero(head_faces & tail_faces & (heads > tails)))
-    return int(np.count_nonzero(faces)), red, consistent_regions(weights, m, faces)
+        deficient = heads > tails
+        consistent = consistent and not deficient.any()
+        red += int(np.count_nonzero(head_faces & tail_faces & deficient))
+    return int(np.count_nonzero(faces)), red, consistent_regions(weights, m, faces), consistent
 
 
 def inconsistent_accept_sets(masks: np.ndarray, counts: np.ndarray, sigma: int) -> np.ndarray:
@@ -231,6 +232,8 @@ def betti_numbers(cpx: DowkerComplex, max_dim: int) -> tuple[int, ...]:
     (critical) cell counts less the ranks of the Morse boundaries between them."""
     if max_dim < 0:
         raise ValidationError("max_dim must be >= 0")
+    if max_dim > MAX_PROGRAMS:
+        raise ValidationError(f"max_dim must be <= {MAX_PROGRAMS}")
     cells = np.concatenate(([True], cpx.face_flags[1:]))
     partner = np.full(cells.shape, -1, dtype=np.int8)  # j where cell X is matched to X | 1<<j
     for j in range(cpx.width):
@@ -240,9 +243,10 @@ def betti_numbers(cpx: DowkerComplex, max_dim: int) -> tuple[int, ...]:
         without[...], with_j[...] = without ^ matched, with_j ^ matched
     critical = np.flatnonzero(cells)
     sizes = region_sizes(cpx.width)[critical]
-    by_size = [critical[sizes == s].tolist() for s in range(max_dim + 3)]
-    ranks = [0] * (max_dim + 3)  # ranks[s]: rank of the Morse boundary from size s to s - 1
-    for s in range(1, max_dim + 3):
+    top = min(max_dim, cpx.width)  # no face has more than width programs: beta_k = 0 past it
+    by_size = [critical[sizes == s].tolist() for s in range(top + 3)]
+    ranks = [0] * (top + 3)  # ranks[s]: rank of the Morse boundary from size s to s - 1
+    for s in range(1, top + 3):
         lower = {x: k for k, x in enumerate(by_size[s - 1])}
         pivots: dict[int, int] = {}
         for row in (_morse_row(x, partner, lower) for x in by_size[s] if lower):
@@ -252,7 +256,7 @@ def betti_numbers(cpx: DowkerComplex, max_dim: int) -> tuple[int, ...]:
                 pivots[row & -row] = row
         ranks[s] = len(pivots)
     return tuple(len(by_size[s]) - ranks[s] - ranks[s + 1] + (s == 1 and not cells[0])
-                 for s in range(1, max_dim + 2))
+                 for s in range(1, top + 2)) + (0,) * (max_dim - top)
 
 
 def dual_complex(rel: Relation) -> DowkerComplex:

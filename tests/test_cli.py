@@ -235,6 +235,15 @@ def test_analyze_rejects_a_negative_betti_before_any_work(tmp_path, capsys):
     assert not inconsistent.exists()
 
 
+def test_analyze_rejects_a_betti_past_the_program_cap_before_any_work(tmp_path, capsys):
+    inconsistent = tmp_path / "i.json"
+    code = main(["analyze", str(DATA / "relation_3x14.golden.json"),
+                 "--betti", "99999999999999999999999", "--inconsistent", str(inconsistent)])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: max_dim must be <= 24\n")
+    assert not inconsistent.exists()
+
+
 def test_analyze_counts_faces_past_the_face_budget(tmp_path, capsys):
     # one input accepted by all 20 programs spans 2^20 - 1 faces; the summary
     # counts them, and only the outputs that list faces hit the budget

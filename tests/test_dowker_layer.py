@@ -1,4 +1,5 @@
-"""The vectorised Dowker layer against brute-force oracles at m = 1..8.
+"""The vectorised Dowker layer against brute-force oracles at m = 1..8 (the
+counts read off the vectors at m = 1..10).
 
 Complex (faces, facets, weights, faces by dimension), graph edges and their
 flags, the face, red-edge and core counts read off the vectors, the DOT text,
@@ -13,7 +14,7 @@ import random
 import numpy as np
 import pytest
 
-from tdt.diagram import diagram_report
+from tdt.diagram import build_diagram, diagram_report, is_consistent
 from tdt.distill import distill, select_inputs
 from tdt.dowker import (
     betti_numbers,
@@ -35,7 +36,7 @@ NAMES = ("b", "A", "c10", "c2", "Zed", "x,y", "p", "B")
 
 def _instances(m, seed, count=12):
     rng = random.Random(seed)
-    names = tuple(rng.sample(NAMES, m))
+    names = tuple(rng.sample(NAMES, m)) if m <= len(NAMES) else None  # None: p00, p01, ...
     yield relation_from_masks([], m=m, programs=names)  # no inputs
     yield relation_from_masks([0] * rng.randint(1, 5), m=m, programs=names)  # all reject
     for _ in range(count):
@@ -84,7 +85,7 @@ def test_dowker_layer_matches_oracles(m):
         assert graph_dot(graph) == oracles.graph_dot(list(rel.programs), faces, face_weights)
         assert diagram_report(rel) == oracles.diagram_report(list(rel.programs), weights)
         red = int(np.count_nonzero(~graph.consistent))
-        face_count, red_count, core = complex_counts(cpx.weights, m)
+        face_count, red_count, core, _ = complex_counts(cpx.weights, m)
         assert (face_count, red_count) == (len(graph.faces), red)
         assert set(np.flatnonzero(core).tolist()) == consistent_core(graph)
 
@@ -92,6 +93,24 @@ def test_dowker_layer_matches_oracles(m):
         assert betti_numbers(cpx, max_dim) == oracles.betti_numbers(
             oracles.facets_of(faces), m, max_dim
         )
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_complex_counts_match_oracles(m):
+    # one comparison pass gives the red edges (between faces) and the verdict (over
+    # every region, the empty facet included); the core compares against every facet
+    for rel in _instances(m, seed=980 + m):
+        rows = _rows(rel)
+        weights = oracles.region_weights(rows)
+        faces = oracles.faces_of(rows)
+        edges = oracles.covering_edges(faces, {face: weights[face] for face in faces})
+        diag = build_diagram(rel)
+        face_count, red_count, core, consistent = complex_counts(diag.weights, m)
+        assert (face_count, red_count) == (len(faces), list(edges.values()).count(False))
+        assert set(np.flatnonzero(core).tolist()) == oracles.core_faces(rows)
+        assert type(consistent) is bool
+        assert consistent == is_consistent(diag)
+        assert consistent == oracles.consistent_by_covers(weights, m)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -163,8 +182,9 @@ def test_face_budget_counts_faces():
     with pytest.raises(CapacityError, match=message):
         dual.faces()
     assert betti_numbers(dual, 1) == (1, 0)  # a full simplex: no face is listed
+    cpx = build_complex(relation_from_masks([(1 << 20) - 1], m=20))
     with pytest.raises(CapacityError, match=message):
-        build_complex(relation_from_masks([(1 << 20) - 1], m=20))
+        cpx.faces()
 
 
 def test_graph_arrays_are_read_only_and_in_dot_order(toy_relation):

@@ -10,7 +10,7 @@ import pytest
 
 from tdt.dowker import betti_numbers, build_complex, dual_complex
 from tdt.errors import ValidationError
-from tdt.relation import Relation
+from tdt.relation import MAX_PROGRAMS, Relation
 
 from conftest import relation_from_masks
 import oracles
@@ -68,3 +68,14 @@ def test_betti_numbers_reject_a_negative_max_dim():
     cpx = build_complex(relation_from_masks([0b011, 0b110], m=3))
     with pytest.raises(ValidationError, match=r"^max_dim must be >= 0$"):
         betti_numbers(cpx, -1)
+
+
+def test_betti_numbers_stop_at_the_top_of_the_complex():
+    # no face has more than width programs, so past the width every Betti number is 0;
+    # a max_dim past the program cap is refused rather than padded
+    cpx = build_complex(relation_from_masks([0b011, 0b110], m=3))
+    assert betti_numbers(cpx, MAX_PROGRAMS) == betti_numbers(cpx, 2) + (0,) * 22
+    assert betti_numbers(cpx, MAX_PROGRAMS) == oracles.rank_betti_numbers(
+        cpx.face_flags, 3, MAX_PROGRAMS)
+    with pytest.raises(ValidationError, match=r"^max_dim must be <= 24$"):
+        betti_numbers(cpx, MAX_PROGRAMS + 1)
