@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 from ._numpy import np
 from .errors import FormatError, ValidationError
-from .relation import Relation, _read_01_csv
+from .relation import Relation, read_01_csv
 from .util import canonical_dumps
 
 if TYPE_CHECKING:
@@ -104,7 +104,7 @@ def load_ground_truth(path, rel: Relation) -> GroundTruth:
         if columns != ["compliant"]:
             raise FormatError(f"{path}: line 1: header must be 'input,compliant'")
 
-    _, inputs, compliant = _read_01_csv(
+    _, inputs, compliant = read_01_csv(
         path, check_columns, lambda _, cell: f"cell {cell!r}, expected 0 or 1"
     )
     flags = compliant[:, 0].tolist()

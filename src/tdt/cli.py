@@ -156,15 +156,16 @@ def cmd_analyze(rel, args) -> int:
 
     cpx = build_complex(rel)
     betti = None if args.betti is None else betti_numbers(cpx, args.betti)  # before any write
-    graph = build_graph(cpx) if args.dot else None  # under the face budget, before any write
-    faces, red, core, consistent = complex_counts(cpx.weights, rel.m, cpx.face_flags)
+    dot = graph_dot(build_graph(cpx)) if args.dot else None  # face budget: before any write
+    faces, red, core, consistent = complex_counts(cpx)
+    del cpx  # the weights report builds its own weight vector
     # inputs whose nonempty accept-set lies outside the core (dowker.inconsistent_inputs)
     masks = column_masks(rel)
     inconsistent = ((masks != 0) & ~core[masks]).nonzero()[0].tolist()
     if args.weights:
         write_text(args.weights, diagram_report(rel))
     if args.dot:
-        write_text(args.dot, graph_dot(graph))
+        write_text(args.dot, dot)
     if args.inconsistent:
         write_text(args.inconsistent, canonical_dumps([rel.inputs[k] for k in inconsistent]))
     print(

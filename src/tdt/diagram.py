@@ -6,8 +6,8 @@ it; a diagram with no deficient region is consistent, i.e. its weights are
 nondecreasing along inclusion. Equal weights along a covering pair count as
 consistent.
 
-Weights live in one int64 vector indexed by mask; the analyses use a few
-vectorised subset transforms over it (Yates 1937; Bjorklund et al. 2007).
+Weights live in one int64 vector indexed by mask; a few vectorised subset transforms
+over it (Yates 1937; Bjorklund et al. 2007) give its faces, its consistent core and the rest.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Sequence
 from ._numpy import np
 from .errors import ValidationError
 from .relation import Relation, column_masks, validate_mask
-from .util import canonical_dumps
+from .util import bits, canonical_dumps
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +58,7 @@ class WeightedDiagram:
 # subset transforms over vectors indexed by mask
 
 
-def _halves(vector: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+def halves(vector: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
     """Views of the regions without and with program j, aligned as covering pairs (X, X | 1<<j)."""
     pairs = vector.reshape(-1, 2, 1 << j)
     return pairs[:, 0], pairs[:, 1]
@@ -68,7 +68,7 @@ def superset_or(flags: np.ndarray, m: int) -> np.ndarray:
     """Per region: is the flag set on the region or on any superset of it?"""
     out = flags.copy()
     for j in range(m):
-        lower, upper = _halves(out, j)
+        lower, upper = halves(out, j)
         lower |= upper
     return out
 
@@ -78,7 +78,7 @@ def subset_sum(vector: np.ndarray, m: int) -> np.ndarray:
     transform); on bool flags, numpy's + is OR: is the flag set on any of them?"""
     out = vector.copy()
     for j in range(m):
-        lower, upper = _halves(out, j)
+        lower, upper = halves(out, j)
         upper += lower
     return out
 
@@ -87,8 +87,8 @@ def any_cover(flags: np.ndarray, m: int) -> np.ndarray:
     """Per region: is the flag set on some region with one more program?"""
     out = np.zeros_like(flags)
     for j in range(m):
-        lower, _ = _halves(out, j)
-        _, upper = _halves(flags, j)
+        lower, _ = halves(out, j)
+        _, upper = halves(flags, j)
         lower |= upper
     return out
 
@@ -97,7 +97,7 @@ def region_sizes(m: int) -> np.ndarray:
     """Per region, its number of programs (uint8)."""
     out = np.zeros(1 << m, dtype=np.uint8)
     for j in range(m):
-        _, upper = _halves(out, j)
+        _, upper = halves(out, j)
         upper += 1
     return out
 
@@ -122,8 +122,8 @@ def heaviest_facet(weights: np.ndarray, m: int) -> np.ndarray:
     """Per region, the largest weight among its facets (0 for the empty region)."""
     out = np.zeros_like(weights)
     for j in range(m):
-        lower, _ = _halves(weights, j)
-        _, upper = _halves(out, j)
+        lower, _ = halves(weights, j)
+        _, upper = halves(out, j)
         np.maximum(upper, lower, out=upper)
     return out
 
@@ -132,6 +132,39 @@ def region_weights(masks: np.ndarray, m: int, counts: np.ndarray | None = None) 
     """Weight vector over 2^m regions of the given masks, each counted ``counts`` times."""
     # bincount sums weights in float64, exact for every total below 2**53
     return np.bincount(masks, weights=counts, minlength=1 << m).astype(np.int64)
+
+
+def faces_of(weights: np.ndarray, m: int) -> np.ndarray:
+    """Read-only face flags: every nonempty region at or below a nonzero entry."""
+    faces = superset_or(weights > 0, m)
+    faces[0] = False
+    faces.flags.writeable = False
+    return faces
+
+
+def consistent_regions(weights: np.ndarray, m: int, faces: np.ndarray | None = None) -> np.ndarray:
+    """Per region of a weight vector: is it a face of the consistent core?
+
+    A bad tail is a face (of ``faces``, if given) outweighed by a nonempty facet, an
+    inconsistent covering edge; the core is every face with no bad tail below it.
+    """
+    if faces is None:
+        faces = faces_of(weights, m)
+    bad = faces & (heaviest_facet(weights, m) > weights)
+    bad[1 << np.arange(m)] = False  # a program's only facet, the empty set, is no face
+    return faces & ~subset_sum(bad, m)
+
+
+def inconsistent_accept_sets(masks: np.ndarray, counts: np.ndarray | None,
+                             sigma: int) -> np.ndarray:
+    """Per accept-set (held by ``counts`` inputs each, one if None): is it inconsistent
+    in the relation restricted to the programs in ``sigma``?"""
+    restricted = np.zeros_like(masks)  # bit t of a restricted mask is sigma's t-th program
+    for t, j in enumerate(bits(sigma)):
+        restricted |= (masks >> j & 1) << t
+    width = bin(sigma).count("1")
+    core = consistent_regions(region_weights(restricted, width, counts), width)
+    return (restricted != 0) & ~core[restricted]
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,13 @@ from .diagram import (
     WeightedDiagram,
     build_diagram,
     deficiency,
+    inconsistent_accept_sets,
     is_consistent,
     project_diagram,
     region_sizes,
     region_weights,
     subset_sum,
 )
-from .dowker import inconsistent_accept_sets
 from .errors import EmptyScreenError, InconsistentDiagramError, ValidationError
 from .relation import Relation, column_masks, mask_from_names, restrict_programs
 from .util import bits, canonical_dumps, csv_text

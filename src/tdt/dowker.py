@@ -14,15 +14,14 @@ from functools import cached_property
 
 from ._numpy import np
 from .diagram import (
-    _halves,
     any_cover,
     build_diagram,
-    heaviest_facet,
+    consistent_regions,
+    faces_of,
+    halves,
+    inconsistent_accept_sets,
     region_sizes,
-    region_weights,
     subset_labels,
-    subset_sum,
-    superset_or,
 )
 from .errors import CapacityError, ValidationError
 from .relation import MAX_PROGRAMS, Relation, column_masks
@@ -102,13 +101,6 @@ class DowkerGraph:
     consistent: np.ndarray
 
 
-def faces_of(weights: np.ndarray, m: int) -> np.ndarray:
-    """Read-only face flags: every nonempty region at or below a nonzero entry."""
-    faces = superset_or(weights > 0, m)
-    faces[0] = False
-    return _frozen(faces)
-
-
 def build_complex(rel: Relation) -> DowkerComplex:
     """Faces = program subsets that jointly accept at least one input."""
     weights = build_diagram(rel).weights
@@ -141,19 +133,6 @@ def build_graph(cpx: DowkerComplex) -> DowkerGraph:
     )
 
 
-def consistent_regions(weights: np.ndarray, m: int, faces: np.ndarray | None = None) -> np.ndarray:
-    """Per region of a weight vector: is it a face of the consistent core?
-
-    A bad tail is a face (of ``faces``, if given) outweighed by a nonempty facet, an
-    inconsistent covering edge; the core is every face with no bad tail below it.
-    """
-    if faces is None:
-        faces = faces_of(weights, m)
-    bad = faces & (heaviest_facet(weights, m) > weights)
-    bad[1 << np.arange(m)] = False  # a program's only facet, the empty set, is no face
-    return faces & ~subset_sum(bad, m)
-
-
 def consistent_core(graph: DowkerGraph) -> frozenset[int]:
     """Faces whose entire sub-face lattice contains no inconsistent covering edge.
 
@@ -164,38 +143,24 @@ def consistent_core(graph: DowkerGraph) -> frozenset[int]:
     return frozenset(np.flatnonzero(consistent_regions(graph.weights, graph.width)).tolist())
 
 
-def complex_counts(weights: np.ndarray, m: int,
-                   faces: np.ndarray | None = None) -> tuple[int, int, np.ndarray, bool]:
-    """Faces and inconsistent covering edges of the complex of a weight vector, counted on
-    the vectors, its ``consistent_regions`` core (``faces`` as there), and whether the diagram
-    is consistent: the edges' comparison run over every region, the empty facet included."""
-    if faces is None:
-        faces = faces_of(weights, m)
+def complex_counts(cpx: DowkerComplex) -> tuple[int, int, np.ndarray, bool]:
+    """Faces and inconsistent covering edges of a complex, counted on its vectors, its
+    ``consistent_regions`` core, and whether its diagram is consistent: the edges'
+    comparison run over every region, the empty facet included."""
+    faces, weights, m = cpx.face_flags, cpx.weights, cpx.width
     red, consistent = 0, True
     for j in range(m):
-        (head_faces, tail_faces), (heads, tails) = _halves(faces, j), _halves(weights, j)
+        (head_faces, tail_faces), (heads, tails) = halves(faces, j), halves(weights, j)
         deficient = heads > tails
         consistent = consistent and not deficient.any()
         red += int(np.count_nonzero(head_faces & tail_faces & deficient))
     return int(np.count_nonzero(faces)), red, consistent_regions(weights, m, faces), consistent
 
 
-def inconsistent_accept_sets(masks: np.ndarray, counts: np.ndarray, sigma: int) -> np.ndarray:
-    """Per distinct accept-set (held by ``counts`` inputs each): is it inconsistent
-    in the relation restricted to the programs in ``sigma``?"""
-    restricted = np.zeros_like(masks)  # bit t of a restricted mask is sigma's t-th program
-    for t, j in enumerate(bits(sigma)):
-        restricted |= (masks >> j & 1) << t
-    width = bin(sigma).count("1")
-    core = consistent_regions(region_weights(restricted, width, counts), width)
-    return (restricted != 0) & ~core[restricted]
-
-
 def inconsistent_inputs(rel: Relation) -> set[int]:
     """Inputs whose nonempty accept-set lies outside the consistent core."""
-    masks = column_masks(rel)
-    core = consistent_regions(region_weights(masks, rel.m), rel.m)
-    return set(np.flatnonzero((masks != 0) & ~core[masks]).tolist())
+    outside = inconsistent_accept_sets(column_masks(rel), None, (1 << rel.m) - 1)
+    return set(np.flatnonzero(outside).tolist())
 
 
 def connected_components(cpx: DowkerComplex) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -237,7 +202,7 @@ def betti_numbers(cpx: DowkerComplex, max_dim: int) -> tuple[int, ...]:
     cells = np.concatenate(([True], cpx.face_flags[1:]))
     partner = np.full(cells.shape, -1, dtype=np.int8)  # j where cell X is matched to X | 1<<j
     for j in range(cpx.width):
-        (without, with_j), (matched_up, _) = _halves(cells, j), _halves(partner, j)
+        (without, with_j), (matched_up, _) = halves(cells, j), halves(partner, j)
         matched = without & with_j
         matched_up[matched] = j
         without[...], with_j[...] = without ^ matched, with_j ^ matched

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 from ._numpy import np
-from .diagram import region_sizes
-from .dowker import inconsistent_accept_sets
+from .diagram import inconsistent_accept_sets, region_sizes
 from .errors import ValidationError
 from .relation import FeatureRelation, Relation, column_masks, validate_mask
 from .util import canonical_dumps

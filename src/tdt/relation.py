@@ -278,7 +278,7 @@ def relation_csv(rel: Relation) -> str:
     return relation_csv_text(rel.programs, rel.inputs, _01_rows(rel.accepts))
 
 
-def _read_01_csv(path, check_columns, cell_error) -> tuple[list[str], list[str], np.ndarray]:
+def read_01_csv(path, check_columns, cell_error) -> tuple[list[str], list[str], np.ndarray]:
     """The column names after ``input`` in a 0/1 CSV file's header, its input
     ids, and the (rows x columns) bool matrix of its body.
 
@@ -302,7 +302,7 @@ _NEWLINE, _COMMA, _ZERO, _ONE = (ord(c) for c in "\n,01")
 
 
 def _bulk_01_csv(text: str) -> tuple[list[str], list[str], np.ndarray] | None:
-    """:func:`_read_01_csv`'s result for a well-formed file whose records are
+    """:func:`read_01_csv`'s result for a well-formed file whose records are
     plain lines of unquoted fields, read in whole-file passes; None for any
     other file, which the csv module reads record by record.
 
@@ -378,7 +378,7 @@ def _line_of(text: str, record: int) -> int:
 def _read_01_rows(path, text: str, records, columns: list[str],
                   cell_error) -> tuple[list[str], np.ndarray]:
     """Input ids and the (rows x columns) bool matrix of a 0/1 CSV body, from
-    the csv module's records, for :func:`_read_01_csv`."""
+    the csv module's records, for :func:`read_01_csv`."""
     width = len(columns) + 1
     lengths = np.fromiter(map(len, records), np.int64, len(records))
     (wrong,) = np.nonzero((lengths != width) & (lengths != 0))
@@ -403,7 +403,7 @@ def _load_csv(path) -> Relation:
         if not programs:
             raise FormatError(f"{path}: line 1: no program columns")
 
-    programs, inputs, matrix = _read_01_csv(
+    programs, inputs, matrix = read_01_csv(
         path, check_columns,
         lambda field, cell: f"column {field!r} is {cell!r}, expected 0 or 1",
     )
@@ -422,7 +422,7 @@ def relation_pgm(rel: Relation) -> str:
 
 def load_feature_relation(path) -> FeatureRelation:
     """CSV with header ``input,<feat...>`` and 0/1 cells."""
-    features, inputs, matrix = _read_01_csv(
+    features, inputs, matrix = read_01_csv(
         path, lambda features: None, lambda _, cell: f"cell {cell!r}, expected 0 or 1"
     )
     return FeatureRelation(inputs=tuple(inputs), features=tuple(features), has_feature=matrix)

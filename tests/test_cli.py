@@ -186,7 +186,6 @@ def test_analyze_builds_one_weight_vector_and_one_core(tmp_path, toy_json, capsy
 
     weights = counting("region_weights", tdt.diagram.region_weights)
     monkeypatch.setattr(tdt.diagram, "region_weights", weights)
-    monkeypatch.setattr(tdt.dowker, "region_weights", weights)
     monkeypatch.setattr(tdt.dowker, "consistent_regions",
                         counting("consistent_regions", tdt.dowker.consistent_regions))
     inconsistent = tmp_path / "inc.json"
@@ -217,9 +216,8 @@ def test_analyze_lists_faces_from_one_weight_vector_and_one_face_pass(tmp_path, 
 
     weights = counting("region_weights", tdt.diagram.region_weights)
     monkeypatch.setattr(tdt.diagram, "region_weights", weights)
-    monkeypatch.setattr(tdt.dowker, "region_weights", weights)
-    monkeypatch.setattr(tdt.dowker, "superset_or",
-                        counting("superset_or", tdt.dowker.superset_or))
+    monkeypatch.setattr(tdt.diagram, "superset_or",
+                        counting("superset_or", tdt.diagram.superset_or))
     dot = tmp_path / "g.dot"
     assert main(["analyze", str(toy_json), "--dot", str(dot), "--betti", "2"]) == 0
     assert sorted(calls) == ["region_weights", "superset_or"]
@@ -482,6 +480,16 @@ def test_classify_truth_without_out_prints_only_plain_lines(tmp_path, trio_relat
     assert set(json.loads(out.read_text())) == {"counts", "f1", "flagged", "precision", "recall"}
 
 
+def test_classify_vote_out_without_truth_writes_the_flagged_ids(tmp_path, capsys):
+    out = tmp_path / "flagged.json"
+    assert main(["classify", str(DATA / "relation_3x14.golden.json"), "--vote", "2",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "flagged 8 / 14 inputs as non-compliant\n"
+    assert out.read_text() == (
+        '[\n  "f01",\n  "f02",\n  "f03",\n  "f06",\n  "f07",\n  "f08",\n  "f11",\n  "f14"\n]\n'
+    )
+
+
 def test_classify_bad_truth_fails_before_printing(tmp_path, trio_json, capsys):
     code = main(["classify", str(trio_json), "--vote", "1",
                  "--truth", str(tmp_path / "missing.csv")])
@@ -501,6 +509,14 @@ def test_export_pgm(tmp_path, trio_json):
 def test_missing_relation_file(tmp_path, capsys):
     code = main(["analyze", str(tmp_path / "absent.json")])
     assert code == 2
+
+
+def test_an_output_path_that_is_a_directory_exits_one(tmp_path, capsys):
+    # an OSError other than a missing file is a runtime failure, reported in one line
+    code = main(["analyze", str(DATA / "relation_3x14.golden.json"),
+                 "--inconsistent", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
 
 
 def test_outputs_are_idempotent(tmp_path, toy_json):

@@ -85,7 +85,7 @@ def test_dowker_layer_matches_oracles(m):
         assert graph_dot(graph) == oracles.graph_dot(list(rel.programs), faces, face_weights)
         assert diagram_report(rel) == oracles.diagram_report(list(rel.programs), weights)
         red = int(np.count_nonzero(~graph.consistent))
-        face_count, red_count, core, _ = complex_counts(cpx.weights, m)
+        face_count, red_count, core, _ = complex_counts(cpx)
         assert (face_count, red_count) == (len(graph.faces), red)
         assert set(np.flatnonzero(core).tolist()) == consistent_core(graph)
 
@@ -105,7 +105,7 @@ def test_complex_counts_match_oracles(m):
         faces = oracles.faces_of(rows)
         edges = oracles.covering_edges(faces, {face: weights[face] for face in faces})
         diag = build_diagram(rel)
-        face_count, red_count, core, consistent = complex_counts(diag.weights, m)
+        face_count, red_count, core, consistent = complex_counts(build_complex(rel))
         assert (face_count, red_count) == (len(faces), list(edges.values()).count(False))
         assert set(np.flatnonzero(core).tolist()) == oracles.core_faces(rows)
         assert type(consistent) is bool

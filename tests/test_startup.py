@@ -132,7 +132,35 @@ def test_classify_vote_loads_no_scoring_modules(launcher):
 def test_score_loads_neither_harness_nor_features_nor_classify(launcher):
     imported = _imported(["score", str(RELATION)], launcher)
     assert {"numpy", "tdt.distill"} <= imported
-    assert not imported & {"tdt.harness", "subprocess", "tdt.features", "tdt.classify"}
+    assert not imported & {"tdt.harness", "subprocess", "tdt.features", "tdt.classify",
+                           "tdt.dowker"}
+
+
+CORE_READERS = {"distill": "tdt.distill", "select": "tdt.distill", "features": "tdt.features"}
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+@pytest.mark.parametrize("command", CORE_READERS)
+def test_core_readers_load_no_dowker_layer(command, launcher, tmp_path):
+    # they read the consistent core off a weight vector; only analyze lists a complex
+    out, distilled = tmp_path / "out", tmp_path / "distilled.json"
+    features = tmp_path / "features.csv"
+    features.write_text("input,q\n" + "".join(f"f{k:02d},{k % 2}\n" for k in range(1, 15)))
+    if command == "select":  # select needs a consistent diagram
+        proc = _run(["-m", "tdt.cli", "distill", str(RELATION), "--out", str(distilled)])
+        assert proc.returncode == 0, proc.stderr
+    argv = {"distill": ["distill", str(RELATION)],
+            "select": ["select", str(distilled), "--threshold", "1"],
+            "features": ["features", str(RELATION), "--features", str(features)]}[command]
+    imported = _imported([*argv, "--out", str(out)], launcher)
+    assert out.exists()
+    assert {"numpy", "tdt.diagram", CORE_READERS[command]} <= imported
+    assert "tdt.dowker" not in imported
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_analyze_loads_the_dowker_layer(launcher):
+    assert {"numpy", "tdt.diagram", "tdt.dowker"} <= _imported(["analyze", str(RELATION)], launcher)
 
 
 # What ``tdt`` exported when its __init__ imported every module eagerly.
