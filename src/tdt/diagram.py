@@ -142,14 +142,13 @@ def faces_of(weights: np.ndarray, m: int) -> np.ndarray:
     return faces
 
 
-def consistent_regions(weights: np.ndarray, m: int, faces: np.ndarray | None = None) -> np.ndarray:
+def consistent_regions(weights: np.ndarray, m: int) -> np.ndarray:
     """Per region of a weight vector: is it a face of the consistent core?
 
-    A bad tail is a face (of ``faces``, if given) outweighed by a nonempty facet, an
-    inconsistent covering edge; the core is every face with no bad tail below it.
+    A bad tail is a face outweighed by a nonempty facet, an inconsistent covering
+    edge; the core is every face with no bad tail below it.
     """
-    if faces is None:
-        faces = faces_of(weights, m)
+    faces = faces_of(weights, m)
     bad = faces & (heaviest_facet(weights, m) > weights)
     bad[1 << np.arange(m)] = False  # a program's only facet, the empty set, is no face
     return faces & ~subset_sum(bad, m)

@@ -89,7 +89,7 @@ def singleton_screen(rel: Relation) -> tuple[Relation, tuple[ScreenRemoval, ...]
         else:
             removed.append(ScreenRemoval(program=name, accepted=accepted, rejected=rejected))
     if keep == 0:
-        detail = ", ".join(f"{r.program}: {r.accepted}/{rel.n} accepted" for r in removed)
+        detail = ", ".join(f"{r.program!r}: {r.accepted}/{rel.n} accepted" for r in removed)
         raise EmptyScreenError(f"every program rejects a majority of the corpus ({detail})")
     return restrict_programs(rel, keep), tuple(removed)
 

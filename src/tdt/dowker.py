@@ -22,6 +22,7 @@ from .diagram import (
     inconsistent_accept_sets,
     region_sizes,
     subset_labels,
+    subset_sum,
 )
 from .errors import CapacityError, ValidationError
 from .relation import MAX_PROGRAMS, Relation, column_masks
@@ -145,16 +146,19 @@ def consistent_core(graph: DowkerGraph) -> frozenset[int]:
 
 def complex_counts(cpx: DowkerComplex) -> tuple[int, int, np.ndarray, bool]:
     """Faces and inconsistent covering edges of a complex, counted on its vectors, its
-    ``consistent_regions`` core, and whether its diagram is consistent: the edges'
-    comparison run over every region, the empty facet included."""
+    consistent core (faces with no red edge's tail at or below), and whether its diagram
+    is consistent: the edges' comparison run over every region, the empty facet included."""
     faces, weights, m = cpx.face_flags, cpx.weights, cpx.width
-    red, consistent = 0, True
+    red, consistent, bad = 0, True, np.zeros_like(faces)
     for j in range(m):
         (head_faces, tail_faces), (heads, tails) = halves(faces, j), halves(weights, j)
+        _, bad_tails = halves(bad, j)
         deficient = heads > tails
         consistent = consistent and not deficient.any()
-        red += int(np.count_nonzero(head_faces & tail_faces & deficient))
-    return int(np.count_nonzero(faces)), red, consistent_regions(weights, m, faces), consistent
+        red_tails = head_faces & tail_faces & deficient
+        red += int(np.count_nonzero(red_tails))
+        bad_tails |= red_tails
+    return int(np.count_nonzero(faces)), red, faces & ~subset_sum(bad, m), consistent
 
 
 def inconsistent_inputs(rel: Relation) -> set[int]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable
 
 from ._numpy import np
@@ -293,9 +292,34 @@ def read_01_csv(path, check_columns, cell_error) -> tuple[list[str], list[str], 
     if bulk is not None:
         check_columns(bulk[0])
         return bulk
-    columns, records = _read_csv(path, text)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:  # each record with the line it ends on, as the csv module counts lines
+        records = [(record, reader.line_num) for record in reader]
+    except csv.Error as exc:
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not records:
+        raise FormatError(f"{path}: empty file")
+    header = records[0][0]
+    if not header or header[0] != "input":
+        raise FormatError(f"{path}: line 1: header must start with 'input'")
+    columns = header[1:]
     check_columns(columns)
-    return (columns, *_read_01_rows(path, text, records, columns, cell_error))
+    inputs, rows = [], []
+    for record, line in records[1:]:
+        if not record:
+            continue
+        if len(record) != len(header):
+            raise FormatError(
+                f"{path}: line {line}: expected {len(header)} cells, got {len(record)}"
+            )
+        cells = record[1:]
+        if not {"0", "1"}.issuperset(cells):
+            c = next(c for c, cell in enumerate(cells) if cell not in ("0", "1"))
+            raise FormatError(f"{path}: line {line}: {cell_error(columns[c], cells[c])}")
+        inputs.append(record[0])
+        rows.append("".join(cells))
+    codes = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+    return columns, inputs, codes.reshape(len(rows), len(columns)) == _ONE
 
 
 _NEWLINE, _COMMA, _ZERO, _ONE = (ord(c) for c in "\n,01")
@@ -306,12 +330,14 @@ def _bulk_01_csv(text: str) -> tuple[list[str], list[str], np.ndarray] | None:
     plain lines of unquoted fields, read in whole-file passes; None for any
     other file, which the csv module reads record by record.
 
-    Without a double quote, carriage return or NUL, and with every line under
-    the csv module's field limit, the csv module splits each line at its commas
-    and nothing else, so each nonblank line must be an id and ``,0`` or ``,1``
-    per column.  Cells and commas are ASCII, so the UTF-8 bytes of the text
-    locate them.
+    With ``\\r\\n`` line ends read as ``\\n``, and without a double quote, other
+    carriage return or NUL, and with every line under the csv module's field
+    limit, the csv module splits each line at its commas and nothing else, so
+    each nonblank line must be an id and ``,0`` or ``,1`` per column.  Cells
+    and commas are ASCII, so the UTF-8 bytes of the text locate them.
     """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
     if '"' in text or "\r" in text or "\0" in text:
         return None
     head, _, body = text.partition("\n")
@@ -346,56 +372,6 @@ def _bulk_01_csv(text: str) -> tuple[list[str], list[str], np.ndarray] | None:
         keep[comma] = keep[cell] = False
     inputs = data[keep].tobytes().decode("utf-8").split("\n")[:-1]
     return columns, inputs, ones
-
-
-def _read_csv(path, text: str) -> tuple[list[str], list[list[str]]]:
-    """The column names after ``input`` in a CSV text's header, and the records
-    after it, read by the csv module.
-
-    A record the csv module cannot parse is a FormatError naming its line.
-    """
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        records = list(reader)
-    except csv.Error as exc:
-        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not records:
-        raise FormatError(f"{path}: empty file")
-    if not records[0] or records[0][0] != "input":
-        raise FormatError(f"{path}: line 1: header must start with 'input'")
-    return records[0][1:], records[1:]
-
-
-def _line_of(text: str, record: int) -> int:
-    """The physical line on which body record ``record`` of a CSV text ends,
-    as the csv module counts lines (a quoted field may span several)."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    for _ in range(record + 2):  # the header, then records 0..record
-        next(reader)
-    return reader.line_num
-
-
-def _read_01_rows(path, text: str, records, columns: list[str],
-                  cell_error) -> tuple[list[str], np.ndarray]:
-    """Input ids and the (rows x columns) bool matrix of a 0/1 CSV body, from
-    the csv module's records, for :func:`read_01_csv`."""
-    width = len(columns) + 1
-    lengths = np.fromiter(map(len, records), np.int64, len(records))
-    (wrong,) = np.nonzero((lengths != width) & (lengths != 0))
-    end = int(wrong[0]) if wrong.size else len(records)
-    # one flat pass over the nonblank records: numpy is slower to find the shape of nested lists
-    table = np.fromiter(chain.from_iterable(filter(None, records[:end])), object).reshape(-1, width)
-    cells = table[:, 1:]
-    ones = cells == "1"
-    bad = ~ones & (cells != "0")
-    if bad.any():
-        r, c = divmod(int(np.argmax(bad)), len(columns))
-        line = _line_of(text, int(np.flatnonzero(lengths)[r]))
-        raise FormatError(f"{path}: line {line}: {cell_error(columns[c], cells[r, c])}")
-    if wrong.size:
-        line = _line_of(text, end)
-        raise FormatError(f"{path}: line {line}: expected {width} cells, got {lengths[end]}")
-    return table[:, 0].tolist(), ones
 
 
 def _load_csv(path) -> Relation:

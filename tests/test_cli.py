@@ -174,7 +174,6 @@ def test_analyze_all_ones(tmp_path, capsys):
 
 def test_analyze_builds_one_weight_vector_and_one_core(tmp_path, toy_json, capsys, monkeypatch):
     import tdt.diagram
-    import tdt.dowker
 
     calls = []
 
@@ -186,11 +185,12 @@ def test_analyze_builds_one_weight_vector_and_one_core(tmp_path, toy_json, capsy
 
     weights = counting("region_weights", tdt.diagram.region_weights)
     monkeypatch.setattr(tdt.diagram, "region_weights", weights)
-    monkeypatch.setattr(tdt.dowker, "consistent_regions",
-                        counting("consistent_regions", tdt.dowker.consistent_regions))
+    # the core comes from the red-edge pass, not a second comparison of covering pairs
+    monkeypatch.setattr(tdt.diagram, "heaviest_facet",
+                        counting("heaviest_facet", tdt.diagram.heaviest_facet))
     inconsistent = tmp_path / "inc.json"
     assert main(["analyze", str(toy_json), "--inconsistent", str(inconsistent)]) == 0
-    assert sorted(calls) == ["consistent_regions", "region_weights"]
+    assert calls == ["region_weights"]
     assert capsys.readouterr().out == (
         "4 programs, 20 inputs: 10 faces, 3 inconsistent edges, "
         "7 faces in the consistent core, 6 inconsistent inputs\n"

@@ -9,7 +9,7 @@ import pytest
 from tdt.classify import GroundTruth, evaluate
 from tdt.diagram import WeightedDiagram
 from tdt.distill import select_inputs, singleton_screen
-from tdt.errors import ConfigurationError, FormatError, ValidationError
+from tdt.errors import ConfigurationError, EmptyScreenError, FormatError, ValidationError
 from tdt.features import attribute_features, relation_product
 from tdt.harness import ParserSpec, RunConfig, _resolve_commands, load_results_jsonl, \
     load_run_config, run_corpus
@@ -66,6 +66,10 @@ CASES = [
      ValidationError, "region weights must be non-negative"),
     ("screen-empty", lambda tmp: singleton_screen(restrict_inputs(REL, [])),
      ValidationError, "singleton screen needs a non-empty corpus"),
+    ("screen-all-removed",  # names as reprs, so the message stays one line
+     lambda tmp: singleton_screen(Relation(("a\nb", "C"), ("f",), np.zeros((2, 1), bool))),
+     EmptyScreenError,
+     "every program rejects a majority of the corpus ('a\\nb': 0/1 accepted, 'C': 0/1 accepted)"),
     ("select-threshold", lambda tmp: select_inputs(REL, -1),
      ValidationError, "threshold must be >= 0"),
     ("product-subset", lambda tmp: relation_product(REL, FEATS, 0),

@@ -1,0 +1,109 @@
+"""Hypothesis fuzzing of the relation file boundary: the JSON loader gives a
+relation or a ``TdtError`` for any JSON value, and ``cli.main`` answers any
+relation file with exit 0, or with exit 2 and one ``error:`` line, never a
+traceback."""
+
+import contextlib
+import io
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tdt.cli import main
+from tdt.errors import TdtError
+from tdt.relation import load_relation
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=4)),
+    max_leaves=12,
+)
+
+# names with the characters a CSV writer must quote
+NAMES = st.text(st.sampled_from('abé,"\n'), max_size=2)
+
+
+@st.composite
+def relation_payloads(draw):
+    """Any JSON value, or mostly a relation file with up to two of its fields
+    replaced by any JSON value, left out, or given a changed or an extra entry."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(JSON_VALUES)
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    payload = {
+        "programs": draw(st.lists(NAMES, min_size=m, max_size=m, unique=True)),
+        "inputs": draw(st.lists(NAMES, min_size=n, max_size=n, unique=True)),
+        "rows": draw(st.lists(st.text(st.sampled_from("01"), min_size=n, max_size=n),
+                              min_size=m, max_size=m)),
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(payload)), max_size=2)):
+        edit = draw(st.sampled_from(["replace", "remove", "entry", "extra"]))
+        if edit == "replace":
+            payload[key] = draw(JSON_VALUES)
+        elif edit == "remove":
+            del payload[key]
+        elif edit == "entry" and payload[key]:
+            payload[key][draw(st.integers(0, len(payload[key]) - 1))] = draw(JSON_VALUES)
+        else:
+            payload[key].append(draw(JSON_VALUES | NAMES | st.sampled_from(["01", "0x"])))
+    return payload
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(relation_payloads())
+def test_relation_json_loader_loads_or_raises_tdt_error(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("rel") / "rel.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    try:
+        rel = load_relation(path)
+    except TdtError:
+        return
+    assert (rel.programs, rel.inputs) == (tuple(payload["programs"]), tuple(payload["inputs"]))
+    rows = ["".join("1" if cell else "0" for cell in row) for row in rel.accepts.tolist()]
+    assert rows == payload["rows"]
+
+
+# pieces of a relation CSV: its header, cells, the csv module's special characters
+CSV_PIECES = ("input", "input,a", ",", "0", "1", "a", "\n", "\r\n", '"', "\r", "\0", "é")
+
+RELATION_FILES = st.one_of(
+    st.tuples(st.just("rel.json"), relation_payloads().map(json.dumps).map(str.encode)),
+    st.tuples(st.just("rel.csv"),
+              st.tuples(st.sampled_from(["", "input,a\n", "input,a,b\r\n"]),
+                        st.lists(st.sampled_from(CSV_PIECES), max_size=24).map("".join))
+              .map("".join).map(str.encode)),
+    st.tuples(st.sampled_from(["rel.json", "rel.csv"]), st.binary(max_size=40)),
+)
+
+# seven subcommands that read only the relation, with the outputs they write
+COMMANDS = (
+    ("analyze", "--betti", "2", "--inconsistent", "{out}.json"),
+    ("distill", "--out", "{out}.json", "--trace", "{out}.trace.json"),
+    ("score", "--scores", "{out}.csv"),
+    ("select", "--threshold", "1", "--out", "{out}.csv"),
+    ("sheaf", "--sigma", "a", "--display"),
+    ("classify", "--vote", "1"),
+    ("export-pgm", "--out", "{out}.pgm"),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(RELATION_FILES, st.sampled_from(COMMANDS))
+def test_cli_answers_any_relation_file_with_exit_0_or_one_error_line(
+        tmp_path_factory, relation_file, command):
+    name, data = relation_file
+    tmp = tmp_path_factory.mktemp("cli")
+    path = tmp / name
+    path.write_bytes(data)
+    argv = [command[0], str(path), *(arg.format(out=tmp / "out") for arg in command[1:])]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert out.getvalue() == ""

@@ -468,6 +468,37 @@ def test_csv_loaders_match_oracle_on_generated_text(tmp_path_factory, case):
     path.write_bytes(text.encode("utf-8"))
     _check_against_oracle(path, kind)
 
+
+def test_csv_loaders_read_crlf_files_in_bulk(tmp_path, toy_relation, toy_features, monkeypatch):
+    """A file with CRLF line ends, as csv.writer and Windows tools write them,
+    blank lines included, loads without the csv module's reader, as its LF copy does."""
+    import csv
+
+    from tdt.classify import load_ground_truth
+    from tdt.relation import relation_csv
+
+    truth = "input,compliant\n" + "".join(f"{name},{k % 2}\n"
+                                          for k, name in enumerate(toy_relation.inputs))
+    cases = (
+        (load_relation, relation_csv(toy_relation)),
+        (load_feature_relation, feature_relation_csv(toy_features)),
+        (lambda path: load_ground_truth(path, toy_relation), truth),
+    )
+
+    def no_reader(*args, **kwargs):
+        raise AssertionError("a plain CRLF file went to csv.reader")
+
+    for load, text in cases:
+        text = text.replace("\n", "\n\n", 2)[:-1]  # blank lines, and no final newline
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        expected = load(lf)
+        with monkeypatch.context() as patch:
+            patch.setattr(csv, "reader", no_reader)
+            assert load(crlf) == expected
+
+
 def test_csv_writers_quote_awkward_ids(tmp_path):
     import csv
     import io
