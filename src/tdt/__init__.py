@@ -18,22 +18,21 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "classify": "ClassifierReport GroundTruth evaluate load_ground_truth score_rule_classifier "
                 "vote_classifier",
-    "diagram": "WeightedDiagram build_diagram deficient_regions is_consistent "
-               "pair_inconsistent_inputs project_diagram",
+    "diagram": "WeightedDiagram build_diagram deficient_regions is_consistent project_diagram",
     "distill": "DistillTrace ScoreVector distill inconsistency_scores select_inputs "
                "singleton_screen",
     "dowker": "DowkerComplex DowkerGraph betti_numbers build_complex build_graph "
-              "connected_components consistent_core dual_complex graph_dot inconsistent_inputs",
+              "consistent_core graph_dot inconsistent_inputs",
     "errors": "CapacityError ConfigurationError EmptyScreenError FormatError "
-              "InconsistentDiagramError StatisticUndefinedError TdtError ValidationError",
-    "features": "FeatureAttribution attribute_features greedy_feature_pruning relation_product "
+              "InconsistentDiagramError TdtError ValidationError",
+    "features": "FeatureAttribution attribute_features greedy_feature_pruning "
                 "variation_of_information",
     "harness": "KeywordTable RunConfig RunResult accept_rows keyword_table load_run_config "
-               "run_corpus run_relation",
-    "relation": "FeatureRelation MAX_PROGRAMS Relation acceptance_rates column_masks "
-                "conditional_acceptance load_feature_relation load_relation mask_from_names "
-                "names_from_mask restrict_inputs restrict_programs save_relation",
-    "sheaf": "SheafAssignment build_assignment consistency_at display_vector",
+               "run_corpus",
+    "relation": "FeatureRelation MAX_PROGRAMS Relation column_masks load_feature_relation "
+                "load_relation mask_from_names names_from_mask restrict_inputs restrict_programs "
+                "save_relation",
+    "sheaf": "display_vector",
     "util": "",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

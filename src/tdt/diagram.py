@@ -20,7 +20,7 @@ from typing import Sequence
 
 from ._numpy import np
 from .errors import ValidationError
-from .relation import Relation, column_masks, validate_mask
+from .relation import Relation, column_masks
 from .util import bits, canonical_dumps
 
 
@@ -80,16 +80,6 @@ def subset_sum(vector: np.ndarray, m: int) -> np.ndarray:
     for j in range(m):
         lower, upper = halves(out, j)
         upper += lower
-    return out
-
-
-def any_cover(flags: np.ndarray, m: int) -> np.ndarray:
-    """Per region: is the flag set on some region with one more program?"""
-    out = np.zeros_like(flags)
-    for j in range(m):
-        lower, _ = halves(out, j)
-        _, upper = halves(flags, j)
-        lower |= upper
     return out
 
 
@@ -204,23 +194,6 @@ def project_diagram(diag: WeightedDiagram, sigma: int) -> WeightedDiagram:
     dropped = tuple(diag.m - 1 - j for j in range(diag.m) if not sigma >> j & 1)
     weights = diag.weights.reshape((2,) * diag.m).sum(axis=dropped)
     return WeightedDiagram(m=diag.m - len(dropped), weights=weights.ravel())
-
-
-def pair_inconsistent_inputs(rel: Relation, sigma: int, tau: int) -> set[int]:
-    """Inputs blamed for the inconsistency of a nested pair sigma <= tau.
-
-    Empty unless weight(sigma) > weight(tau); otherwise the inputs accepted by
-    every program in sigma but rejected by at least one program in tau - sigma.
-    """
-    validate_mask(rel, sigma)
-    validate_mask(rel, tau)
-    if sigma & ~tau:
-        raise ValidationError("sigma must be a subset of tau")
-    masks = column_masks(rel)
-    if (masks == sigma).sum() <= (masks == tau).sum():  # weight(sigma) <= weight(tau)
-        return set()
-    extra = tau & ~sigma
-    return set(np.flatnonzero((masks & sigma == sigma) & (masks & extra != extra)).tolist())
 
 
 def diagram_report(rel: Relation) -> str:

@@ -1,5 +1,5 @@
 """Dowker complexes and graphs: joint-acceptance faces, edge consistency, the
-consistent core, components, and GF(2) homology.
+consistent core, and GF(2) homology.
 
 A program subset is a face of the complex when at least one input is accepted
 by every program in the subset, so faces are downward closed by construction.
@@ -10,11 +10,9 @@ is inconsistent when the subset outweighs the superset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from ._numpy import np
 from .diagram import (
-    any_cover,
     build_diagram,
     consistent_regions,
     faces_of,
@@ -36,51 +34,20 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _check_budget(face_flags: np.ndarray) -> None:
-    if np.count_nonzero(face_flags) > FACE_BUDGET:
-        raise CapacityError(f"complex exceeds the {FACE_BUDGET}-face budget")
-
-
 @dataclass(frozen=True, eq=False)
 class DowkerComplex:
     """Abstract simplicial complex over bit positions 0..width-1.
 
     ``face_flags`` marks every face (a nonempty mask) in a read-only bool
     vector over all 2^width masks, closed under taking subsets. ``weights``
-    holds the exact region weight of every mask (int64, 2^width entries, all
-    zero for a dual complex); a face that only arises by downward closure has
-    weight 0.
+    holds the exact region weight of every mask (int64, 2^width entries); a
+    face that only arises by downward closure has weight 0.
     """
 
     width: int
     labels: tuple[str, ...]
     face_flags: np.ndarray
     weights: np.ndarray
-
-    @cached_property
-    def facets(self) -> frozenset[int]:
-        """The maximal faces: those with no face one program larger."""
-        maximal = self.face_flags & ~any_cover(self.face_flags, self.width)
-        return frozenset(np.flatnonzero(maximal).tolist())
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.width) if self.face_flags[1 << j])
-
-    def weight(self, mask: int) -> int:
-        return int(self.weights[mask]) if self.has_face(mask) else 0
-
-    def faces(self) -> frozenset[int]:
-        """All faces, materialized."""
-        _check_budget(self.face_flags)
-        return frozenset(np.flatnonzero(self.face_flags).tolist())
-
-    def has_face(self, mask: int) -> bool:
-        return 0 < mask < 1 << self.width and bool(self.face_flags[mask])
-
-    def faces_of_dim(self, dim: int) -> list[int]:
-        """Faces with dim+1 vertices, ascending mask order."""
-        return np.flatnonzero(self.face_flags & (region_sizes(self.width) == dim + 1)).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +77,8 @@ def build_complex(rel: Relation) -> DowkerComplex:
 
 def build_graph(cpx: DowkerComplex) -> DowkerGraph:
     """Covering edges between faces; an edge is inconsistent iff the subset is heavier."""
-    _check_budget(cpx.face_flags)  # the graph lists every face
+    if np.count_nonzero(cpx.face_flags) > FACE_BUDGET:  # the graph lists every face
+        raise CapacityError(f"complex exceeds the {FACE_BUDGET}-face budget")
     sizes = region_sizes(cpx.width)
     faces = np.flatnonzero(cpx.face_flags)
     faces = faces[np.argsort(sizes[faces], kind="stable")]
@@ -167,17 +135,6 @@ def inconsistent_inputs(rel: Relation) -> set[int]:
     return set(np.flatnonzero(outside).tolist())
 
 
-def connected_components(cpx: DowkerComplex) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Components of the 1-skeleton: (count, vertex partition ordered by least member)."""
-    components: list[int] = []  # disjoint vertex masks; every vertex lies in some facet
-    for facet in cpx.facets:
-        joined = [c for c in components if c & facet]
-        components = [c for c in components if not c & facet]
-        components.append(facet | sum(joined))
-    partition = tuple(sorted(tuple(bits(c)) for c in components))
-    return len(partition), partition
-
-
 def _morse_row(cell: int, partner: np.ndarray, lower: dict[int, int]) -> int:
     """Morse boundary of a critical cell: bit ``lower[X]`` is the parity of the gradient
     paths to the critical cell X. Paths start at the facets, step from a cell X with a
@@ -226,33 +183,6 @@ def betti_numbers(cpx: DowkerComplex, max_dim: int) -> tuple[int, ...]:
         ranks[s] = len(pivots)
     return tuple(len(by_size[s]) - ranks[s] - ranks[s + 1] + (s == 1 and not cells[0])
                  for s in range(1, top + 2)) + (0,) * (max_dim - top)
-
-
-def dual_complex(rel: Relation) -> DowkerComplex:
-    """Complex of the transposed relation, duplicate input columns collapsed.
-
-    Vertices are the distinct nonzero accept-set patterns (in first-appearance
-    order, labeled by a representative input); each program spans the face of
-    the patterns it accepts.
-    """
-    accepted = np.flatnonzero(rel.accepts.any(axis=0))
-    patterns, first = np.unique(rel.accepts[:, accepted], axis=1, return_index=True)
-    order = np.argsort(first)
-    width = len(order)
-    if width > MAX_PROGRAMS:
-        raise CapacityError(
-            f"{width} distinct accept-sets exceed the {MAX_PROGRAMS}-vertex cap"
-        )
-    program_faces = patterns[:, order].astype(np.int64) @ (1 << np.arange(width, dtype=np.int64))
-    # the complex is the downward closure of the program faces
-    faces = np.zeros(1 << width, dtype=bool)
-    faces[program_faces] = True
-    return DowkerComplex(
-        width=width,
-        labels=tuple(rel.inputs[k] for k in accepted[first[order]].tolist()),
-        face_flags=faces_of(faces, width),
-        weights=np.broadcast_to(np.int64(0), faces.shape),  # no region weights
-    )
 
 
 def graph_dot(graph: DowkerGraph) -> str:

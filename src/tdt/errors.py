@@ -17,10 +17,6 @@ class CapacityError(TdtError):
     """An input exceeds a documented size cap (program count, face budget)."""
 
 
-class StatisticUndefinedError(TdtError):
-    """A requested statistic has an empty denominator."""
-
-
 class EmptyScreenError(TdtError):
     """Every program was removed by the singleton screen."""
 

@@ -2,7 +2,8 @@
 
 The relation product asks, for a program subset X and a feature, whether every
 input that is inconsistent under the restriction to X carries the feature (the
-strict variant also forbids the feature on consistent inputs).  Features are
+strict variant also forbids the feature on consistent inputs); one sweep
+computes it for every subset of each swept size.  Features are
 then stratified by the smallest number of dropped programs at which they pass
 that test for every subset of the corresponding size, and greedy pruning
 removes the features whose deletion perturbs the stratification least, as
@@ -18,7 +19,7 @@ from typing import Hashable, Iterable, Sequence
 from ._numpy import np
 from .diagram import inconsistent_accept_sets, region_sizes
 from .errors import ValidationError
-from .relation import FeatureRelation, Relation, column_masks, validate_mask
+from .relation import FeatureRelation, Relation, column_masks
 from .util import canonical_dumps
 
 
@@ -48,23 +49,6 @@ def _product(lacks: np.ndarray, carries: np.ndarray, inconsistent: np.ndarray,
     if strict:
         out &= ~carries[~inconsistent].any(axis=0)
     return out
-
-
-def relation_product(
-    rel: Relation, feats: FeatureRelation, subset: int, strict: bool = False
-) -> np.ndarray:
-    """Per-feature flags: does every input inconsistent under the restriction to
-    ``subset`` carry the feature?  Empty conjunctions are true.
-
-    Strict mode additionally requires that no other input carries the feature
-    (the complement is taken within the whole corpus).
-    """
-    _check_alignment(rel, feats)
-    if subset == 0:
-        raise ValidationError("program subset must be nonempty")
-    validate_mask(rel, subset)
-    masks, counts, lacks, carries = _accept_set_flags(rel, feats)
-    return _product(lacks, carries, inconsistent_accept_sets(masks, counts, subset), strict)
 
 
 @dataclass(frozen=True)

@@ -24,13 +24,10 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from .errors import ConfigurationError, FormatError, ValidationError
 from .util import csv_text, json_field, json_object, load_json_object, open_text
-
-if TYPE_CHECKING:
-    from .relation import Relation
 
 POLICIES = ("stderr-empty", "exit-zero", "both")
 DEFAULT_STDERR_CAP = 64 * 1024
@@ -319,8 +316,8 @@ def run_corpus(cfg: RunConfig) -> tuple[tuple[str, ...], list[RunResult]]:
     config's parser order, and within a parser follow the inputs.  Per-pair
     I/O failures are recorded as rejects with a diagnostic, not raised.  Each
     job runs in its own process group, which is killed at the job's timeout;
-    at most ``cfg.parallelism`` jobs run at once.  :func:`accept_rows` and
-    :func:`run_relation` read the accept relation off the results.
+    at most ``cfg.parallelism`` jobs run at once.  :func:`accept_rows` reads
+    the accept relation off the results.
     """
     corpus = Path(cfg.corpus)
     if not corpus.is_dir():
@@ -356,15 +353,6 @@ def accept_rows(inputs: tuple[str, ...], results: list[RunResult]) -> dict[str, 
         results[i].parser: "".join("1" if r.accept else "0" for r in results[i:i + n])
         for i in range(0, len(results), n)
     }
-
-
-def run_relation(inputs: tuple[str, ...], results: list[RunResult]) -> Relation:
-    """The accept relation of :func:`run_corpus`'s results (this loads numpy)."""
-    from .relation import Relation
-
-    rows = accept_rows(inputs, results)
-    return Relation(programs=tuple(rows), inputs=inputs,
-                    accepts=[[c == "1" for c in row] for row in rows.values()])
 
 
 def results_jsonl(results: list[RunResult]) -> str:

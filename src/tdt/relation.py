@@ -1,4 +1,4 @@
-"""Program-input accept relations: construction, on-disk formats, restrictions, statistics.
+"""Program-input accept relations: construction, on-disk formats, restrictions.
 
 A relation records which of m programs accept which of n inputs as an m x n
 boolean matrix. Program subsets are plain int bitmasks: bit j corresponds to
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ._numpy import np
-from .errors import CapacityError, FormatError, StatisticUndefinedError, ValidationError
+from .errors import CapacityError, FormatError, ValidationError
 from .util import (is_csv, json_field, load_json_object, open_text, relation_csv_text,
                    relation_json_text, write_text)
 
@@ -188,32 +188,6 @@ def restrict_inputs(rel: Relation, keep: Iterable[int]) -> Relation:
         inputs=tuple(map(rel.inputs.__getitem__, indices)),
         accepts=rel.accepts[:, indices] if indices else rel.accepts[:, :0],
     )
-
-
-# ---------------------------------------------------------------------------
-# elementary statistics
-
-
-def acceptance_rates(rel: Relation) -> np.ndarray:
-    """Fraction of the corpus each program accepts."""
-    if rel.n == 0:
-        raise StatisticUndefinedError("acceptance rate is undefined on an empty corpus")
-    return rel.accepts.sum(axis=1) / rel.n
-
-
-def conditional_acceptance(rel: Relation) -> np.ndarray:
-    """m x m matrix: entry (j, i) = P(program i accepts | program j accepts).
-
-    Rows conditioned on a program with zero acceptances are NaN (undefined),
-    never 0.
-    """
-    counts = rel.accepts.astype(np.int64)
-    both = counts @ counts.T
-    per_program = counts.sum(axis=1)
-    out = np.full((rel.m, rel.m), np.nan)
-    defined = per_program > 0
-    out[defined, :] = both[defined, :] / per_program[defined, None]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +377,3 @@ def load_feature_relation(path) -> FeatureRelation:
     )
     return FeatureRelation(inputs=tuple(inputs), features=tuple(features), has_feature=matrix)
 
-
-def feature_relation_csv(feats: FeatureRelation) -> str:
-    return relation_csv_text(feats.features, feats.inputs, _01_rows(feats.has_feature.T))

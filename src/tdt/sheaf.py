@@ -1,52 +1,22 @@
-"""Per-simplex acceptance-pattern counts with coarsening restriction maps.
+"""Per-simplex acceptance-pattern counts (stalks) and display vectors.
 
-Over the full simplex on the programs, each simplex sigma carries a stalk: the
-partition of the corpus into 2^|sigma| classes by acceptance pattern within
-sigma, stored as class counts.  Every stalk is a projection of one weight
-vector, and restriction to a face coarsens the partition by summing the
-classes that project onto each smaller pattern, so the stalks of a coface
-always restrict to those of its faces: the assignment is a global section by
-construction.  Consistency at sigma therefore only asks that sigma's own
-induced diagram has no deficient region.
+Each simplex sigma (a nonempty program subset) carries a stalk: the partition
+of the corpus into 2^|sigma| classes by acceptance pattern within sigma,
+stored as class counts.  Every stalk is a projection of one weight vector, and
+restriction to a face coarsens the partition by summing the classes that
+project onto each smaller pattern, so the stalks of a coface always restrict
+to those of its faces: the assignment is a global section by construction.
+Consistency at sigma therefore only asks that the projection onto sigma has no
+deficient region; ``stalk_json`` reports it next to sigma's stalk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._numpy import np
-from .diagram import WeightedDiagram, build_diagram, is_consistent, project_diagram, region_sizes
+from .diagram import build_diagram, is_consistent, project_diagram, region_sizes
 from .errors import ValidationError
 from .relation import Relation, names_from_mask, validate_mask
-from .util import bits, canonical_dumps
-
-
-@dataclass(frozen=True)
-class SheafAssignment:
-    """Stalks over every nonempty program subset, derived from one weight vector."""
-
-    diagram: WeightedDiagram
-
-    def stalk(self, sigma: int) -> dict[int, int]:
-        """Counts of inputs per acceptance pattern Z within sigma (keys are submasks of sigma)."""
-        counts = project_diagram(self.diagram, sigma).weights.tolist()
-        patterns = [0]  # the submasks of sigma, ascending: the projection's region order
-        for j in bits(sigma):
-            patterns += [pattern | 1 << j for pattern in patterns]
-        return dict(zip(patterns, counts))
-
-
-def build_assignment(rel: Relation) -> SheafAssignment:
-    return SheafAssignment(diagram=build_diagram(rel))
-
-
-def consistency_at(assignment: SheafAssignment, sigma: int) -> bool:
-    """True iff the diagram induced on sigma (the projection onto it) is consistent.
-
-    Sigma's stalk agrees with the restriction of every coface's stalk because
-    both are projections of the same diagram, so only consistency is checked.
-    """
-    return is_consistent(project_diagram(assignment.diagram, sigma))
+from .util import canonical_dumps
 
 
 def display_vector(rel: Relation, sigma: int) -> tuple[int, ...]:

@@ -5,7 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdt.relation import FeatureRelation, Relation
+from tdt.diagram import project_diagram
+from tdt.dowker import DowkerComplex
+from tdt.relation import FeatureRelation, Relation, relation_csv
+
+import oracles
 
 # Four parsers x twenty files: the running example with a consistent core of
 # {A,B,AD,CD,singletons} and six inconsistent files.
@@ -91,6 +95,32 @@ def relation_from_masks(masks, m, programs=None, input_prefix="g"):
         [[mask >> j & 1 == 1 for mask in masks] for j in range(m)], dtype=bool
     )
     return Relation(programs=programs, inputs=inputs, accepts=matrix.reshape(m, len(masks)))
+
+
+def dual_complex(rel):
+    """The Dowker complex of the transposed relation, from the oracles: one vertex per
+    distinct nonzero accept-set (in first-appearance order, labeled by its first
+    input), and each program's face spanning the accept-sets it accepts."""
+    rows = ["".join("1" if v else "0" for v in row) for row in rel.accepts]
+    firsts, program_masks = oracles.dual_generators(rows)
+    width = len(firsts)
+    flags = np.zeros(1 << width, dtype=bool)
+    flags[sorted(oracles.closure(program_masks, width))] = True
+    return DowkerComplex(width, tuple(rel.inputs[k] for k in firsts), flags,
+                         np.zeros(1 << width, dtype=np.int64))
+
+
+def stalk(diag, sigma):
+    """The stalk over sigma: inputs per acceptance pattern within sigma, keyed by the
+    submask of sigma, read off the projection onto sigma (whose regions are the
+    submasks in ascending order)."""
+    patterns = [z for z in range(sigma + 1) if z & ~sigma == 0]
+    return dict(zip(patterns, project_diagram(diag, sigma).weights.tolist()))
+
+
+def feature_csv(feats):
+    """A feature relation in its CSV format: the relation CSV of its transpose."""
+    return relation_csv(Relation(feats.features, feats.inputs, feats.has_feature.T))
 
 
 @pytest.fixture

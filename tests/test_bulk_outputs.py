@@ -12,9 +12,9 @@ import random
 import pytest
 
 from tdt.diagram import diagram_report
-from tdt.dowker import betti_numbers, build_complex, build_graph, dual_complex, graph_dot
+from tdt.dowker import betti_numbers, build_complex, build_graph, graph_dot
 
-from conftest import relation_from_masks
+from conftest import dual_complex, relation_from_masks
 import oracles
 
 # raw order \ < z < é, escaped order "\\" < "é" < "z"; "x,y" shares its key

@@ -385,10 +385,10 @@ def test_sheaf_to_file(tmp_path, graded_json):
 
 
 def test_features_subcommand(tmp_path, toy_json, toy_features):
-    from tdt.relation import feature_relation_csv
+    from conftest import feature_csv
 
     feats_csv = tmp_path / "feats.csv"
-    feats_csv.write_text(feature_relation_csv(toy_features))
+    feats_csv.write_text(feature_csv(toy_features))
     out = tmp_path / "attribution.json"
     code = main(["features", str(toy_json), "--features", str(feats_csv),
                  "--out", str(out), "--prune", "1"])

@@ -8,10 +8,9 @@ from tdt.diagram import (
     deficient_regions,
     diagram_report,
     is_consistent,
-    pair_inconsistent_inputs,
     project_diagram,
 )
-from tdt.errors import CapacityError, ValidationError
+from tdt.errors import CapacityError
 from tdt.relation import mask_from_names, restrict_programs
 
 from conftest import GRADED_COUNTS, relation_from_masks, relation_from_rows
@@ -79,19 +78,6 @@ def test_is_consistent_trio_variants(trio_relation):
 def test_equal_weights_count_as_consistent():
     diag = WeightedDiagram(m=1, weights=(7, 7))
     assert is_consistent(diag)
-
-
-def test_pair_inconsistent_inputs_toy(toy_relation):
-    got = pair_inconsistent_inputs(toy_relation, C, A | C)
-    assert got == {3, 4, 12, 13, 14, 15}  # files 4,5,13,14,15,16 one-based
-    # w({A}) = 1 <= w({A,B}) = 3: no blame assigned
-    assert pair_inconsistent_inputs(toy_relation, A, A | B) == set()
-    assert pair_inconsistent_inputs(toy_relation, A | C, A | C) == set()
-
-
-def test_pair_inconsistent_inputs_requires_nesting(toy_relation):
-    with pytest.raises(ValidationError):
-        pair_inconsistent_inputs(toy_relation, A | B, A | C)
 
 
 def test_project_diagram_matches_restriction(toy_relation):

@@ -19,7 +19,7 @@ from tdt.distill import (
 from tdt.errors import EmptyScreenError, InconsistentDiagramError, ValidationError
 from tdt.relation import restrict_inputs
 
-from conftest import relation_from_masks, relation_from_rows
+from conftest import TOY_ROWS, relation_from_masks, relation_from_rows
 import oracles
 from oracles import sweep_scores
 
@@ -184,19 +184,8 @@ def test_histogram_and_selection_report_text():
 
 
 def test_pairs_mode_matches_pairwise_blame(toy_relation):
-    from tdt.diagram import pair_inconsistent_inputs
-
     vec = inconsistency_scores(toy_relation, mode="pairs")
-    expected = [0] * toy_relation.n
-    for tau in range(1, 16):
-        if bin(tau).count("1") < 2:
-            continue
-        for sigma in range(tau):
-            if sigma & ~tau:
-                continue
-            for k in pair_inconsistent_inputs(toy_relation, sigma, tau):
-                expected[k] += 1
-    assert list(vec.scores) == expected
+    assert list(vec.scores) == oracles.pair_scores_by_blame(list(TOY_ROWS), 2)
 
 
 def _seeded_rows(m, p, case):

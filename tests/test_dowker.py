@@ -1,20 +1,18 @@
 import random
 
+import numpy as np
 import pytest
 
 from tdt.dowker import (
     betti_numbers,
     build_complex,
     build_graph,
-    connected_components,
     consistent_core,
-    dual_complex,
     graph_dot,
     inconsistent_inputs,
 )
-from tdt.errors import CapacityError
 
-from conftest import relation_from_masks, relation_from_rows
+from conftest import dual_complex, relation_from_masks, relation_from_rows
 from oracles import euler_characteristic, inconsistent_input_indices, skeleton_components
 
 A, B, C, D = 1, 2, 4, 8
@@ -24,19 +22,17 @@ TRIO_ABC = {A, B, C, A | B, A | C, B | C, A | B | C}
 def test_build_complex_toy(toy_relation):
     cpx = build_complex(toy_relation)
     expected = {A, B, C, D, A | B, A | C, A | D, B | C, C | D, A | C | D}
-    assert cpx.faces() == expected
-    assert not cpx.has_face(A | B | C)
-    assert cpx.vertices == (0, 1, 2, 3)
-    assert cpx.weight(A | C | D) == 4
-    assert cpx.weight(A | C) == 1
+    assert set(np.flatnonzero(cpx.face_flags).tolist()) == expected
+    assert cpx.weights[A | C | D] == 4
+    assert cpx.weights[A | C] == 1
 
 
 def test_build_complex_degenerate():
     nothing = relation_from_masks([0, 0], m=3)
-    assert build_complex(nothing).faces() == frozenset()
+    assert not build_complex(nothing).face_flags.any()
     everything = relation_from_masks([7], m=3)
     assert everything.m == 3
-    assert build_complex(everything).faces() == TRIO_ABC
+    assert set(np.flatnonzero(build_complex(everything).face_flags).tolist()) == TRIO_ABC
 
 
 def test_build_graph_toy_edge_flags(toy_relation):
@@ -110,13 +106,12 @@ def test_inconsistent_inputs_partition(toy_relation):
 
 
 def test_connected_components(toy_relation):
-    count, partition = connected_components(build_complex(toy_relation))
-    assert count == 1 and partition == ((0, 1, 2, 3),)
+    # beta_0 counts the components of the 1-skeleton
+    assert betti_numbers(build_complex(toy_relation), 0) == (1,)
     split = relation_from_masks([A, B], m=2)
-    count, partition = connected_components(build_complex(split))
-    assert count == 2 and partition == ((0,), (1,))
+    assert betti_numbers(build_complex(split), 0) == (2,)
     empty = relation_from_masks([0], m=2)
-    assert connected_components(build_complex(empty)) == (0, ())
+    assert betti_numbers(build_complex(empty), 0) == (0,)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -128,8 +123,7 @@ def test_connected_components_match_graph_search(m):
         rows = ["".join("1" if rng.random() < density else "0" for _ in range(n))
                 for _ in range(m)]
         expected = skeleton_components(rows)
-        assert connected_components(build_complex(relation_from_rows(rows))) == (
-            len(expected), tuple(expected))
+        assert betti_numbers(build_complex(relation_from_rows(rows)), 0) == (len(expected),)
 
 
 def test_betti_toy(toy_relation):
@@ -137,7 +131,7 @@ def test_betti_toy(toy_relation):
     betti = betti_numbers(cpx, 2)
     assert betti == (1, 1, 0)
     # Euler characteristic cross-check
-    assert euler_characteristic(set(cpx.faces())) == 1 - 1 + 0
+    assert euler_characteristic(set(np.flatnonzero(cpx.face_flags).tolist())) == 1 - 1 + 0
 
 
 def test_betti_degenerate():
@@ -154,24 +148,10 @@ def test_betti_circle():
 
 
 def test_dual_complex_toy(toy_relation):
+    # the complex on the ten distinct nonzero accept-sets has the toy's Betti numbers
     dual = dual_complex(toy_relation)
-    assert dual.width == 10  # ten distinct nonzero accept-sets
-    assert connected_components(dual)[0] == 1
-    assert len(dual.labels) == 10
-
-
-def test_dual_complex_collapses_duplicates():
-    rel = relation_from_masks([7, 7, 7], m=3)
-    dual = dual_complex(rel)
-    assert dual.width == 1
-    assert connected_components(dual)[0] == 1
-
-
-def test_dual_complex_capacity():
-    masks = list(range(1, 26))
-    rel = relation_from_masks(masks, m=5)
-    with pytest.raises(CapacityError):
-        dual_complex(rel)
+    assert dual.width == 10
+    assert betti_numbers(dual, 2) == betti_numbers(build_complex(toy_relation), 2) == (1, 1, 0)
 
 
 def test_graph_dot_toy(toy_relation):

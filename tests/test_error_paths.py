@@ -10,7 +10,7 @@ from tdt.classify import GroundTruth, evaluate
 from tdt.diagram import WeightedDiagram
 from tdt.distill import select_inputs, singleton_screen
 from tdt.errors import ConfigurationError, EmptyScreenError, FormatError, ValidationError
-from tdt.features import attribute_features, relation_product
+from tdt.features import attribute_features
 from tdt.harness import ParserSpec, RunConfig, _resolve_commands, load_results_jsonl, \
     load_run_config, run_corpus
 from tdt.relation import FeatureRelation, Relation, load_relation, restrict_inputs, \
@@ -72,8 +72,6 @@ CASES = [
      "every program rejects a majority of the corpus ('a\\nb': 0/1 accepted, 'C': 0/1 accepted)"),
     ("select-threshold", lambda tmp: select_inputs(REL, -1),
      ValidationError, "threshold must be >= 0"),
-    ("product-subset", lambda tmp: relation_product(REL, FEATS, 0),
-     ValidationError, "program subset must be nonempty"),
     ("attribute-max-removed", lambda tmp: attribute_features(REL, FEATS, max_removed=2),
      ValidationError, "max_removed must lie in 0..1"),
     ("display-sigma", lambda tmp: display_vector(REL, 0),

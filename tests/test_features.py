@@ -6,7 +6,6 @@ from tdt.errors import ValidationError
 from tdt.features import (
     attribute_features,
     greedy_feature_pruning,
-    relation_product,
     variation_of_information,
 )
 from tdt.relation import FeatureRelation
@@ -16,12 +15,16 @@ from conftest import relation_from_masks
 FULL = 0b1111
 
 
+def _product_at(rel, feats, subset, strict=False):
+    """The relation product's flags at one subset, read off the full sweep's table."""
+    product = attribute_features(rel, feats, strict=strict).product
+    return [product[(subset, name)] for name in feats.features]
+
+
 def test_relation_product_full_sweep(toy_relation, toy_features):
-    flags = relation_product(toy_relation, toy_features, FULL)
     # "x" marks exactly the inconsistent files; "y" misses file 13; "z" marks nothing
-    assert flags.tolist() == [True, False, False]
-    strict = relation_product(toy_relation, toy_features, FULL, strict=True)
-    assert strict.tolist() == [True, False, False]
+    assert _product_at(toy_relation, toy_features, FULL) == [True, False, False]
+    assert _product_at(toy_relation, toy_features, FULL, strict=True) == [True, False, False]
 
 
 def test_relation_product_empty_conjunction(graded_relation):
@@ -31,14 +34,14 @@ def test_relation_product_empty_conjunction(graded_relation):
         has_feature=np.zeros((graded_relation.n, 1), dtype=bool),
     )
     # the graded relation is fully consistent, so no input is inconsistent
-    assert relation_product(graded_relation, feats, 0b111).tolist() == [True]
+    assert _product_at(graded_relation, feats, 0b111) == [True]
 
 
 def test_relation_product_strict_implies_plain(toy_relation, toy_features):
-    for subset in range(1, 16):
-        plain = relation_product(toy_relation, toy_features, subset)
-        strict = relation_product(toy_relation, toy_features, subset, strict=True)
-        assert not (strict & ~plain).any()
+    plain = attribute_features(toy_relation, toy_features).product
+    strict = attribute_features(toy_relation, toy_features, strict=True).product
+    assert len(plain) == len(strict) == 15 * 3
+    assert all(plain[key] for key, flag in strict.items() if flag)
 
 
 def test_relation_product_alignment_check(toy_relation):
@@ -46,7 +49,7 @@ def test_relation_product_alignment_check(toy_relation):
         inputs=("other",), features=("x",), has_feature=np.zeros((1, 1), dtype=bool)
     )
     with pytest.raises(ValidationError):
-        relation_product(toy_relation, feats, FULL)
+        attribute_features(toy_relation, feats)
 
 
 def test_feature_strata_toy(toy_relation, toy_features):
@@ -237,8 +240,7 @@ def _reference_pruning(rel, feats, rounds, max_removed, strict):
 def test_pruning_and_attribution_match_reference_sweeps():
     import random
 
-    from tdt.features import relation_product
-
+    import oracles
     from conftest import relation_from_masks
 
     rng = random.Random(11)
@@ -260,15 +262,15 @@ def test_pruning_and_attribution_match_reference_sweeps():
         assert [(s.feature, s.vi) for s in steps] == _reference_pruning(
             rel, feats, p, max_removed, strict
         )
+        rows = ["".join("1" if v else "0" for v in row) for row in rel.accepts]
+        columns = feats.has_feature.T.tolist()
         top = m - 1 if max_removed is None else max_removed
         for r in range(top + 1):
             level = np.ones(p, dtype=bool)
             for mask in range(1, 1 << m):
                 if bin(mask).count("1") == m - r:
-                    flags = relation_product(rel, feats, mask, strict=strict)
-                    assert [attribution.product[(mask, f"k{i}")] for i in range(p)] == (
-                        flags.tolist()
-                    )
+                    flags = oracles.relation_product(rows, columns, mask, strict)
+                    assert [attribution.product[(mask, f"k{i}")] for i in range(p)] == flags
                     level &= flags
             assert attribution.levels[r] == {f"k{i}" for i in np.flatnonzero(level)}
 
@@ -308,9 +310,10 @@ def test_attribution_matches_the_per_input_oracle():
             }
             assert attribution.stratification == {f"k{i}": r for i, r in enumerate(first)}
             assert attribution.clean == clean
+            every = attribute_features(rel, feats, strict=strict).product  # every subset
             for mask in range(1, 1 << m):
                 expected = oracles.relation_product(rows, columns, mask, strict)
-                assert relation_product(rel, feats, mask, strict=strict).tolist() == expected
+                assert [every[(mask, f"k{i}")] for i in range(p)] == expected
                 bad = oracles.inconsistent_input_indices(
                     [row for j, row in enumerate(rows) if mask >> j & 1]
                 )

@@ -1,7 +1,7 @@
-"""Hypothesis fuzzing of the relation file boundary: the JSON loader gives a
-relation or a ``TdtError`` for any JSON value, and ``cli.main`` answers any
-relation file with exit 0, or with exit 2 and one ``error:`` line, never a
-traceback."""
+"""Hypothesis fuzzing of the file boundary: the relation JSON loader and the
+run configuration loader give their result or a ``TdtError`` for any JSON
+value, and ``cli.main`` answers any relation file with exit 0, or with exit 2
+and one ``error:`` line, never a traceback."""
 
 import contextlib
 import io
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from tdt.cli import main
 from tdt.errors import TdtError
+from tdt.harness import DEFAULT_STDERR_CAP, load_run_config
 from tdt.relation import load_relation
 
 JSON_VALUES = st.recursive(
@@ -107,3 +108,51 @@ def test_cli_answers_any_relation_file_with_exit_0_or_one_error_line(
     else:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         assert out.getvalue() == ""
+
+
+@st.composite
+def run_config_payloads(draw):
+    """Any JSON value, or mostly a run configuration with up to two fields, of
+    its own or of a parser's, replaced by any JSON value, left out, or added."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(JSON_VALUES)
+    parsers = [
+        {"name": f"p{i}",
+         "command": draw(st.sampled_from(["tool {input}", "tool", "{input} x"])),
+         "policy": draw(st.sampled_from(["stderr-empty", "exit-zero", "both", "any"])),
+         "keywords": draw(st.lists(st.text(max_size=3), max_size=2))}
+        for i in range(draw(st.integers(0, 2)))
+    ]
+    payload = {
+        "parsers": parsers,
+        "corpus": "corpus",
+        "glob": "*.txt",
+        "timeout_secs": draw(st.sampled_from([0.5, 30, 0, -1])),
+        "parallelism": draw(st.integers(-1, 3)),
+        "stderr_cap_bytes": draw(st.integers(-1, 3)),
+    }
+    for record in draw(st.lists(st.sampled_from([payload, *parsers]), max_size=2)):
+        key = draw(st.sampled_from([*sorted(record), "extra"]))
+        if draw(st.booleans()):
+            record.pop(key, None)
+        else:
+            record[key] = draw(JSON_VALUES)
+    return payload
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(run_config_payloads())
+def test_run_config_loader_loads_or_raises_tdt_error(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("cfg") / "run.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    try:
+        cfg = load_run_config(path)
+    except TdtError:
+        return
+    assert [(p.name, p.command, p.policy, p.keywords) for p in cfg.parsers] == [
+        (e["name"], e["command"], e.get("policy", "stderr-empty"), tuple(e.get("keywords", [])))
+        for e in payload["parsers"]
+    ]
+    assert (cfg.corpus, cfg.glob, cfg.timeout_secs, cfg.parallelism, cfg.stderr_cap_bytes) == (
+        payload["corpus"], payload.get("glob", "*"), payload.get("timeout_secs", 30.0),
+        payload.get("parallelism", 1), payload.get("stderr_cap_bytes", DEFAULT_STDERR_CAP))

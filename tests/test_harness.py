@@ -24,7 +24,6 @@ from tdt.harness import (
     load_run_config,
     results_jsonl,
     run_corpus,
-    run_relation,
     run_summary,
 )
 
@@ -55,23 +54,19 @@ def pattern_config(parallelism=1, policy="stderr-empty", keywords=()):
 
 @pytest.fixture(scope="module")
 def pattern_run():
-    inputs, results = run_corpus(pattern_config(parallelism=8))
-    return run_relation(inputs, results), results
+    return run_corpus(pattern_config(parallelism=8))
 
 
 def test_run_corpus_reproduces_patterns(pattern_run):
-    rel, results = pattern_run
-    assert rel.programs == ("A", "B", "C")
-    assert rel.inputs == tuple(f"f{k + 1:02d}" for k in range(14))
-    got = ["".join("1" if v else "0" for v in row) for row in rel.accepts]
-    assert got == list(TRIO_ROWS)
+    inputs, results = pattern_run
+    assert inputs == tuple(f"f{k + 1:02d}" for k in range(14))
+    assert accept_rows(inputs, results) == dict(zip("ABC", TRIO_ROWS))
     assert len(results) == 42
     assert all(not r.timed_out and r.error is None for r in results)
 
 
 def test_rows_and_summary_read_the_parser_major_results(pattern_run):
-    rel, results = pattern_run
-    inputs = rel.inputs
+    inputs, results = pattern_run
     assert [(r.parser, r.input) for r in results] == [(p, i) for p in "ABC" for i in inputs]
     rows = accept_rows(inputs, results)
     assert rows == dict(zip("ABC", TRIO_ROWS))
@@ -82,16 +77,64 @@ def test_rows_and_summary_read_the_parser_major_results(pattern_run):
 
 
 def test_run_corpus_parallelism_is_invisible(pattern_run):
-    rel1 = run_relation(*run_corpus(pattern_config(parallelism=1)))
-    rel8, _ = pattern_run
-    assert rel1 == rel8
+    inputs, results = run_corpus(pattern_config(parallelism=1))
+    assert inputs == pattern_run[0]
+    assert accept_rows(inputs, results) == accept_rows(*pattern_run)
 
 
 def test_run_corpus_policies_agree_for_stub():
     # the stub pairs stderr output with a nonzero exit, so all policies match
     for policy in ("exit-zero", "both"):
-        rel = run_relation(*run_corpus(pattern_config(parallelism=8, policy=policy)))
-        assert "".join("1" if v else "0" for v in rel.accepts[0]) == TRIO_ROWS[0]
+        rows = accept_rows(*run_corpus(pattern_config(parallelism=8, policy=policy)))
+        assert rows["A"] == TRIO_ROWS[0]
+
+
+def test_policy_both_needs_empty_stderr_and_exit_zero(tmp_path):
+    # a tool that writes stderr but exits 0, or exits 1 with empty stderr, is
+    # accepted by one policy each, and rejected under ``both``
+    stub = tmp_path / "mixed.py"
+    stub.write_text(
+        "import sys\n"
+        "kind = open(sys.argv[1]).read()\n"
+        "if kind == 'warns':\n"
+        "    sys.stderr.write('warning\\n')\n"
+        "sys.exit(1 if kind == 'fails' else 0)\n"
+    )
+    for kind in ("clean", "fails", "warns"):
+        (tmp_path / f"doc-{kind}").write_text(kind)
+    command = f"{sys.executable} {stub} {{input}}"
+    cfg = RunConfig(
+        parsers=tuple(ParserSpec(name=policy, command=command, policy=policy)
+                      for policy in ("stderr-empty", "exit-zero", "both")),
+        corpus=str(tmp_path),
+        glob="doc-*",
+        timeout_secs=20,
+        parallelism=2,
+    )
+    inputs, results = run_corpus(cfg)
+    assert inputs == ("doc-clean", "doc-fails", "doc-warns")
+    assert [(r.exit_status, r.stderr) for r in results[:3]] == [
+        (0, b""), (1, b""), (0, b"warning\n")]
+    assert accept_rows(inputs, results) == {"stderr-empty": "110", "exit-zero": "101",
+                                            "both": "100"}
+
+
+def test_death_by_signal_is_a_reject_under_every_policy(tmp_path):
+    stub = tmp_path / "crash.py"
+    stub.write_text("import os, signal\nos.kill(os.getpid(), signal.SIGKILL)\n")
+    (tmp_path / "doc").write_text("x")
+    command = f"{sys.executable} {stub} {{input}}"
+    cfg = RunConfig(
+        parsers=tuple(ParserSpec(name=policy, command=command, policy=policy)
+                      for policy in ("stderr-empty", "exit-zero", "both")),
+        corpus=str(tmp_path),
+        glob="doc",
+        timeout_secs=20,
+        parallelism=3,
+    )
+    _, results = run_corpus(cfg)
+    assert [(r.exit_status, r.stderr, r.timed_out, r.error, r.accept) for r in results] == [
+        (-signal.SIGKILL, b"", False, None, False)] * 3
 
 
 def test_accept_all_stub(tmp_path):
@@ -105,8 +148,7 @@ def test_accept_all_stub(tmp_path):
         glob="doc*",
         timeout_secs=20,
     )
-    rel = run_relation(*run_corpus(cfg))
-    assert rel.accepts.all() and rel.n == 5
+    assert accept_rows(*run_corpus(cfg)) == {"ok": "11111"}
 
 
 def test_odd_size_stub(tmp_path):
@@ -126,8 +168,7 @@ def test_odd_size_stub(tmp_path):
         timeout_secs=20,
     )
     inputs, results = run_corpus(cfg)
-    rel = run_relation(inputs, results)
-    assert rel.accepts[0].tolist() == [size % 2 == 0 for size in sizes]
+    assert accept_rows(inputs, results) == {"size": "".join(str(1 - size % 2) for size in sizes)}
     assert all(r.stderr == b"err\n" for r in results if not r.accept)
 
 
@@ -144,8 +185,7 @@ def test_timeout_is_reject(tmp_path):
         parallelism=2,
     )
     inputs, results = run_corpus(cfg)
-    rel = run_relation(inputs, results)
-    assert not rel.accepts.any()
+    assert accept_rows(inputs, results) == {"slow": "00"}
     assert all(r.timed_out and not r.accept for r in results)
 
 
@@ -348,8 +388,7 @@ def test_launch_failure_is_recorded_not_fatal(tmp_path):
         timeout_secs=5,
     )
     inputs, results = run_corpus(cfg)
-    rel = run_relation(inputs, results)
-    assert not rel.accepts.any()
+    assert accept_rows(inputs, results) == {"broken": "0"}
     assert results[0].error is not None and not results[0].accept
 
 
@@ -375,8 +414,7 @@ def test_jobs_get_isolated_working_directories(tmp_path):
         parallelism=6,
     )
     inputs, results = run_corpus(cfg)
-    rel = run_relation(inputs, results)
-    assert rel.accepts.all()
+    assert accept_rows(inputs, results) == {"scratchy": "111111"}
     assert all(r.stderr == b"" for r in results)
 
 
@@ -514,8 +552,7 @@ def test_job_directories_are_removed(tmp_path, monkeypatch):
         timeout_secs=20,
         parallelism=2,
     )
-    rel = run_relation(*run_corpus(cfg))
-    assert rel.accepts.all()
+    assert accept_rows(*run_corpus(cfg)) == {"litter": "111", "tidy": "111"}
     assert list((tmp_path / "tmp").iterdir()) == []
 
 

@@ -3,18 +3,27 @@
 Each relation is compared with itself transformed: permuting the programs
 relabels the regions and keeps every per-input answer (scores in both modes,
 feature levels); repeating every input under a new id doubles every weight and
-keeps every answer, the distillation trace included. ``distill`` is not checked
-under permutation, because its tie rule (ascending mask) depends on the program
-order.
+keeps every answer, the distillation trace included; permuting the inputs
+permutes every per-input answer (``analyze``'s inconsistent inputs, scores in
+both modes) the same way. Projecting a diagram onto sigma and then onto tau
+within it equals projecting it onto their intersection. ``distill`` is not
+checked under program permutation, because its tie rule (ascending mask)
+depends on the program order.
 """
+
+import contextlib
+import io
+import json
 
 import numpy as np
 import pytest
 
+from tdt.cli import main
+from tdt.diagram import build_diagram, project_diagram
 from tdt.distill import distill, inconsistency_scores, trace_json
 from tdt.dowker import build_complex, complex_counts
 from tdt.features import attribute_features
-from tdt.relation import FeatureRelation, Relation
+from tdt.relation import FeatureRelation, Relation, save_relation
 
 PAIRS_UP_TO = 13  # pairs mode takes about 3^m comparisons
 
@@ -115,3 +124,44 @@ def test_feature_levels_survive_permutation(m):
     assert plain[0] != strict[0]
     assert answer(permuted, False) == plain
     assert answer(permuted, True) == strict
+
+
+@pytest.mark.parametrize("m", range(11, 21))
+def test_projections_compose(m):
+    diag = build_diagram(_uniform(m, 600, seed=1800 + m))
+    rng = np.random.default_rng([18, m])
+    for _ in range(4):
+        sigma, tau = (int(x) for x in rng.integers(1, 1 << m, 2))
+        if not sigma & tau:
+            continue
+        # tau within sigma: bit t is set when sigma's t-th program is in tau
+        members = [j for j in range(m) if sigma >> j & 1]
+        inner = sum(1 << t for t, j in enumerate(members) if tau >> j & 1)
+        assert project_diagram(project_diagram(diag, sigma), inner) == project_diagram(
+            diag, sigma & tau)
+
+
+def _inconsistent_ids(rel, tmp_path):
+    """The ids that ``tdt analyze --inconsistent`` writes for a relation."""
+    path, out = tmp_path / "rel.json", tmp_path / "inconsistent.json"
+    save_relation(rel, path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["analyze", str(path), "--inconsistent", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("m", range(11, 21))
+def test_per_input_answers_follow_an_input_permutation(m, tmp_path):
+    rel = _uniform(m, 600, seed=1800 + m)
+    order = np.random.default_rng(m).permutation(rel.n)
+    shuffled = Relation(programs=rel.programs, inputs=tuple(rel.inputs[k] for k in order),
+                        accepts=rel.accepts[:, order])
+    flagged = set(_inconsistent_ids(rel, tmp_path))
+    assert flagged
+    assert _inconsistent_ids(shuffled, tmp_path) == [i for i in shuffled.inputs if i in flagged]
+    modes = [("subset", m - 1)] + [("pairs", 2)] * (m <= PAIRS_UP_TO)
+    for mode, min_size in modes:
+        scores = inconsistency_scores(rel, min_subset_size=min_size, mode=mode).scores
+        assert max(scores) > 0
+        shuffled_scores = inconsistency_scores(shuffled, min_subset_size=min_size, mode=mode)
+        assert shuffled_scores.scores == tuple(scores[k] for k in order.tolist())

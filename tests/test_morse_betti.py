@@ -8,11 +8,11 @@ import random
 import numpy as np
 import pytest
 
-from tdt.dowker import betti_numbers, build_complex, dual_complex
+from tdt.dowker import betti_numbers, build_complex
 from tdt.errors import ValidationError
 from tdt.relation import MAX_PROGRAMS, Relation
 
-from conftest import relation_from_masks
+from conftest import dual_complex, relation_from_masks
 import oracles
 
 

@@ -14,25 +14,22 @@ from tdt.dowker import (
     betti_numbers,
     build_complex,
     build_graph,
-    connected_components,
     consistent_core,
-    dual_complex,
     inconsistent_inputs,
 )
 from tdt.errors import EmptyScreenError
-from tdt.features import relation_product, variation_of_information
+from tdt.features import attribute_features, variation_of_information
 from tdt.relation import (
     FeatureRelation,
     column_masks,
-    conditional_acceptance,
     load_relation,
     restrict_programs,
     save_relation,
 )
-from tdt.sheaf import build_assignment, consistency_at
+from tdt.sheaf import stalk_json
 
-from conftest import relation_from_masks
-from oracles import masks_from_rows, restrict_stalk
+from conftest import dual_complex, relation_from_masks, stalk
+from oracles import masks_from_rows, restrict_stalk, skeleton_components
 
 COMMON = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -98,17 +95,6 @@ def test_column_masks_match_column_sums(rel):
 
 
 @COMMON
-@given(relations(min_n=1))
-def test_conditional_acceptance_bounds(rel):
-    cond = conditional_acceptance(rel)
-    finite = cond[~np.isnan(cond)]
-    assert ((finite >= 0) & (finite <= 1)).all()
-    for j in range(rel.m):
-        if rel.accepts[j].any():
-            assert cond[j, j] == 1.0
-
-
-@COMMON
 @given(relations())
 def test_diagram_partitions_corpus(rel):
     assert sum(build_diagram(rel).weights) == rel.n
@@ -117,7 +103,7 @@ def test_diagram_partitions_corpus(rel):
 @COMMON
 @given(relations())
 def test_complex_faces_downward_closed(rel):
-    faces = build_complex(rel).faces()
+    faces = set(np.flatnonzero(build_complex(rel).face_flags).tolist())
     for face in faces:
         for j in range(rel.m):
             sub = face & ~(1 << j)
@@ -150,7 +136,7 @@ def test_inconsistent_inputs_partition_inputs(rel):
 @given(relations(max_m=4, max_n=16))
 def test_euler_characteristic_equals_alternating_betti_sum(rel):
     cpx = build_complex(rel)
-    faces = cpx.faces()
+    faces = np.flatnonzero(cpx.face_flags).tolist()
     top = max((bin(f).count("1") for f in faces), default=1)
     betti = betti_numbers(cpx, top)
     euler_faces = sum((-1) ** (bin(f).count("1") - 1) for f in faces)
@@ -161,8 +147,8 @@ def test_euler_characteristic_equals_alternating_betti_sum(rel):
 @COMMON
 @given(relations())
 def test_betti0_equals_component_count(rel):
-    cpx = build_complex(rel)
-    assert betti_numbers(cpx, 0)[0] == connected_components(cpx)[0]
+    rows = ["".join("1" if v else "0" for v in row) for row in rel.accepts]
+    assert betti_numbers(build_complex(rel), 0) == (len(skeleton_components(rows)),)
 
 
 @COMMON
@@ -175,21 +161,20 @@ def test_dowker_duality_keeps_betti_numbers(rel):
 @COMMON
 @given(relations(max_m=5, max_n=16))
 def test_coarsening_identity(rel):
-    stalks = build_assignment(rel)
+    diag = build_diagram(rel)
     for sigma in range(1, 1 << rel.m):
         for j in range(rel.m):
             sub = sigma & ~(1 << j)
             if sub and sub != sigma:
-                merged = restrict_stalk(stalks.stalk(sigma), sigma, sub)
-                assert merged == stalks.stalk(sub)
+                merged = restrict_stalk(stalk(diag, sigma), sigma, sub)
+                assert merged == stalk(diag, sub)
 
 
 @COMMON
 @given(relations())
 def test_consistency_at_full_simplex_matches_diagram(rel):
-    stalks = build_assignment(rel)
     full = (1 << rel.m) - 1
-    assert consistency_at(stalks, full) == is_consistent(build_diagram(rel))
+    assert json.loads(stalk_json(rel, full))["consistent"] == is_consistent(build_diagram(rel))
 
 
 @COMMON
@@ -204,10 +189,10 @@ def test_strict_product_implies_plain(rel, data):
         features=tuple(f"k{i}" for i in range(p)),
         has_feature=np.array(bits, dtype=bool).reshape(rel.n, p),
     )
-    for subset in range(1, 1 << rel.m):
-        plain = relation_product(rel, feats, subset)
-        strict = relation_product(rel, feats, subset, strict=True)
-        assert not (strict & ~plain).any()
+    plain = attribute_features(rel, feats).product
+    strict = attribute_features(rel, feats, strict=True).product
+    assert plain.keys() == strict.keys()
+    assert all(plain[key] for key, flag in strict.items() if flag)
 
 
 @COMMON

@@ -6,13 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdt.errors import FormatError, StatisticUndefinedError, ValidationError
+from tdt.errors import FormatError, ValidationError
 from tdt.relation import (
     Relation,
-    acceptance_rates,
     column_masks,
-    conditional_acceptance,
-    feature_relation_csv,
     load_feature_relation,
     load_relation,
     mask_from_names,
@@ -23,7 +20,7 @@ from tdt.relation import (
     save_relation,
 )
 
-from conftest import TOY_ROWS, TRIO_ROWS, program_names, relation_from_masks, relation_from_rows
+from conftest import TOY_ROWS, TRIO_ROWS, feature_csv, program_names, relation_from_masks
 from oracles import first_bad_cell, masks_from_rows, region_weights
 
 
@@ -211,41 +208,6 @@ def test_column_masks_popcount_matches_column_sum(toy_relation):
         assert bin(mask).count("1") == int(toy_relation.accepts[:, k].sum())
 
 
-def test_acceptance_rates(trio_relation):
-    rates = acceptance_rates(trio_relation)
-    assert rates == pytest.approx([7 / 14, 6 / 14, 7 / 14])
-    ones = relation_from_rows(("11111111", "11111111", "11111111"))
-    assert acceptance_rates(ones).tolist() == [1.0, 1.0, 1.0]
-
-
-def test_acceptance_rates_empty_corpus():
-    rel = relation_from_masks([], m=2)
-    with pytest.raises(StatisticUndefinedError):
-        acceptance_rates(rel)
-
-
-def test_conditional_acceptance(trio_relation):
-    cond = conditional_acceptance(trio_relation)
-    # P(A accepts | C accepts): columns where both accept / columns C accepts
-    assert cond[2, 0] == pytest.approx(4 / 7)
-    assert np.allclose(np.diag(cond), 1.0)
-    assert np.nanmin(cond) >= 0 and np.nanmax(cond) <= 1
-
-
-def test_conditional_acceptance_identical_and_disjoint():
-    same = relation_from_rows(("1100", "1100"))
-    assert conditional_acceptance(same)[0, 1] == 1.0
-    disjoint = relation_from_rows(("1100", "0011"))
-    assert conditional_acceptance(disjoint)[0, 1] == 0.0
-
-
-def test_conditional_acceptance_undefined_row_is_nan():
-    rel = relation_from_rows(("0000", "1100"))
-    cond = conditional_acceptance(rel)
-    assert np.isnan(cond[0, 0]) and np.isnan(cond[0, 1])
-    assert cond[1, 0] == 0.0
-
-
 def test_names_round_trip(toy_relation):
     mask = mask_from_names(toy_relation, ["C", "A"])
     assert names_from_mask(toy_relation, mask) == ("A", "C")
@@ -268,7 +230,7 @@ def test_pgm_export(trio_relation):
 
 def test_feature_relation_csv_round_trip(tmp_path, toy_features):
     path = tmp_path / "feats.csv"
-    path.write_text(feature_relation_csv(toy_features))
+    path.write_text(feature_csv(toy_features))
     assert load_feature_relation(path) == toy_features
 
 
@@ -481,7 +443,7 @@ def test_csv_loaders_read_crlf_files_in_bulk(tmp_path, toy_relation, toy_feature
                                           for k, name in enumerate(toy_relation.inputs))
     cases = (
         (load_relation, relation_csv(toy_relation)),
-        (load_feature_relation, feature_relation_csv(toy_features)),
+        (load_feature_relation, feature_csv(toy_features)),
         (lambda path: load_ground_truth(path, toy_relation), truth),
     )
 
@@ -518,7 +480,7 @@ def test_csv_writers_quote_awkward_ids(tmp_path):
     feats = FeatureRelation(inputs=ids, features=("f,1", 'g"'),
                             has_feature=rel.accepts.T)
     path = tmp_path / "feats.csv"
-    path.write_text(feature_relation_csv(feats))
+    path.write_text(feature_csv(feats))
     assert load_feature_relation(path) == feats
 
     vec = inconsistency_scores(rel)
@@ -532,14 +494,13 @@ def test_csv_writers_quote_awkward_ids(tmp_path):
     assert [row[0] for row in records[1:]] == list(ids)
 
 
-def test_csv_writers_leave_plain_ids_bare(toy_relation, toy_features):
+def test_csv_writers_leave_plain_ids_bare(toy_relation):
     from tdt.relation import relation_csv
 
     lines = relation_csv(toy_relation).splitlines()
     assert lines[0] == "input,A,B,C,D"
     assert lines[1] == "f01,1,0,0,0"
     assert len(lines) == 21
-    assert feature_relation_csv(toy_features).count('"') == 0
 
 
 # ids the JSON writer must escape as json.dumps does: non-ASCII (a lone

@@ -5,78 +5,70 @@ import pytest
 
 from tdt.diagram import build_diagram, is_consistent
 from tdt.errors import ValidationError
-from tdt.sheaf import (
-    build_assignment,
-    consistency_at,
-    display_vector,
-    stalk_json,
-)
+from tdt.sheaf import display_vector, stalk_json
 
-from conftest import relation_from_masks, relation_from_rows
+from conftest import relation_from_masks, relation_from_rows, stalk
 import oracles
 from oracles import restrict_stalk
 
 A, B, C = 1, 2, 4
 
 
+def _stalk_json(rel, sigma):
+    """Sigma's stalk, keyed by pattern names, and its verdict, as ``tdt sheaf`` prints them."""
+    payload = json.loads(stalk_json(rel, sigma))
+    return payload["stalk"], payload["consistent"]
+
+
 def test_stalk_single_program(graded_relation, toy_relation):
-    stalks = build_assignment(graded_relation)
-    assert stalks.stalk(A) == {0: 48, A: 952}
-    toy = build_assignment(toy_relation)
-    assert toy.stalk(B) == {0: 14, B: 6}
+    assert _stalk_json(graded_relation, A)[0] == {"": 48, "A": 952}
+    assert _stalk_json(toy_relation, B)[0] == {"": 14, "B": 6}
 
 
 def test_stalk_full_subset_equals_diagram(trio_relation):
-    stalks = build_assignment(trio_relation)
     diag = build_diagram(trio_relation)
-    assert stalks.stalk(A | B | C) == dict(enumerate(diag.weights))
+    assert stalk(diag, A | B | C) == dict(enumerate(diag.weights.tolist()))
 
 
 def test_stalk_pair_trio(trio_relation):
     # frozen from the brute-force recount: project the 3x14 matrix onto {A,B}
-    stalks = build_assignment(trio_relation)
-    assert stalks.stalk(A | B) == {0: 3, A: 5, B: 4, A | B: 2}
+    assert _stalk_json(trio_relation, A | B)[0] == {"": 3, "A": 5, "B": 4, "A,B": 2}
 
 
 def test_stalk_classes_sum_to_corpus(toy_relation):
-    stalks = build_assignment(toy_relation)
     for sigma in range(1, 16):
-        assert sum(stalks.stalk(sigma).values()) == toy_relation.n
+        assert sum(_stalk_json(toy_relation, sigma)[0].values()) == toy_relation.n
 
 
 def test_coarsening_identity(toy_relation):
-    stalks = build_assignment(toy_relation)
+    diag = build_diagram(toy_relation)
     for sigma in range(1, 16):
         for j in range(4):
             sub = sigma & ~(1 << j)
             if sub == 0 or sub == sigma:
                 continue
-            assert restrict_stalk(stalks.stalk(sigma), sigma, sub) == stalks.stalk(sub)
+            assert restrict_stalk(stalk(diag, sigma), sigma, sub) == stalk(diag, sub)
 
 
 def test_consistency_at(trio_relation, graded_relation):
-    trio = build_assignment(trio_relation)
-    assert not consistency_at(trio, A | B)  # joint class is lighter than both singles
-    assert not consistency_at(trio, A | B | C)
-    assert consistency_at(trio, A)  # accepts 7 >= rejects 7
-    graded = build_assignment(graded_relation)
+    assert not _stalk_json(trio_relation, A | B)[1]  # joint class is lighter than both singles
+    assert not _stalk_json(trio_relation, A | B | C)[1]
+    assert _stalk_json(trio_relation, A)[1]  # accepts 7 >= rejects 7
     for sigma in range(1, 8):
-        assert consistency_at(graded, sigma)
+        assert _stalk_json(graded_relation, sigma)[1]
 
 
 def test_consistency_at_full_set_matches_diagram(trio_relation, graded_relation):
     for rel in (trio_relation, graded_relation):
-        stalks = build_assignment(rel)
         full = (1 << rel.m) - 1
-        assert consistency_at(stalks, full) == is_consistent(build_diagram(rel))
+        assert _stalk_json(rel, full)[1] == is_consistent(build_diagram(rel))
 
 
 def test_consistency_at_rejects_unknown_simplex(trio_relation):
-    stalks = build_assignment(trio_relation)
     with pytest.raises(ValidationError):
-        consistency_at(stalks, 0)
+        stalk_json(trio_relation, 0)
     with pytest.raises(ValidationError):
-        consistency_at(stalks, 1 << 5)
+        stalk_json(trio_relation, 1 << 5)
 
 
 def test_display_vectors_graded(graded_relation):
@@ -123,39 +115,35 @@ def test_stalk_json(graded_relation):
 
 def test_stalk_singleton_acceptance_rule():
     # a lone program accepting a minority is inconsistent at its own vertex
-    rel = relation_from_masks([1, 0, 0], m=1)
-    stalks = build_assignment(rel)
-    assert not consistency_at(stalks, 1)
-    rel2 = relation_from_masks([1, 1, 0], m=1)
-    assert consistency_at(build_assignment(rel2), 1)
+    assert not _stalk_json(relation_from_masks([1, 0, 0], m=1), 1)[1]
+    assert _stalk_json(relation_from_masks([1, 1, 0], m=1), 1)[1]
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_consistency_at_matches_the_sheaf_condition_oracle(m):
-    """At every nonempty simplex of seeded relations, the one-projection check
-    agrees with the definition: cofaces' stalks restrict to sigma's, and the
-    relation restricted to sigma is consistent. ``stalk_json`` reports the
-    same stalk and verdict."""
+    """At every nonempty simplex of seeded relations, the verdict that
+    ``stalk_json`` reports off one projection agrees with the definition:
+    cofaces' stalks restrict to sigma's, and the relation restricted to sigma
+    is consistent. It reports the stalk that the oracle recounts."""
     verdicts = set()
     for p in (0.3, 0.5, 0.7):
         rng = np.random.default_rng([m, round(10 * p)])
         n = int(rng.integers(1, 41))
         rows = ["".join("1" if x else "0" for x in rng.random(n) < p) for _ in range(m)]
         rel = relation_from_rows(rows)
-        assignment = build_assignment(rel)
+        diag = build_diagram(rel)
 
         def names(mask):
             return sorted(rel.programs[j] for j in range(m) if mask >> j & 1)
 
         for sigma in range(1, 1 << m):
-            stalk = oracles.stalk(rows, sigma)
-            assert assignment.stalk(sigma) == stalk
-            verdict = consistency_at(assignment, sigma)
-            assert verdict == oracles.consistency_at(assignment.stalk, rows, sigma)
+            expected = oracles.stalk(rows, sigma)
+            assert stalk(diag, sigma) == expected
+            verdict = oracles.consistency_at(lambda mask: stalk(diag, mask), rows, sigma)
             verdicts.add(verdict)
             assert json.loads(stalk_json(rel, sigma)) == {
                 "sigma": names(sigma),
-                "stalk": {",".join(names(z)): count for z, count in stalk.items()},
+                "stalk": {",".join(names(z)): count for z, count in expected.items()},
                 "consistent": verdict,
             }
     assert verdicts == {True, False}

@@ -163,25 +163,25 @@ def test_analyze_loads_the_dowker_layer(launcher):
     assert {"numpy", "tdt.diagram", "tdt.dowker"} <= _imported(["analyze", str(RELATION)], launcher)
 
 
-# What ``tdt`` exported when its __init__ imported every module eagerly.
+# What ``tdt`` exported when its __init__ imported every module eagerly, less the
+# names that no command reached, which are gone.
 EXPORTS = {
     "classify": "ClassifierReport GroundTruth evaluate load_ground_truth score_rule_classifier "
                 "vote_classifier",
-    "diagram": "WeightedDiagram build_diagram deficient_regions is_consistent "
-               "pair_inconsistent_inputs project_diagram",
+    "diagram": "WeightedDiagram build_diagram deficient_regions is_consistent project_diagram",
     "distill": "DistillTrace ScoreVector distill inconsistency_scores select_inputs "
                "singleton_screen",
     "dowker": "DowkerComplex DowkerGraph betti_numbers build_complex build_graph "
-              "connected_components consistent_core dual_complex graph_dot inconsistent_inputs",
+              "consistent_core graph_dot inconsistent_inputs",
     "errors": "CapacityError ConfigurationError EmptyScreenError FormatError "
-              "InconsistentDiagramError StatisticUndefinedError TdtError ValidationError",
-    "features": "FeatureAttribution attribute_features greedy_feature_pruning relation_product "
+              "InconsistentDiagramError TdtError ValidationError",
+    "features": "FeatureAttribution attribute_features greedy_feature_pruning "
                 "variation_of_information",
     "harness": "KeywordTable RunConfig RunResult keyword_table load_run_config run_corpus",
-    "relation": "FeatureRelation MAX_PROGRAMS Relation acceptance_rates column_masks "
-                "conditional_acceptance load_feature_relation load_relation mask_from_names "
-                "names_from_mask restrict_inputs restrict_programs save_relation",
-    "sheaf": "SheafAssignment build_assignment consistency_at display_vector",
+    "relation": "FeatureRelation MAX_PROGRAMS Relation column_masks load_feature_relation "
+                "load_relation mask_from_names names_from_mask restrict_inputs restrict_programs "
+                "save_relation",
+    "sheaf": "display_vector",
     "util": "",
 }
 
@@ -207,7 +207,7 @@ def test_public_names_resolve_lazily_and_are_listed():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["loaded"] == []
-    assert all(result["resolved"]) and len(result["resolved"]) == 64 + 9
+    assert all(result["resolved"]) and len(result["resolved"]) == 54 + 9
     names = {name for names in EXPORTS.values() for name in names.split()}
     assert names | set(EXPORTS) <= set(result["dir"])
     assert result["version"] == "0.1.0"
