@@ -27,8 +27,7 @@ _EXPORTS = {
               "InconsistentDiagramError TdtError ValidationError",
     "features": "FeatureAttribution attribute_features greedy_feature_pruning "
                 "variation_of_information",
-    "harness": "KeywordTable RunConfig RunResult accept_rows keyword_table load_run_config "
-               "run_corpus",
+    "harness": "RunConfig RunResult accept_rows keyword_table load_run_config run_corpus",
     "relation": "FeatureRelation MAX_PROGRAMS Relation column_masks load_feature_relation "
                 "load_relation mask_from_names names_from_mask restrict_inputs restrict_programs "
                 "save_relation",

@@ -130,8 +130,8 @@ def _write_or_print(path, text: str) -> None:
 
 
 def cmd_run(args) -> int:
-    from .harness import (accept_rows, keyword_table, keyword_table_csv, load_run_config,
-                          results_jsonl, run_corpus, run_summary)
+    from .harness import (accept_rows, keyword_table, load_run_config, results_jsonl, run_corpus,
+                          run_summary)
 
     cfg = load_run_config(args.config)
     inputs, results = run_corpus(cfg)
@@ -142,9 +142,8 @@ def cmd_run(args) -> int:
         write_text(args.results, results_jsonl(results))
     if args.keywords_out:
         keywords = {p.name: p.keywords for p in cfg.parsers}
-        table = keyword_table(results, keywords)
-        write_text(args.keywords_out, keyword_table_csv(table))
-    print(run_summary(inputs, results))
+        write_text(args.keywords_out, keyword_table(inputs, results, keywords))
+    print(run_summary(inputs, results, rows))
     failures = sum(1 for r in results if r.error)
     return 1 if failures else 0
 

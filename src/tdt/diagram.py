@@ -144,9 +144,8 @@ def consistent_regions(weights: np.ndarray, m: int) -> np.ndarray:
     return faces & ~subset_sum(bad, m)
 
 
-def inconsistent_accept_sets(masks: np.ndarray, counts: np.ndarray | None,
-                             sigma: int) -> np.ndarray:
-    """Per accept-set (held by ``counts`` inputs each, one if None): is it inconsistent
+def inconsistent_accept_sets(masks: np.ndarray, counts: np.ndarray, sigma: int) -> np.ndarray:
+    """Per accept-set (held by ``counts`` inputs each): is it inconsistent
     in the relation restricted to the programs in ``sigma``?"""
     restricted = np.zeros_like(masks)  # bit t of a restricted mask is sigma's t-th program
     for t, j in enumerate(bits(sigma)):

@@ -17,8 +17,8 @@ from .diagram import (
     consistent_regions,
     faces_of,
     halves,
-    inconsistent_accept_sets,
     region_sizes,
+    region_weights,
     subset_labels,
     subset_sum,
 )
@@ -131,8 +131,9 @@ def complex_counts(cpx: DowkerComplex) -> tuple[int, int, np.ndarray, bool]:
 
 def inconsistent_inputs(rel: Relation) -> set[int]:
     """Inputs whose nonempty accept-set lies outside the consistent core."""
-    outside = inconsistent_accept_sets(column_masks(rel), None, (1 << rel.m) - 1)
-    return set(np.flatnonzero(outside).tolist())
+    masks = column_masks(rel)
+    core = consistent_regions(region_weights(masks, rel.m), rel.m)
+    return set(np.flatnonzero((masks != 0) & ~core[masks]).tolist())
 
 
 def _morse_row(cell: int, partner: np.ndarray, lower: dict[int, int]) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import errno
 import json
-import math
 import os
 import selectors
 import shlex
@@ -27,10 +26,11 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import ConfigurationError, FormatError, ValidationError
-from .util import csv_text, json_field, json_object, load_json_object, open_text
+from .util import csv_text, json_field, load_json_object
 
 POLICIES = ("stderr-empty", "exit-zero", "both")
 DEFAULT_STDERR_CAP = 64 * 1024
+MAX_TIMEOUT_SECS = (2**31 - 1) / 1000
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,9 @@ class RunConfig:
                 raise ValidationError(f"parser {p.name!r}: unknown policy {p.policy!r}")
             if "{input}" not in p.command:
                 raise ValidationError(f"parser {p.name!r}: command lacks an {{input}} placeholder")
-        # JSON's NaN and Infinity parse as floats that no timer accepts
-        if not 0 < self.timeout_secs < math.inf:
-            raise ValidationError("timeout_secs must be a finite number > 0")
+        # the selector waits at most 2^31 - 1 ms; JSON's NaN and Infinity fail this too
+        if not 0 < self.timeout_secs <= MAX_TIMEOUT_SECS:
+            raise ValidationError(f"timeout_secs must be a number > 0 and <= {MAX_TIMEOUT_SECS}")
         if self.parallelism < 1:
             raise ValidationError("parallelism must be >= 1")
         if self.stderr_cap_bytes < 0:
@@ -365,81 +365,22 @@ def results_jsonl(results: list[RunResult]) -> str:
     ) + "\n"
 
 
-# Each field of a results record: the JSON types it may hold, how to name
-# them, and its default if it may be missing.
-_RESULT_FIELDS = {
-    "stderr": ((str,), "a string"),
-    "parser": ((str,), "a string"),
-    "input": ((str,), "a string"),
-    "accept": ((bool,), "a boolean"),
-    "exit_status": ((int, type(None)), "an integer or null"),
-    "timed_out": ((bool,), "a boolean"),
-    "truncated": ((bool,), "a boolean"),
-    "wall_time": ((int, float), "a number"),
-    "error": ((str, type(None)), "a string or null", None),
-}
-
-
-def load_results_jsonl(path) -> list[RunResult]:
-    out = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json_object(line, f"{path}: line {lineno}")
-            fields = {
-                key: json_field(path, rec, key, *spec, where=f"line {lineno}: ")
-                for key, spec in _RESULT_FIELDS.items()
-            }
-            try:
-                fields["stderr"] = fields["stderr"].encode("latin-1")
-            except UnicodeEncodeError:
-                raise FormatError(
-                    f"{path}: line {lineno}: field 'stderr' holds characters beyond latin-1"
-                ) from None
-            out.append(RunResult(**fields))
-    return out
-
-
-@dataclass(frozen=True)
-class KeywordTable:
-    """Input x (parser, keyword) booleans: did that keyword appear in that stderr?"""
-
-    inputs: tuple[str, ...]
-    columns: tuple[tuple[str, str], ...]  # (parser, keyword)
-    cells: tuple[tuple[bool, ...], ...]   # row per input
-
-    def coverage(self, results: list[RunResult]) -> dict[str, bool]:
-        """Per rejected input: did at least one keyword match some parser's stderr?"""
-        rejected = {r.input for r in results if not r.accept}
-        return {name: any(row) for name, row in zip(self.inputs, self.cells) if name in rejected}
-
-
-def keyword_table(
-    results: list[RunResult], keywords_by_parser: dict[str, tuple[str, ...]]
-) -> KeywordTable:
-    """Case-sensitive byte-substring keyword matches over each parser's captured stderr."""
+def keyword_table(inputs: tuple[str, ...], results: list[RunResult],
+                  keywords_by_parser: dict[str, tuple[str, ...]]) -> str:
+    """The keyword-match CSV: a row per input, a ``parser:keyword`` column per
+    keyword, 1 where the keyword is a case-sensitive byte substring of that
+    parser's captured stderr.  ``results`` are read as :func:`accept_rows` reads them."""
     if not any(keywords_by_parser.values()):
         raise ValidationError("at least one parser needs a nonempty keyword list")
-    inputs = list(dict.fromkeys(r.input for r in results))
-    columns = tuple((parser, kw) for parser, kws in keywords_by_parser.items() for kw in kws)
-    stderr_of = {(r.parser, r.input): r.stderr for r in results}
-    cells = tuple(
-        tuple(kw.encode("utf-8") in stderr_of.get((parser, name), b"") for parser, kw in columns)
-        for name in inputs
-    )
-    return KeywordTable(inputs=tuple(inputs), columns=columns, cells=cells)
+    n = len(inputs)
+    block = {results[i].parser: results[i:i + n] for i in range(0, len(results), n)}
+    columns = [(parser, kw) for parser, kws in keywords_by_parser.items() for kw in kws]
+    cells = [["1" if kw.encode("utf-8") in r.stderr else "0" for r in block[parser]]
+             for parser, kw in columns]
+    return csv_text(["input", *(f"{parser}:{kw}" for parser, kw in columns)], zip(inputs, *cells))
 
 
-def keyword_table_csv(table: KeywordTable) -> str:
-    header = ["input", *(f"{parser}:{kw}" for parser, kw in table.columns)]
-    rows = zip(table.inputs, table.cells)
-    return csv_text(header, ([name, *("1" if v else "0" for v in row)] for name, row in rows))
-
-
-def run_summary(inputs: tuple[str, ...], results: list[RunResult]) -> str:
-    rows = accept_rows(inputs, results)
+def run_summary(inputs: tuple[str, ...], results: list[RunResult], rows: dict[str, str]) -> str:
     failures = sum(1 for r in results if r.error)
     timeouts = sum(1 for r in results if r.timed_out)
     lines = [

@@ -116,24 +116,19 @@ def json_field(path, record: dict, key: str, kinds: tuple, expected: str, defaul
     return value
 
 
-def json_object(text: str, where: str) -> dict:
-    """The JSON object in ``text``.  Anything else is a FormatError starting with
-    ``where``: invalid JSON, nesting too deep to decode, an integer longer than
-    Python converts, or another top-level value."""
+def load_json_object(path) -> dict:
+    """The JSON object in a UTF-8 file.  Anything else is a FormatError naming the
+    file: invalid JSON, nesting too deep to decode, an integer longer than Python
+    converts, or another top-level value."""
+    with open_text(path) as fh:
+        text = fh.read()
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError includes JSONDecodeError
-        raise FormatError(f"{where}: invalid JSON: {exc}") from None
+        raise FormatError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
-        raise FormatError(f"{where}: top-level value must be an object")
+        raise FormatError(f"{path}: top-level value must be an object")
     return payload
-
-
-def load_json_object(path) -> dict:
-    """The JSON object in a UTF-8 file, as :func:`json_object` decodes it."""
-    with open_text(path) as fh:
-        text = fh.read()
-    return json_object(text, str(path))
 
 
 def write_text(path, text: str) -> None:

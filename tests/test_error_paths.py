@@ -11,8 +11,7 @@ from tdt.diagram import WeightedDiagram
 from tdt.distill import select_inputs, singleton_screen
 from tdt.errors import ConfigurationError, EmptyScreenError, FormatError, ValidationError
 from tdt.features import attribute_features
-from tdt.harness import ParserSpec, RunConfig, _resolve_commands, load_results_jsonl, \
-    load_run_config, run_corpus
+from tdt.harness import ParserSpec, RunConfig, _resolve_commands, load_run_config, run_corpus
 from tdt.relation import FeatureRelation, Relation, load_relation, restrict_inputs, \
     validate_mask
 from tdt.sheaf import display_vector
@@ -34,11 +33,6 @@ def _file(tmp_path, name, text):
     path.write_text(text, encoding="utf-8")
     return path
 
-
-RESULT = (
-    '{"parser": "A", "input": "f", "accept": true, "exit_status": 0, "timed_out": false, '
-    '"stderr": "\\u0100", "truncated": false, "wall_time": 0.1}\n'
-)
 
 # (id, call on a scratch directory, error class, message with {tmp} for that directory)
 CASES = [
@@ -94,8 +88,6 @@ CASES = [
      ConfigurationError, "parser 'A': unparsable command: No closing quotation"),
     ("corpus-no-match", lambda tmp: run_corpus(_config(corpus=str(tmp), glob="*.none")),
      ConfigurationError, "no corpus files match '*.none' under '{tmp}'"),
-    ("results-latin-1", lambda tmp: load_results_jsonl(_file(tmp, "r.jsonl", RESULT)),
-     FormatError, "{tmp}/r.jsonl: line 1: field 'stderr' holds characters beyond latin-1"),
 ]
 
 

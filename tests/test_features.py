@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tdt.dowker import inconsistent_accept_sets
+from tdt.diagram import inconsistent_accept_sets
 from tdt.errors import ValidationError
 from tdt.features import (
     attribute_features,

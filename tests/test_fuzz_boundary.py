@@ -1,12 +1,13 @@
 """Hypothesis fuzzing of the file boundary: the relation JSON loader and the
 run configuration loader give their result or a ``TdtError`` for any JSON
-value, and ``cli.main`` answers any relation file with exit 0, or with exit 2
-and one ``error:`` line, never a traceback."""
+value, and ``cli.main`` answers any relation file, feature file or truth file
+with exit 0, or with exit 2 and one ``error:`` line, never a traceback."""
 
 import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,7 +99,12 @@ def test_cli_answers_any_relation_file_with_exit_0_or_one_error_line(
     tmp = tmp_path_factory.mktemp("cli")
     path = tmp / name
     path.write_bytes(data)
-    argv = [command[0], str(path), *(arg.format(out=tmp / "out") for arg in command[1:])]
+    _answer([command[0], str(path), *(arg.format(out=tmp / "out") for arg in command[1:])])
+
+
+def _answer(argv):
+    """main's exit code on argv, checked: exit 0 writes no stderr, exit 2 one
+    ``error:`` line and no stdout."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -108,6 +114,57 @@ def test_cli_answers_any_relation_file_with_exit_0_or_one_error_line(
     else:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         assert out.getvalue() == ""
+    return code
+
+
+# the relation the feature and truth files describe; "c,d" is written quoted
+SIDE_RELATION = {"programs": ["A", "B"], "inputs": ["a", "b", "c,d"], "rows": ["110", "011"]}
+
+
+@st.composite
+def side_files(draw, header):
+    """Raw bytes, or mostly a CSV under ``header`` with a line of 0/1 cells per
+    input of SIDE_RELATION, with up to two lines replaced by pieces of CSV
+    text, left out, or added."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=40))
+    width = header.count(",")
+    lines = [header, *(",".join([name, *draw(st.lists(st.sampled_from("01"), min_size=width,
+                                                      max_size=width))])
+                       for name in ["a", "b", '"c,d"'])]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["replace", "remove", "insert"]))
+        piece = draw(st.lists(st.sampled_from(CSV_PIECES), max_size=4).map("".join))
+        if edit == "replace":
+            lines[k] = piece
+        elif edit == "remove":
+            del lines[k]
+        else:
+            lines.insert(k, piece)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(line + end for line in lines).encode()
+
+
+# the two subcommands that read a second file, with its header
+SIDE_COMMANDS = {
+    "features": (["features", "{rel}", "--features", "{side}", "--prune", "1"], "input,q,r"),
+    "classify": (["classify", "{rel}", "--vote", "1", "--truth", "{side}", "--out", "{out}"],
+                 "input,compliant"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SIDE_COMMANDS))
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_answers_any_feature_or_truth_file_with_exit_0_or_one_error_line(
+        tmp_path_factory, command, data):
+    argv, header = SIDE_COMMANDS[command]
+    tmp = tmp_path_factory.mktemp("side")
+    rel, side = tmp / "rel.json", tmp / "side.csv"
+    rel.write_text(json.dumps(SIDE_RELATION))
+    side.write_bytes(data.draw(side_files(header)))
+    _answer([arg.format(rel=rel, side=side, out=tmp / "out.json") for arg in argv])
 
 
 @st.composite

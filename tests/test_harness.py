@@ -12,15 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from tdt.errors import ConfigurationError, FormatError, ValidationError
+from tdt.errors import ConfigurationError, ValidationError
 from tdt.harness import (
     ParserSpec,
     RunConfig,
     RunResult,
     accept_rows,
     keyword_table,
-    keyword_table_csv,
-    load_results_jsonl,
     load_run_config,
     results_jsonl,
     run_corpus,
@@ -70,7 +68,7 @@ def test_rows_and_summary_read_the_parser_major_results(pattern_run):
     assert [(r.parser, r.input) for r in results] == [(p, i) for p in "ABC" for i in inputs]
     rows = accept_rows(inputs, results)
     assert rows == dict(zip("ABC", TRIO_ROWS))
-    assert run_summary(inputs, results) == (
+    assert run_summary(inputs, results, rows) == (
         "ran 3 parsers over 14 inputs (42 invocations, 0 timeouts, 0 launch failures)\n"
         + "\n".join(f"  {p}: accepted {row.count('1')}/14" for p, row in rows.items())
     )
@@ -316,63 +314,40 @@ def test_results_jsonl_text():
     )
 
 
-def test_results_jsonl_reload(tmp_path, pattern_run):
+def test_results_jsonl_reload(pattern_run):
     _, results = pattern_run
-    path = tmp_path / "results.jsonl"
-    path.write_text(results_jsonl(results))
-    reloaded = load_results_jsonl(path)
-    assert [(r.parser, r.input, r.accept, r.stderr) for r in reloaded] == [
-        (r.parser, r.input, r.accept, r.stderr) for r in results
-    ]
-
-
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (lambda rec: rec.pop("timed_out"), r"line 2: missing field 'timed_out'"),
-        (lambda rec: rec.update(stderr=5), r"line 2: field 'stderr' must be a string, got 5"),
-    ],
-    ids=["missing-key", "numeric-stderr"],
-)
-def test_results_jsonl_rejects_malformed_record(tmp_path, edit, message):
-    result = RunResult(parser="A", input="f1", accept=False, exit_status=1, timed_out=False,
-                       stderr=b"parse error", truncated=False, wall_time=0.5)
-    good, bad = results_jsonl([result, result]).splitlines()
-    rec = json.loads(bad)
-    edit(rec)
-    path = tmp_path / "results.jsonl"
-    path.write_text(good + "\n" + json.dumps(rec) + "\n")
-    with pytest.raises(FormatError, match=message):
-        load_results_jsonl(path)
+    reloaded = [json.loads(line) for line in results_jsonl(results).splitlines()]
+    assert [(r["parser"], r["input"], r["accept"], r["stderr"].encode("latin-1"))
+            for r in reloaded] == [(r.parser, r.input, r.accept, r.stderr) for r in results]
 
 
 def test_keyword_table(pattern_run):
-    _, results = pattern_run
-    table = keyword_table(results, {"A": ("parse error",), "B": ("parse error", "f13")})
-    assert table.columns == (("A", "parse error"), ("B", "parse error"), ("B", "f13"))
-    row = dict(zip(table.inputs, table.cells))
+    inputs, results = pattern_run
+    keywords = {"A": ("parse error",), "B": ("parse error", "f13"), "C": ()}
+    header, *lines = keyword_table(inputs, results, keywords).splitlines()
+    assert header == "input,A:parse error,B:parse error,B:f13"
+    row = dict(line.split(",", 1) for line in lines)
+    assert list(row) == list(inputs)
     # f01 is rejected by A and B: both match "parse error"; only f13 matches "f13"
-    assert row["f01"][0] and row["f01"][1] and not row["f01"][2]
-    assert row["f13"][2]
+    assert row["f01"] == "1,1,0"
+    assert row["f13"].endswith(",1")
     # f12 is accepted by everyone: empty stderr, no matches
-    assert not any(row["f12"])
-    coverage = table.coverage(results)
-    reported = sum(1 for v in coverage.values() if v)
-    print(f"keyword coverage: {reported}/{len(coverage)} rejected inputs matched")
+    assert row["f12"] == "0,0,0"
 
 
 def test_keyword_table_needs_keywords(pattern_run):
-    _, results = pattern_run
+    inputs, results = pattern_run
     with pytest.raises(ValidationError):
-        keyword_table(results, {"A": ()})
+        keyword_table(inputs, results, {"A": ()})
 
 
 def test_keyword_table_csv(pattern_run):
-    _, results = pattern_run
-    table = keyword_table(results, {"A": ("parse error",)})
-    lines = keyword_table_csv(table).splitlines()
-    assert lines[0] == "input,A:parse error"
-    assert len(lines) == 15
+    inputs, results = pattern_run
+    # the stub writes "parse error" on each input it rejects, and on no other
+    accepted = accept_rows(inputs, results)["A"]
+    assert keyword_table(inputs, results, {"A": ("parse error",)}) == (
+        "input,A:parse error\n"
+        + "".join(f"{name},{1 - int(a)}\n" for name, a in zip(inputs, accepted)))
 
 
 def test_launch_failure_is_recorded_not_fatal(tmp_path):

@@ -1,8 +1,9 @@
 """Metamorphic checks at m = 11..20, where the brute-force oracles cannot run.
 
 Each relation is compared with itself transformed: permuting the programs
-relabels the regions and keeps every per-input answer (scores in both modes,
-feature levels); repeating every input under a new id doubles every weight and
+relabels the regions (the core, the stalks, the display vector) and keeps
+every per-input answer (``analyze``'s inconsistent inputs, scores in both
+modes, feature levels) and the Betti numbers; repeating every input under a new id doubles every weight and
 keeps every answer, the distillation trace included; permuting the inputs
 permutes every per-input answer (``analyze``'s inconsistent inputs, scores in
 both modes) the same way. Projecting a diagram onto sigma and then onto tau
@@ -19,25 +20,36 @@ import numpy as np
 import pytest
 
 from tdt.cli import main
-from tdt.diagram import build_diagram, project_diagram
+from tdt.diagram import build_diagram, project_diagram, region_sizes
 from tdt.distill import distill, inconsistency_scores, trace_json
-from tdt.dowker import build_complex, complex_counts
+from tdt.dowker import betti_numbers, build_complex, complex_counts
 from tdt.features import attribute_features
 from tdt.relation import FeatureRelation, Relation, save_relation
+from tdt.sheaf import display_vector, stalk_json
 
 PAIRS_UP_TO = 13  # pairs mode takes about 3^m comparisons
+BETTI_UP_TO = 14
 
 
-def _uniform(m, n, seed):
+def _uniform(m, n, seed, p=0.7):
     rng = np.random.default_rng(seed)
     return Relation(programs=tuple(f"p{j}" for j in range(m)),
                     inputs=tuple(f"i{k}" for k in range(n)),
-                    accepts=rng.random((m, n)) < 0.7)
+                    accepts=rng.random((m, n)) < p)
 
 
 def _permuted(rel, order):
     return Relation(programs=tuple(rel.programs[j] for j in order), inputs=rel.inputs,
                     accepts=rel.accepts[order])
+
+
+def _relabel(order):
+    """Per region of the relation permuted by ``order``, the original region."""
+    regions = np.arange(1 << len(order))
+    relabel = np.zeros_like(regions)
+    for t, j in enumerate(order.tolist()):
+        relabel |= (regions >> t & 1) << j
+    return relabel
 
 
 def _repeated(rel):
@@ -63,13 +75,9 @@ def test_counts_scores_and_trace_survive_permutation_and_repetition(m):
         counts, core = _counts(r)
         assert counts[2] is (r is not rel)
         order = np.random.default_rng(m).permutation(r.m)
-        regions = np.arange(1 << r.m)  # region of the permuted relation -> original region
-        relabel = np.zeros_like(regions)
-        for t, j in enumerate(order.tolist()):
-            relabel |= (regions >> t & 1) << j
         permuted_counts, permuted_core = _counts(_permuted(r, order))
         assert permuted_counts == counts
-        assert np.array_equal(permuted_core, core[relabel])
+        assert np.array_equal(permuted_core, core[_relabel(order)])
         repeated_counts, repeated_core = _counts(_repeated(r))
         assert repeated_counts == counts
         assert np.array_equal(repeated_core, core)
@@ -165,3 +173,30 @@ def test_per_input_answers_follow_an_input_permutation(m, tmp_path):
         assert max(scores) > 0
         shuffled_scores = inconsistency_scores(shuffled, min_subset_size=min_size, mode=mode)
         assert shuffled_scores.scores == tuple(scores[k] for k in order.tolist())
+
+
+@pytest.mark.parametrize("m", range(11, 21))
+def test_program_permutation_keeps_inputs_and_betti_and_relabels_stalks(m, tmp_path):
+    rel = _uniform(m, 600, seed=1900 + m)
+    rng = np.random.default_rng([19, m])
+    order = rng.permutation(m)
+    permuted, relabel = _permuted(rel, order), _relabel(order)
+    flagged = _inconsistent_ids(rel, tmp_path)
+    assert flagged
+    assert _inconsistent_ids(permuted, tmp_path) == flagged
+    weights, size, regions = build_diagram(rel).weights, region_sizes(m), np.arange(1 << m)
+    for sigma in rng.integers(1, 1 << m, 2).tolist():
+        moved = sum(1 << t for t, j in enumerate(order.tolist()) if sigma >> j & 1)
+        # the stalk names its programs, so it is the same text
+        assert stalk_json(permuted, moved) == stalk_json(rel, sigma)
+        # the display vector lists the permuted regions by (|Z & sigma|, |Z|, Z)
+        meet = size[regions & moved]
+        shown = regions[meet > 0]
+        shown = shown[np.lexsort((shown, size[shown], meet[shown]))]
+        assert display_vector(permuted, moved) == tuple(weights[relabel[shown]].tolist())
+    if m <= BETTI_UP_TO:
+        # a dense relation's complex is contractible; a sparse one's has holes
+        sparse = _uniform(m, 60, seed=1900 + m, p=0.2)
+        betti = betti_numbers(build_complex(sparse), 2)
+        assert betti[1:] != (0, 0)
+        assert betti_numbers(build_complex(_permuted(sparse, order)), 2) == betti

@@ -466,7 +466,7 @@ def test_csv_writers_quote_awkward_ids(tmp_path):
     import io
 
     from tdt.distill import inconsistency_scores, scores_csv
-    from tdt.harness import KeywordTable, keyword_table_csv
+    from tdt.harness import RunResult, keyword_table
     from tdt.relation import FeatureRelation
 
     ids = ("plain", *AWKWARD_IDS)
@@ -487,11 +487,13 @@ def test_csv_writers_quote_awkward_ids(tmp_path):
     records = list(csv.reader(io.StringIO(scores_csv(vec), newline="")))
     assert records == [["input_id", "score"], *([name, str(s)] for name, s in zip(ids, vec.scores))]
 
-    table = KeywordTable(inputs=ids, columns=(("p", "k,w"), ("q", "x")),
-                         cells=tuple((bool(k % 2), bool(k % 3)) for k in range(len(ids))))
-    records = list(csv.reader(io.StringIO(keyword_table_csv(table), newline="")))
-    assert records[0] == ["input", "p:k,w", "q:x"]
-    assert [row[0] for row in records[1:]] == list(ids)
+    results = [RunResult(parser=p, input=name, accept=False, exit_status=1, timed_out=False,
+                         stderr=b"k,w x" if k % 2 else b"", truncated=False, wall_time=0.0)
+               for p in "pq" for k, name in enumerate(ids)]
+    text = keyword_table(ids, results, {"p": ("k,w",), "q": ("x",)})
+    records = list(csv.reader(io.StringIO(text, newline="")))
+    assert records == [["input", "p:k,w", "q:x"],
+                       *([name, str(k % 2), str(k % 2)] for k, name in enumerate(ids))]
 
 
 def test_csv_writers_leave_plain_ids_bare(toy_relation):

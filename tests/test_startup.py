@@ -113,10 +113,12 @@ def test_cli_without_a_command_loads_no_numpy_and_no_harness(argv, launcher):
 
 @pytest.mark.parametrize("launcher", LAUNCHERS)
 def test_run_loads_neither_numpy_nor_the_relation_module(launcher, tmp_path):
-    out = tmp_path / "rel.json"
-    imported = _imported(["run", "--config", str(write_run_config(tmp_path)), "--out", str(out)],
-                         launcher)
+    out, results, keywords = tmp_path / "rel.json", tmp_path / "r.jsonl", tmp_path / "kw.csv"
+    imported = _imported(["run", "--config", str(write_run_config(tmp_path)), "--out", str(out),
+                          "--results", str(results), "--keywords-out", str(keywords)], launcher)
     assert out.read_bytes() == RELATION.read_bytes()
+    assert len(results.read_text().splitlines()) == 42
+    assert keywords.read_text().startswith("input,A:parse error,B:parse error,C:parse error\n")
     assert "tdt.harness" in imported
     assert not imported & {"numpy", "tdt.relation"}
 
@@ -177,7 +179,7 @@ EXPORTS = {
               "InconsistentDiagramError TdtError ValidationError",
     "features": "FeatureAttribution attribute_features greedy_feature_pruning "
                 "variation_of_information",
-    "harness": "KeywordTable RunConfig RunResult keyword_table load_run_config run_corpus",
+    "harness": "RunConfig RunResult keyword_table load_run_config run_corpus",
     "relation": "FeatureRelation MAX_PROGRAMS Relation column_masks load_feature_relation "
                 "load_relation mask_from_names names_from_mask restrict_inputs restrict_programs "
                 "save_relation",
@@ -207,7 +209,7 @@ def test_public_names_resolve_lazily_and_are_listed():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["loaded"] == []
-    assert all(result["resolved"]) and len(result["resolved"]) == 54 + 9
+    assert all(result["resolved"]) and len(result["resolved"]) == 53 + 9
     names = {name for names in EXPORTS.values() for name in names.split()}
     assert names | set(EXPORTS) <= set(result["dir"])
     assert result["version"] == "0.1.0"
