@@ -36,13 +36,13 @@ def main() -> None:
         accepts=matrix,
     )
 
-    diag = build_diagram(rel)
+    weights = build_diagram(rel)
     print("region weights (nonzero):")
-    for mask, w in enumerate(diag.weights):
+    for mask, w in enumerate(weights):
         if w:
             print(f"  {{{','.join(names_from_mask(rel, mask))}}}: {w}")
     print("deficient regions:",
-          [names_from_mask(rel, m) for m in sorted(deficient_regions(diag))])
+          [names_from_mask(rel, m) for m in sorted(deficient_regions(weights, rel.m))])
 
     graph = build_graph(build_complex(rel))
     print(f"\nDowker graph: {len(graph.faces)} faces, "

@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "classify": "ClassifierReport GroundTruth evaluate load_ground_truth score_rule_classifier "
                 "vote_classifier",
-    "diagram": "WeightedDiagram build_diagram deficient_regions is_consistent project_diagram",
+    "diagram": "build_diagram deficient_regions is_consistent project_diagram",
     "distill": "DistillTrace ScoreVector distill inconsistency_scores select_inputs "
                "singleton_screen",
     "dowker": "DowkerComplex DowkerGraph betti_numbers build_complex build_graph "

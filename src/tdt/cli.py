@@ -134,6 +134,9 @@ def cmd_run(args) -> int:
                           run_summary)
 
     cfg = load_run_config(args.config)
+    keywords = {p.name: p.keywords for p in cfg.parsers}
+    if args.keywords_out and not any(keywords.values()):  # before any parser runs
+        raise ValidationError("at least one parser needs a nonempty keyword list")
     inputs, results = run_corpus(cfg)
     rows = accept_rows(inputs, results)
     relation_text = relation_csv_text if is_csv(args.out) else relation_json_text
@@ -141,7 +144,6 @@ def cmd_run(args) -> int:
     if args.results:
         write_text(args.results, results_jsonl(results))
     if args.keywords_out:
-        keywords = {p.name: p.keywords for p in cfg.parsers}
         write_text(args.keywords_out, keyword_table(inputs, results, keywords))
     print(run_summary(inputs, results, rows))
     failures = sum(1 for r in results if r.error)

@@ -12,7 +12,6 @@ over it (Yates 1937; Bjorklund et al. 2007) give its faces, its consistent core 
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, ne
@@ -22,36 +21,6 @@ from ._numpy import np
 from .errors import ValidationError
 from .relation import Relation, column_masks
 from .util import bits, canonical_dumps
-
-
-@dataclass(frozen=True, eq=False)
-class WeightedDiagram:
-    """Dense weight vector indexed by program-subset mask (length 2^m, read-only int64)."""
-
-    m: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValidationError("diagram needs at least one program")
-        weights = np.array(self.weights, dtype=np.int64)
-        if weights.shape != (1 << self.m,):
-            raise ValidationError(
-                f"expected {1 << self.m} region weights, got {weights.size}"
-            )
-        if (weights < 0).any():
-            raise ValidationError("region weights must be non-negative")
-        weights.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def total(self) -> int:
-        return int(self.weights.sum())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeightedDiagram):
-            return NotImplemented
-        return self.m == other.m and np.array_equal(self.weights, other.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -159,27 +128,30 @@ def inconsistent_accept_sets(masks: np.ndarray, counts: np.ndarray, sigma: int) 
 # diagrams
 
 
-def build_diagram(rel: Relation) -> WeightedDiagram:
-    """Count, for every program subset, the inputs accepted by exactly that subset."""
-    return WeightedDiagram(m=rel.m, weights=region_weights(column_masks(rel), rel.m))
+def build_diagram(rel: Relation) -> np.ndarray:
+    """Count, for every program subset, the inputs accepted by exactly that subset:
+    a read-only int64 vector of 2^m region weights, indexed by mask."""
+    weights = region_weights(column_masks(rel), rel.m)
+    weights.flags.writeable = False
+    return weights
 
 
-def deficiency(diag: WeightedDiagram) -> np.ndarray:
+def deficiency(weights: np.ndarray, m: int) -> np.ndarray:
     """Per region, how far it falls short of its heaviest facet (positive iff deficient)."""
-    return heaviest_facet(diag.weights, diag.m) - diag.weights
+    return heaviest_facet(weights, m) - weights
 
 
-def deficient_regions(diag: WeightedDiagram) -> set[int]:
+def deficient_regions(weights: np.ndarray, m: int) -> set[int]:
     """Regions strictly outweighed by one of their facets. The empty region never is."""
-    return set(np.flatnonzero(deficiency(diag) > 0).tolist())
+    return set(np.flatnonzero(deficiency(weights, m) > 0).tolist())
 
 
-def is_consistent(diag: WeightedDiagram) -> bool:
-    return not (deficiency(diag) > 0).any()
+def is_consistent(weights: np.ndarray, m: int) -> bool:
+    return not (deficiency(weights, m) > 0).any()
 
 
-def project_diagram(diag: WeightedDiagram, sigma: int) -> WeightedDiagram:
-    """Diagram of the relation restricted to the programs in ``sigma``.
+def project_diagram(weights: np.ndarray, m: int, sigma: int) -> np.ndarray:
+    """Weights of the relation restricted to the programs in ``sigma``.
 
     Region Z of the projection collects every region X with X & sigma == Z;
     bit t of the result corresponds to the t-th set bit of sigma. Viewed as a
@@ -188,11 +160,28 @@ def project_diagram(diag: WeightedDiagram, sigma: int) -> WeightedDiagram:
     """
     if sigma == 0:
         raise ValidationError("cannot project onto an empty program set")
-    if sigma >> diag.m:
-        raise ValidationError(f"mask {sigma:#x} sets bits outside the {diag.m} programs")
-    dropped = tuple(diag.m - 1 - j for j in range(diag.m) if not sigma >> j & 1)
-    weights = diag.weights.reshape((2,) * diag.m).sum(axis=dropped)
-    return WeightedDiagram(m=diag.m - len(dropped), weights=weights.ravel())
+    if sigma >> m:
+        raise ValidationError(f"mask {sigma:#x} sets bits outside the {m} programs")
+    dropped = tuple(m - 1 - j for j in range(m) if not sigma >> j & 1)
+    return weights.reshape((2,) * m).sum(axis=dropped).ravel()
+
+
+def append_weights(head: str, key: str, labels: dict[int, str], weights: np.ndarray) -> str:
+    """A canonical JSON object's text ``head`` with one more entry after its last: ``key``
+    maps each mask's label to its weight, in json's sort_keys order (by raw label); of
+    masks that share a label (names with commas) the last holds it, as in a dict.
+
+    ``key`` must sort after head's keys. Empties ``labels``: the text needs them once.
+    """
+    get = itemgetter(*sorted(range(len(weights)), key=labels.__getitem__))
+    keys, counts = get(labels), get(weights.tolist())
+    labels.clear()
+    del get  # 2^m dict entries and ints that the lines below do not need
+    last = [*map(ne, keys, keys[1:]), True]
+    lines = map("{}: {}".format, map(encode_basestring_ascii, compress(keys, last)),
+                compress(counts, last))
+    blocks = iter(lambda: ",\n    ".join(islice(lines, 1 << 16)), "")  # few lines live at once
+    return f'{head[:-3]},\n  "{key}": {{\n    ' + ",\n    ".join(blocks) + "\n  }\n}\n"
 
 
 def diagram_report(rel: Relation) -> str:
@@ -200,19 +189,10 @@ def diagram_report(rel: Relation) -> str:
 
     A region's key is its program names, sorted and comma-joined ('' for the empty set).
     """
-    diag = build_diagram(rel)
-    regions = np.argsort(region_sizes(diag.m), kind="stable")  # by (size, mask)
+    weights = build_diagram(rel)
+    regions = np.argsort(region_sizes(rel.m), kind="stable")  # by (size, mask)
     labels = subset_labels(rel.programs, regions[1:],
                            sorted(range(rel.m), key=rel.programs.__getitem__))
-    deficient = [labels[mask] for mask in regions[deficiency(diag)[regions] > 0].tolist()]
+    deficient = [labels[mask] for mask in regions[deficiency(weights, rel.m)[regions] > 0].tolist()]
     head = canonical_dumps({"deficient": deficient, "consistent": not deficient})
-    # the weights object replaces head's closing brace, in json's sort_keys order (by
-    # raw key); of masks that share a key (names with commas) the last holds it, as in a dict
-    get = itemgetter(*sorted(range(1 << diag.m), key=labels.__getitem__))
-    keys, weights = get(labels), get(diag.weights.tolist())
-    del labels, get  # 2^m dict entries and ints that the lines below do not need
-    last = [*map(ne, keys, keys[1:]), True]
-    lines = map("{}: {}".format, map(encode_basestring_ascii, compress(keys, last)),
-                compress(weights, last))
-    blocks = iter(lambda: ",\n    ".join(islice(lines, 1 << 16)), "")  # few lines live at once
-    return head[:-3] + ',\n  "weights": {\n    ' + ",\n    ".join(blocks) + "\n  }\n}\n"
+    return append_weights(head, "weights", labels, weights)

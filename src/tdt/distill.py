@@ -17,7 +17,6 @@ from typing import Literal
 
 from ._numpy import np
 from .diagram import (
-    WeightedDiagram,
     build_diagram,
     deficiency,
     inconsistent_accept_sets,
@@ -94,19 +93,19 @@ def singleton_screen(rel: Relation) -> tuple[Relation, tuple[ScreenRemoval, ...]
     return restrict_programs(rel, keep), tuple(removed)
 
 
-def _pick_deficient_region(diag: WeightedDiagram) -> int | None:
+def _pick_deficient_region(weights: np.ndarray, m: int) -> int | None:
     """Largest deficient region, or None; ties by larger deficiency, then ascending mask."""
-    shortfall = deficiency(diag)
+    shortfall = deficiency(weights, m)
     regions = np.flatnonzero(shortfall > 0)
     if not len(regions):
         return None
-    sizes = region_sizes(diag.m)[regions].astype(np.int64)
+    sizes = region_sizes(m)[regions].astype(np.int64)
     return int(regions[np.lexsort((regions, -shortfall[regions], -sizes))[0]])
 
 
-def _pick_heaviest_facet(diag: WeightedDiagram, region: int) -> int:
+def _pick_heaviest_facet(weights: np.ndarray, region: int) -> int:
     """Heaviest facet of a region (the empty set counts); ties by ascending mask."""
-    return min((region & ~(1 << j) for j in bits(region)), key=lambda f: (-diag.weights[f], f))
+    return min((region & ~(1 << j) for j in bits(region)), key=lambda f: (-weights[f], f))
 
 
 def distill(rel: Relation) -> DistillTrace:
@@ -117,15 +116,16 @@ def distill(rel: Relation) -> DistillTrace:
     """
     screened, removed = singleton_screen(rel)
     names = list(screened.programs)  # the program of each bit of the diagram
-    diag = build_diagram(screened)
+    weights = build_diagram(screened)
     steps = []
-    while (region := _pick_deficient_region(diag)) is not None:
-        face = _pick_heaviest_facet(diag, region)
+    while (region := _pick_deficient_region(weights, len(names))) is not None:
+        face = _pick_heaviest_facet(weights, region)
         removed_index = (region & ~face).bit_length() - 1
         steps.append(DistillStep(region=tuple(names[j] for j in bits(region)),
                                  face=tuple(names[j] for j in bits(face)),
                                  removed=names[removed_index]))
-        diag = project_diagram(diag, ((1 << diag.m) - 1) & ~(1 << removed_index))
+        weights = project_diagram(weights, len(names),
+                                  ((1 << len(names)) - 1) & ~(1 << removed_index))
         del names[removed_index]
     final = restrict_programs(screened, mask_from_names(screened, names))
     return DistillTrace(
@@ -220,19 +220,19 @@ def select_inputs(
     """
     if threshold < 0:
         raise ValidationError("threshold must be >= 0")
-    diag = build_diagram(rel)
-    if not is_consistent(diag):
+    weights = build_diagram(rel)
+    if not is_consistent(weights, rel.m):
         raise InconsistentDiagramError(
             "the diagram is inconsistent; distill the relation before selecting inputs"
         )
-    input_weights = diag.weights[column_masks(rel)]
+    input_weights = weights[column_masks(rel)]
     kept = tuple(np.flatnonzero(input_weights >= threshold).tolist())
-    candidates = sorted(set(diag.weights[diag.weights > 0].tolist()) | {threshold})
+    candidates = sorted(set(weights[weights > 0].tolist()) | {threshold})
     excluded = np.searchsorted(np.sort(input_weights), candidates)  # inputs below each cut
     # Consistent weights never decrease along inclusion, so the full region is the
     # heaviest: the nonempty regions reaching a cut include it whenever they are not
     # empty, and their complex is then the full simplex, one component.
-    top = int(diag.weights[-1])
+    top = int(weights[-1])
     report = tuple(
         ThresholdRow(threshold=t, excluded=int(e), components=int(t <= top))
         for t, e in zip(candidates, excluded.tolist())

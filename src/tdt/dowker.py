@@ -71,7 +71,7 @@ class DowkerGraph:
 
 def build_complex(rel: Relation) -> DowkerComplex:
     """Faces = program subsets that jointly accept at least one input."""
-    weights = build_diagram(rel).weights
+    weights = build_diagram(rel)
     return DowkerComplex(rel.m, rel.programs, faces_of(weights, rel.m), weights)
 
 

@@ -13,7 +13,8 @@ deficient region; ``stalk_json`` reports it next to sigma's stalk.
 from __future__ import annotations
 
 from ._numpy import np
-from .diagram import build_diagram, is_consistent, project_diagram, region_sizes
+from .diagram import (append_weights, build_diagram, is_consistent, project_diagram, region_sizes,
+                      subset_labels)
 from .errors import ValidationError
 from .relation import Relation, names_from_mask, validate_mask
 from .util import canonical_dumps
@@ -28,25 +29,21 @@ def display_vector(rel: Relation, sigma: int) -> tuple[int, ...]:
     validate_mask(rel, sigma)
     if sigma == 0:
         raise ValidationError("sigma must be a nonempty program subset")
-    diag = build_diagram(rel)
     size = region_sizes(rel.m)
     meet = size[np.arange(1 << rel.m) & sigma]
     regions = np.flatnonzero(meet)
     # lexsort is stable, so ties keep ascending mask order
     regions = regions[np.lexsort((size[regions], meet[regions]))]
-    return tuple(diag.weights[regions].tolist())
+    return tuple(build_diagram(rel)[regions].tolist())
 
 
 def stalk_json(rel: Relation, sigma: int) -> str:
     """Canonical JSON: {"sigma": [...], "stalk": {pattern: count}, "consistent": bool}."""
-    projected = project_diagram(build_diagram(rel), sigma)
+    projected = project_diagram(build_diagram(rel), rel.m, sigma)
     members = names_from_mask(rel, sigma)  # bit t of a projected region is members[t]
-    payload = {
-        "sigma": sorted(members),
-        "stalk": {
-            ",".join(sorted(name for t, name in enumerate(members) if z >> t & 1)): count
-            for z, count in enumerate(projected.weights.tolist())
-        },
-        "consistent": is_consistent(projected),
-    }
-    return canonical_dumps(payload)
+    width = len(members)
+    head = canonical_dumps({"consistent": is_consistent(projected, width),
+                            "sigma": sorted(members)})
+    regions = np.argsort(region_sizes(width), kind="stable")[1:]  # by (size, mask)
+    labels = subset_labels(members, regions, sorted(range(width), key=members.__getitem__))
+    return append_weights(head, "stalk", labels, projected)

@@ -97,6 +97,14 @@ def relation_from_masks(masks, m, programs=None, input_prefix="g"):
     return Relation(programs=programs, inputs=inputs, accepts=matrix.reshape(m, len(masks)))
 
 
+def uniform_relation(m, n, seed, p=0.7):
+    """Programs p0.. and inputs i0.., each pair accepted with probability p."""
+    rng = np.random.default_rng(seed)
+    return Relation(programs=tuple(f"p{j}" for j in range(m)),
+                    inputs=tuple(f"i{k}" for k in range(n)),
+                    accepts=rng.random((m, n)) < p)
+
+
 def dual_complex(rel):
     """The Dowker complex of the transposed relation, from the oracles: one vertex per
     distinct nonzero accept-set (in first-appearance order, labeled by its first
@@ -110,12 +118,12 @@ def dual_complex(rel):
                          np.zeros(1 << width, dtype=np.int64))
 
 
-def stalk(diag, sigma):
+def stalk(weights, m, sigma):
     """The stalk over sigma: inputs per acceptance pattern within sigma, keyed by the
     submask of sigma, read off the projection onto sigma (whose regions are the
     submasks in ascending order)."""
     patterns = [z for z in range(sigma + 1) if z & ~sigma == 0]
-    return dict(zip(patterns, project_diagram(diag, sigma).weights.tolist()))
+    return dict(zip(patterns, project_diagram(weights, m, sigma).tolist()))
 
 
 def feature_csv(feats):

@@ -52,7 +52,7 @@ def test_criterion_1_toy_fixture(toy_relation):
         A | B: 3, A | C: 1, A | D: 2, B | C: 1, C | D: 3, A | C | D: 4,
     }
     for mask in range(16):
-        assert diag.weights[mask] == expected.get(mask, 0)
+        assert diag[mask] == expected.get(mask, 0)
     graph = build_graph(build_complex(toy_relation))
     inconsistent = ~graph.consistent
     red = set(zip(graph.tails[inconsistent].tolist(), graph.heads[inconsistent].tolist()))
@@ -67,20 +67,20 @@ def test_criterion_1_toy_fixture(toy_relation):
 def test_criterion_2_three_parser_fixture(trio_relation):
     started = time.perf_counter()
     diag = build_diagram(trio_relation)
-    assert tuple(diag.weights) == (1, 2, 3, 1, 2, 3, 1, 1)
-    assert deficient_regions(diag) == {A | B, B | C, A | B | C}
+    assert tuple(diag) == (1, 2, 3, 1, 2, 3, 1, 1)
+    assert deficient_regions(diag, 3) == {A | B, B | C, A | B | C}
     screened, removed = singleton_screen(trio_relation)
     assert [r.program for r in removed] == ["B"]
     assert screened.programs == ("A", "C")
     pair = build_diagram(screened)
-    assert tuple(pair.weights) == (4, 3, 3, 4)
-    assert deficient_regions(pair) == {0b01, 0b10}
+    assert tuple(pair) == (4, 3, 3, 4)
+    assert deficient_regions(pair, 2) == {0b01, 0b10}
     trace = distill(trio_relation)
     assert len(trace.final_programs) == 1
     assert trace.final_programs[0] in ("A", "C")
     final = build_diagram(trace.final_relation)
-    assert tuple(final.weights) == (7, 7)
-    assert is_consistent(final)
+    assert tuple(final) == (7, 7)
+    assert is_consistent(final, 1)
     _passed("criterion 2 (3x14 screen/deficiency/distill)", started, 1.0)
 
 
@@ -146,10 +146,10 @@ def test_criterion_5a_filtration_lemma_equivalence():
         for _ in range(500):
             rel = _random_relation(rng)
             diag = build_diagram(rel)
-            weights = dict(enumerate(diag.weights))
+            weights = dict(enumerate(diag))
             via_covers = oracles.consistent_by_covers(weights, rel.m)
             via_pairs = oracles.consistent_by_subset_pairs(weights, rel.m)
-            assert is_consistent(diag) == via_covers == via_pairs
+            assert is_consistent(diag, rel.m) == via_covers == via_pairs
             verdicts.add(via_covers)
     assert verdicts == {True, False}  # both branches exercised
 
@@ -160,19 +160,19 @@ def test_criterion_5b_subdiagram_lemma():
     with _timed_suite("b (subdiagram lemma)"):
         for _ in range(500):
             rel = _random_relation(rng, min_n=1)
-            if not is_consistent(build_diagram(rel)):
+            if not is_consistent(build_diagram(rel), rel.m):
                 try:
                     rel = distill(rel).final_relation
                 except EmptyScreenError:
                     continue
-            assert is_consistent(build_diagram(rel))
+            assert is_consistent(build_diagram(rel), rel.m)
             if rel.m < 2:
                 continue
             exercised += 1
             for j in range(rel.m):
                 keep = ((1 << rel.m) - 1) & ~(1 << j)
                 sub = restrict_programs(rel, keep)
-                assert is_consistent(build_diagram(sub))
+                assert is_consistent(build_diagram(sub), sub.m)
     assert exercised >= 100
 
 
@@ -188,7 +188,7 @@ def test_criterion_5c_removal_additivity():
             kept_bits = [t for t in range(rel.m) if t != j]
             for small_mask in range(1 << (rel.m - 1)):
                 big = sum(1 << kept_bits[t] for t in range(rel.m - 1) if small_mask >> t & 1)
-                assert sub.weights[small_mask] == diag.weights[big] + diag.weights[big | (1 << j)]
+                assert sub[small_mask] == diag[big] + diag[big | (1 << j)]
 
 
 def test_criterion_5d_duality_component_counts():
@@ -224,7 +224,8 @@ def test_criterion_5f_distill_terminates_consistent():
                 accepted = rel.accepts.sum(axis=1)
                 assert all(2 * a < rel.n for a in accepted)
                 continue
-            assert is_consistent(build_diagram(trace.final_relation))
+            final = trace.final_relation
+            assert is_consistent(build_diagram(final), final.m)
             assert len(trace.steps) <= rel.m
             removed = len(trace.initial_removals) + len(trace.steps)
             assert len(trace.final_programs) + removed == rel.m

@@ -53,8 +53,8 @@ def test_distill_trio(trio_relation):
     assert len(trace.final_programs) == 1
     assert trace.final_programs[0] in ("A", "C")
     diag = build_diagram(trace.final_relation)
-    assert tuple(diag.weights) == (7, 7)
-    assert is_consistent(diag)
+    assert tuple(diag) == (7, 7)
+    assert is_consistent(diag, 1)
 
 
 def test_distill_consistent_input_is_untouched(graded_relation):
@@ -73,7 +73,8 @@ def test_distill_random_relations_end_consistent():
             trace = distill(rel)
         except EmptyScreenError:
             continue
-        assert is_consistent(build_diagram(trace.final_relation))
+        final = trace.final_relation
+        assert is_consistent(build_diagram(final), final.m)
         assert len(trace.steps) <= 5
 
 
@@ -158,7 +159,7 @@ def test_select_then_reanalyze_has_no_light_regions(graded_relation):
     kept, _ = select_inputs(graded_relation, 30)
     survivors = restrict_inputs(graded_relation, kept)
     diag = build_diagram(survivors)
-    assert all(w == 0 or w >= 30 for w in diag.weights)
+    assert all(w == 0 or w >= 30 for w in diag)
 
 
 def test_selection_report_csv(graded_relation):
@@ -198,12 +199,12 @@ def _seeded_rows(m, p, case):
 def _first_round_ties(rel) -> tuple[bool, bool]:
     """Among the largest deficient regions after the screen: do their deficiencies
     break a tie of size, and do several share the largest deficiency too?"""
-    diag = build_diagram(singleton_screen(rel)[0])
-    shortfall = deficiency(diag)
+    screened = singleton_screen(rel)[0]
+    shortfall = deficiency(build_diagram(screened), screened.m)
     regions = np.flatnonzero(shortfall > 0)
     if not len(regions):
         return False, False
-    sizes = region_sizes(diag.m)[regions]
+    sizes = region_sizes(screened.m)[regions]
     top = shortfall[regions[sizes == sizes.max()]]
     return len(set(top.tolist())) > 1, np.count_nonzero(top == top.max()) > 1
 

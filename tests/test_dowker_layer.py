@@ -102,7 +102,7 @@ def test_complex_counts_match_oracles(m):
         assert (face_count, red_count) == (len(faces), list(edges.values()).count(False))
         assert set(np.flatnonzero(core).tolist()) == oracles.core_faces(rows)
         assert type(consistent) is bool
-        assert consistent == is_consistent(diag)
+        assert consistent == is_consistent(diag, m)
         assert consistent == oracles.consistent_by_covers(weights, m)
 
 

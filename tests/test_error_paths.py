@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from tdt.classify import GroundTruth, evaluate
-from tdt.diagram import WeightedDiagram
 from tdt.distill import select_inputs, singleton_screen
 from tdt.errors import ConfigurationError, EmptyScreenError, FormatError, ValidationError
 from tdt.features import attribute_features
@@ -52,12 +51,6 @@ CASES = [
      FormatError, "{tmp}/r.json: field 'rows' has 1 entries for 2 programs"),
     ("csv-empty", lambda tmp: load_relation(_file(tmp, "r.csv", "")),
      FormatError, "{tmp}/r.csv: empty file"),
-    ("diagram-m", lambda tmp: WeightedDiagram(0, np.zeros(1)),
-     ValidationError, "diagram needs at least one program"),
-    ("diagram-length", lambda tmp: WeightedDiagram(2, np.zeros(3)),
-     ValidationError, "expected 4 region weights, got 3"),
-    ("diagram-negative", lambda tmp: WeightedDiagram(1, np.array([1, -1])),
-     ValidationError, "region weights must be non-negative"),
     ("screen-empty", lambda tmp: singleton_screen(restrict_inputs(REL, [])),
      ValidationError, "singleton screen needs a non-empty corpus"),
     ("screen-all-removed",  # names as reprs, so the message stays one line

@@ -335,10 +335,28 @@ def test_keyword_table(pattern_run):
     assert row["f12"] == "0,0,0"
 
 
-def test_keyword_table_needs_keywords(pattern_run):
-    inputs, results = pattern_run
-    with pytest.raises(ValidationError):
-        keyword_table(inputs, results, {"A": ()})
+def test_keyword_table_needs_keywords(tmp_path, capsys):
+    """``run --keywords-out`` with no keyword configured fails before any parser
+    runs, and writes no file."""
+    from tdt.cli import main
+
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "corpus" / "f1").write_text("x")
+    marker = tmp_path / "ran"
+    touch = f"import pathlib; pathlib.Path({str(marker)!r}).touch()"
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "parsers": [{"name": "A", "command": f'{sys.executable} -c "{touch}" {{input}}'}],
+        "corpus": str(tmp_path / "corpus"),
+    }))
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["run", "--config", str(cfg_path), "--out", str(out / "rel.json"),
+            "--results", str(out / "r.jsonl"), "--keywords-out", str(out / "kw.csv")]
+    assert main(argv) == 2
+    assert "at least one parser needs a nonempty keyword list" in capsys.readouterr().err
+    assert not marker.exists()
+    assert list(out.iterdir()) == []
 
 
 def test_keyword_table_csv(pattern_run):

@@ -27,15 +27,10 @@ from tdt.features import attribute_features
 from tdt.relation import FeatureRelation, Relation, save_relation
 from tdt.sheaf import display_vector, stalk_json
 
+from conftest import uniform_relation
+
 PAIRS_UP_TO = 13  # pairs mode takes about 3^m comparisons
 BETTI_UP_TO = 14
-
-
-def _uniform(m, n, seed, p=0.7):
-    rng = np.random.default_rng(seed)
-    return Relation(programs=tuple(f"p{j}" for j in range(m)),
-                    inputs=tuple(f"i{k}" for k in range(n)),
-                    accepts=rng.random((m, n)) < p)
 
 
 def _permuted(rel, order):
@@ -68,7 +63,7 @@ def _pairs_scores(rel):
 
 @pytest.mark.parametrize("m", range(11, 21))
 def test_counts_scores_and_trace_survive_permutation_and_repetition(m):
-    rel = _uniform(m, 600, seed=1700 + m)
+    rel = uniform_relation(m, 600, seed=1700 + m)
     trace = distill(rel)
     assert trace.steps  # the uniform relation is inconsistent; its distillate is not
     for r in (rel, trace.final_relation):
@@ -91,7 +86,7 @@ def test_counts_scores_and_trace_survive_permutation_and_repetition(m):
 
 @pytest.mark.parametrize("m", range(11, 15))
 def test_subset_scores_survive_permutation_and_repetition(m):
-    rel = _uniform(m, 600, seed=1700 + m)
+    rel = uniform_relation(m, 600, seed=1700 + m)
     min_size = 2 if m == 11 else m - 2  # a full sweep costs about 3^m
 
     def scores(r):
@@ -136,7 +131,7 @@ def test_feature_levels_survive_permutation(m):
 
 @pytest.mark.parametrize("m", range(11, 21))
 def test_projections_compose(m):
-    diag = build_diagram(_uniform(m, 600, seed=1800 + m))
+    diag = build_diagram(uniform_relation(m, 600, seed=1800 + m))
     rng = np.random.default_rng([18, m])
     for _ in range(4):
         sigma, tau = (int(x) for x in rng.integers(1, 1 << m, 2))
@@ -145,8 +140,9 @@ def test_projections_compose(m):
         # tau within sigma: bit t is set when sigma's t-th program is in tau
         members = [j for j in range(m) if sigma >> j & 1]
         inner = sum(1 << t for t, j in enumerate(members) if tau >> j & 1)
-        assert project_diagram(project_diagram(diag, sigma), inner) == project_diagram(
-            diag, sigma & tau)
+        width = bin(sigma).count("1")
+        assert np.array_equal(project_diagram(project_diagram(diag, m, sigma), width, inner),
+                              project_diagram(diag, m, sigma & tau))
 
 
 def _inconsistent_ids(rel, tmp_path):
@@ -160,7 +156,7 @@ def _inconsistent_ids(rel, tmp_path):
 
 @pytest.mark.parametrize("m", range(11, 21))
 def test_per_input_answers_follow_an_input_permutation(m, tmp_path):
-    rel = _uniform(m, 600, seed=1800 + m)
+    rel = uniform_relation(m, 600, seed=1800 + m)
     order = np.random.default_rng(m).permutation(rel.n)
     shuffled = Relation(programs=rel.programs, inputs=tuple(rel.inputs[k] for k in order),
                         accepts=rel.accepts[:, order])
@@ -177,14 +173,14 @@ def test_per_input_answers_follow_an_input_permutation(m, tmp_path):
 
 @pytest.mark.parametrize("m", range(11, 21))
 def test_program_permutation_keeps_inputs_and_betti_and_relabels_stalks(m, tmp_path):
-    rel = _uniform(m, 600, seed=1900 + m)
+    rel = uniform_relation(m, 600, seed=1900 + m)
     rng = np.random.default_rng([19, m])
     order = rng.permutation(m)
     permuted, relabel = _permuted(rel, order), _relabel(order)
     flagged = _inconsistent_ids(rel, tmp_path)
     assert flagged
     assert _inconsistent_ids(permuted, tmp_path) == flagged
-    weights, size, regions = build_diagram(rel).weights, region_sizes(m), np.arange(1 << m)
+    weights, size, regions = build_diagram(rel), region_sizes(m), np.arange(1 << m)
     for sigma in rng.integers(1, 1 << m, 2).tolist():
         moved = sum(1 << t for t, j in enumerate(order.tolist()) if sigma >> j & 1)
         # the stalk names its programs, so it is the same text
@@ -196,7 +192,7 @@ def test_program_permutation_keeps_inputs_and_betti_and_relabels_stalks(m, tmp_p
         assert display_vector(permuted, moved) == tuple(weights[relabel[shown]].tolist())
     if m <= BETTI_UP_TO:
         # a dense relation's complex is contractible; a sparse one's has holes
-        sparse = _uniform(m, 60, seed=1900 + m, p=0.2)
+        sparse = uniform_relation(m, 60, seed=1900 + m, p=0.2)
         betti = betti_numbers(build_complex(sparse), 2)
         assert betti[1:] != (0, 0)
         assert betti_numbers(build_complex(_permuted(sparse, order)), 2) == betti

@@ -97,7 +97,7 @@ def test_column_masks_match_column_sums(rel):
 @COMMON
 @given(relations())
 def test_diagram_partitions_corpus(rel):
-    assert sum(build_diagram(rel).weights) == rel.n
+    assert sum(build_diagram(rel)) == rel.n
 
 
 @COMMON
@@ -166,15 +166,16 @@ def test_coarsening_identity(rel):
         for j in range(rel.m):
             sub = sigma & ~(1 << j)
             if sub and sub != sigma:
-                merged = restrict_stalk(stalk(diag, sigma), sigma, sub)
-                assert merged == stalk(diag, sub)
+                merged = restrict_stalk(stalk(diag, rel.m, sigma), sigma, sub)
+                assert merged == stalk(diag, rel.m, sub)
 
 
 @COMMON
 @given(relations())
 def test_consistency_at_full_simplex_matches_diagram(rel):
     full = (1 << rel.m) - 1
-    assert json.loads(stalk_json(rel, full))["consistent"] == is_consistent(build_diagram(rel))
+    consistent = is_consistent(build_diagram(rel), rel.m)
+    assert json.loads(stalk_json(rel, full))["consistent"] == consistent
 
 
 @COMMON
@@ -277,12 +278,12 @@ def test_subdiagram_deficiency_counts_are_monitored():
         masks = [int(v) for v in rng.integers(0, 1 << m, size=n)]
         rel = relation_from_masks(masks, m=m)
         diag = build_diagram(rel)
-        parent = len(deficient_regions(diag))
+        parent = len(deficient_regions(diag, m))
         if parent == 0:
             continue
         for j in range(m):
             keep = ((1 << m) - 1) & ~(1 << j)
-            child = len(deficient_regions(project_diagram(diag, keep)))
+            child = len(deficient_regions(project_diagram(diag, m, keep), m - 1))
             if child > parent:
                 violations.append((masks, j, parent, child))
     if violations:

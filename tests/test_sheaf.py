@@ -27,7 +27,7 @@ def test_stalk_single_program(graded_relation, toy_relation):
 
 def test_stalk_full_subset_equals_diagram(trio_relation):
     diag = build_diagram(trio_relation)
-    assert stalk(diag, A | B | C) == dict(enumerate(diag.weights.tolist()))
+    assert stalk(diag, 3, A | B | C) == dict(enumerate(diag.tolist()))
 
 
 def test_stalk_pair_trio(trio_relation):
@@ -47,7 +47,7 @@ def test_coarsening_identity(toy_relation):
             sub = sigma & ~(1 << j)
             if sub == 0 or sub == sigma:
                 continue
-            assert restrict_stalk(stalk(diag, sigma), sigma, sub) == stalk(diag, sub)
+            assert restrict_stalk(stalk(diag, 4, sigma), sigma, sub) == stalk(diag, 4, sub)
 
 
 def test_consistency_at(trio_relation, graded_relation):
@@ -61,7 +61,7 @@ def test_consistency_at(trio_relation, graded_relation):
 def test_consistency_at_full_set_matches_diagram(trio_relation, graded_relation):
     for rel in (trio_relation, graded_relation):
         full = (1 << rel.m) - 1
-        assert _stalk_json(rel, full)[1] == is_consistent(build_diagram(rel))
+        assert _stalk_json(rel, full)[1] == is_consistent(build_diagram(rel), rel.m)
 
 
 def test_consistency_at_rejects_unknown_simplex(trio_relation):
@@ -86,7 +86,7 @@ def test_display_vector_sum(toy_relation):
     for sigma in range(1, 16):
         vec = display_vector(toy_relation, sigma)
         skipped = sum(
-            w for mask, w in enumerate(diag.weights) if mask & sigma == 0
+            w for mask, w in enumerate(diag) if mask & sigma == 0
         )
         assert sum(vec) == toy_relation.n - skipped
 
@@ -98,7 +98,7 @@ def test_display_vector_matches_the_sort_key_oracle(m):
     rng = np.random.default_rng([7, m])
     counts = rng.permutation(1 << m) if m <= 8 else rng.integers(0, 8, 1 << m)
     rel = relation_from_masks(np.repeat(np.arange(1 << m), counts).tolist(), m=m)
-    weights = build_diagram(rel).weights
+    weights = build_diagram(rel)
     for sigma in {1 << m - 1, (1 << m) - 1, *rng.integers(1, 1 << m, 6).tolist()}:
         expected = tuple(weights[oracles.display_order(m, sigma)].tolist())
         assert display_vector(rel, sigma) == expected
@@ -138,12 +138,38 @@ def test_consistency_at_matches_the_sheaf_condition_oracle(m):
 
         for sigma in range(1, 1 << m):
             expected = oracles.stalk(rows, sigma)
-            assert stalk(diag, sigma) == expected
-            verdict = oracles.consistency_at(lambda mask: stalk(diag, mask), rows, sigma)
+            assert stalk(diag, m, sigma) == expected
+            verdict = oracles.consistency_at(lambda mask: stalk(diag, m, mask), rows, sigma)
             verdicts.add(verdict)
-            assert json.loads(stalk_json(rel, sigma)) == {
+            assert stalk_json(rel, sigma) == json.dumps({
                 "sigma": names(sigma),
                 "stalk": {",".join(names(z)): count for z, count in expected.items()},
                 "consistent": verdict,
-            }
+            }, sort_keys=True, indent=2) + "\n"
     assert verdicts == {True, False}
+
+
+def test_stalk_json_bytes_with_comma_and_non_ascii_names():
+    """Names that hold commas give several patterns one key, and the last pattern
+    holds it, as in a dict; json escapes the non-ASCII names. The text is that of
+    json.dumps over the oracle's stalk."""
+    names = ("a,b", "a", "b", "é", "λ,", "Z")
+    rng = np.random.default_rng(27)
+    rel = relation_from_masks(rng.integers(0, 1 << 6, 200).tolist(), m=6, programs=names)
+    rows = ["".join("1" if v else "0" for v in row) for row in rel.accepts]
+
+    def members(mask):
+        return sorted(names[j] for j in range(6) if mask >> j & 1)
+
+    shared = 0
+    for sigma in range(1, 1 << 6):
+        kept = [j for j in range(6) if sigma >> j & 1]
+        stalk_by_name = {",".join(members(z)): count
+                         for z, count in oracles.stalk(rows, sigma).items()}
+        shared += len(stalk_by_name) < 1 << len(kept)
+        consistent = oracles.consistent_by_covers(
+            oracles.region_weights(oracles.restrict_rows(rows, kept)), len(kept))
+        assert stalk_json(rel, sigma) == json.dumps(
+            {"sigma": members(sigma), "stalk": stalk_by_name, "consistent": consistent},
+            sort_keys=True, indent=2) + "\n"
+    assert shared

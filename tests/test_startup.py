@@ -166,11 +166,11 @@ def test_analyze_loads_the_dowker_layer(launcher):
 
 
 # What ``tdt`` exported when its __init__ imported every module eagerly, less the
-# names that no command reached, which are gone.
+# names deleted since, plus ``accept_rows``.
 EXPORTS = {
     "classify": "ClassifierReport GroundTruth evaluate load_ground_truth score_rule_classifier "
                 "vote_classifier",
-    "diagram": "WeightedDiagram build_diagram deficient_regions is_consistent project_diagram",
+    "diagram": "build_diagram deficient_regions is_consistent project_diagram",
     "distill": "DistillTrace ScoreVector distill inconsistency_scores select_inputs "
                "singleton_screen",
     "dowker": "DowkerComplex DowkerGraph betti_numbers build_complex build_graph "
@@ -179,7 +179,7 @@ EXPORTS = {
               "InconsistentDiagramError TdtError ValidationError",
     "features": "FeatureAttribution attribute_features greedy_feature_pruning "
                 "variation_of_information",
-    "harness": "RunConfig RunResult keyword_table load_run_config run_corpus",
+    "harness": "RunConfig RunResult accept_rows keyword_table load_run_config run_corpus",
     "relation": "FeatureRelation MAX_PROGRAMS Relation column_masks load_feature_relation "
                 "load_relation mask_from_names names_from_mask restrict_inputs restrict_programs "
                 "save_relation",
