@@ -57,9 +57,9 @@ def main() -> None:
     print(f"Betti numbers over GF(2): {betti}  "
           "(the 1-cycle isolates the odd parser out)")
 
-    vec = inconsistency_scores(rel)
+    scores, _ = inconsistency_scores(rel)
     print("\nscore histogram:")
-    print(histogram_csv(vec), end="")
+    print(histogram_csv(scores), end="")
 
     trace = distill(rel)
     print("distillation: screened "

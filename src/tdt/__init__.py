@@ -16,11 +16,9 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it provides as ``tdt.<name>``
 _EXPORTS = {
-    "classify": "ClassifierReport GroundTruth evaluate load_ground_truth score_rule_classifier "
-                "vote_classifier",
+    "classify": "ClassifierReport evaluate load_ground_truth score_rule_classifier vote_classifier",
     "diagram": "build_diagram deficient_regions is_consistent project_diagram",
-    "distill": "DistillTrace ScoreVector distill inconsistency_scores select_inputs "
-               "singleton_screen",
+    "distill": "DistillTrace distill inconsistency_scores select_inputs singleton_screen",
     "dowker": "DowkerComplex DowkerGraph betti_numbers build_complex build_graph "
               "consistent_core graph_dot inconsistent_inputs",
     "errors": "CapacityError ConfigurationError EmptyScreenError FormatError "

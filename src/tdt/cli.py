@@ -13,7 +13,8 @@ Run as a program (``python -m tdt.cli``, or the ``tdt`` command through
 Imported as a module, for in-process calls of :func:`main`, it loads them all
 up front.
 
-Exit codes: 0 success, 1 runtime/partial failure, 2 usage or validation.
+Exit codes: 0 success, 1 runtime/partial failure, 2 usage, validation or a path
+that is missing, a directory, or under a file.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import argparse
 import importlib
 import json
 import sys
+from itertools import compress
 
 from .errors import TdtError, ValidationError
 from .util import canonical_dumps, is_csv, relation_csv_text, relation_json_text, write_text
@@ -204,19 +206,18 @@ def cmd_score(rel, args) -> int:
 
     if args.restricted_out and args.restrict_below is None:
         raise ValidationError("--restricted-out needs --restrict-below N")
-    vec = inconsistency_scores(rel, min_subset_size=args.min_size, mode=args.mode)
+    scores, swept = inconsistency_scores(rel, min_subset_size=args.min_size, mode=args.mode)
     if args.scores:
-        write_text(args.scores, scores_csv(vec))
+        write_text(args.scores, scores_csv(rel.inputs, scores))
     if args.hist:
-        write_text(args.hist, histogram_csv(vec))
+        write_text(args.hist, histogram_csv(scores))
     if args.restrict_below is not None:
-        kept = [k for k, s in enumerate(vec.scores) if s < args.restrict_below]
+        kept = (scores < args.restrict_below).nonzero()[0].tolist()
         restricted = restrict_inputs(rel, kept)
         if args.restricted_out:
             save_relation(restricted, args.restricted_out)
         print(f"restricted to score < {args.restrict_below}: kept {len(kept)} / {rel.n}")
-    top = max(vec.scores) if vec.scores else 0
-    print(f"scored {rel.n} inputs over {len(vec.swept)} subsets; max score {top}")
+    print(f"scored {rel.n} inputs over {len(swept)} subsets; max score {scores.max(initial=0)}")
     return 0
 
 
@@ -278,19 +279,18 @@ def cmd_classify(rel, args) -> int:
         from .distill import inconsistency_scores
 
         min_size = args.min_size if args.min_size is not None else 2
-        vec = inconsistency_scores(rel, min_subset_size=min_size)
-        predicted = score_rule_classifier(vec, below=below, equal=equal)
-    flagged = sorted(predicted)
-    print(f"flagged {len(flagged)} / {rel.n} inputs as non-compliant")
+        scores, _ = inconsistency_scores(rel, min_subset_size=min_size)
+        predicted = score_rule_classifier(scores, below=below, equal=equal)
+    print(f"flagged {predicted.sum()} / {rel.n} inputs as non-compliant")
     if truth is not None:
         report = evaluate(predicted, truth)
         if args.out:
-            write_text(args.out, report_json(report, rel.inputs))
+            write_text(args.out, report_json(report, rel.inputs, predicted))
         for label in ("precision", "recall", "f1"):
             value = getattr(report, label)
             print(f"{label}: " + ("undefined" if value is None else f"{float(value):.4f}"))
     elif args.out:
-        write_text(args.out, canonical_dumps([rel.inputs[k] for k in flagged]))
+        write_text(args.out, canonical_dumps(list(compress(rel.inputs, predicted.tolist()))))
     return 0
 
 
@@ -311,7 +311,7 @@ def main(argv=None) -> int:
         from .relation import load_relation
 
         return args.func(load_relation(args.relation), args)
-    except (TdtError, FileNotFoundError) as exc:
+    except (TdtError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -10,7 +10,6 @@ restriction it is inconsistent.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Literal
@@ -54,20 +53,6 @@ class DistillTrace:
 
 
 @dataclass(frozen=True)
-class ScoreVector:
-    """Per-input inconsistency scores plus the subset sweep that produced them."""
-
-    inputs: tuple[str, ...]
-    scores: tuple[int, ...]
-    swept: tuple[int, ...]          # program-subset masks, ascending
-    min_subset_size: int
-    mode: str
-
-    def histogram(self) -> list[tuple[int, int]]:
-        return sorted(Counter(self.scores).items())
-
-
-@dataclass(frozen=True)
 class ThresholdRow:
     threshold: int
     excluded: int
@@ -99,7 +84,9 @@ def _pick_deficient_region(weights: np.ndarray, m: int) -> int | None:
     regions = np.flatnonzero(shortfall > 0)
     if not len(regions):
         return None
-    sizes = region_sizes(m)[regions].astype(np.int64)
+    sizes = np.zeros_like(regions)  # their program counts, with no vector over all 2^m
+    for j in range(m):
+        sizes += regions >> j & 1
     return int(regions[np.lexsort((regions, -shortfall[regions], -sizes))[0]])
 
 
@@ -152,8 +139,9 @@ def inconsistency_scores(
     rel: Relation,
     min_subset_size: int = 2,
     mode: Literal["subset", "pairs"] = "subset",
-) -> ScoreVector:
-    """Score every input by how many swept program subsets call it inconsistent.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score every input by how many swept program subsets call it inconsistent:
+    an int64 vector over ``rel.inputs``, and the swept subset masks, ascending.
 
     ``subset`` mode (canonical) sweeps the restrictions to every program subset
     of size >= min_subset_size and collects each restriction's inconsistent
@@ -170,10 +158,10 @@ def inconsistency_scores(
     # an input's score depends only on its accept-set: score each distinct one
     masks, inverse, counts = np.unique(column_masks(rel), return_inverse=True, return_counts=True)
     tall = region_sizes(rel.m) >= min_subset_size
-    swept = np.flatnonzero(tall).tolist()
+    swept = np.flatnonzero(tall)
     if mode == "subset":
         hits = np.zeros(len(masks), dtype=np.int64)
-        for sigma in swept:
+        for sigma in swept.tolist():
             hits += inconsistent_accept_sets(masks, counts, sigma)
     else:
         # program j is axis m-1-j; for d = 1, 2, ... fixing d's axes at 0 views every sigma
@@ -191,21 +179,17 @@ def inconsistency_scores(
             sigmas += flagged
             taus -= flagged
         hits = subset_sum(net.ravel(), rel.m)[masks]
-    return ScoreVector(
-        inputs=rel.inputs,
-        scores=tuple(hits[inverse].tolist()),
-        swept=tuple(swept),
-        min_subset_size=min_subset_size,
-        mode=mode,
-    )
+    return hits[inverse], swept
 
 
-def scores_csv(vec: ScoreVector) -> str:
-    return csv_text(["input_id", "score"], zip(vec.inputs, vec.scores))
+def scores_csv(inputs: tuple[str, ...], scores: np.ndarray) -> str:
+    return csv_text(["input_id", "score"], zip(inputs, scores.tolist()))
 
 
-def histogram_csv(vec: ScoreVector) -> str:
-    return csv_text(["score", "count"], vec.histogram())
+def histogram_csv(scores: np.ndarray) -> str:
+    """Each score that occurs, ascending, with its number of inputs."""
+    values, counts = np.unique(scores, return_counts=True)
+    return csv_text(["score", "count"], zip(values.tolist(), counts.tolist()))
 
 
 def select_inputs(

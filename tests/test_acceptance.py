@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tdt.classify import GroundTruth, evaluate
+from tdt.classify import evaluate
 from tdt.cli import main
 from tdt.diagram import build_diagram, deficient_regions, is_consistent
 from tdt.distill import distill, inconsistency_scores, select_inputs, singleton_screen
@@ -208,7 +208,7 @@ def test_criterion_5e_scores_match_bruteforce():
     with _timed_suite("e (score sweep vs brute force)"):
         for _ in range(500):
             rel = _random_relation(rng, max_m=4, max_n=12)
-            assert list(inconsistency_scores(rel).scores) == oracles.sweep_scores(
+            assert inconsistency_scores(rel)[0].tolist() == oracles.sweep_scores(
                 _rows_of(rel), 2
             )
 
@@ -266,17 +266,14 @@ def test_criterion_6_harness_end_to_end(tmp_path):
 
 def test_criterion_7_classifier_formulas():
     started = time.perf_counter()
-    truth = GroundTruth(
-        inputs=tuple(f"t{k}" for k in range(12)),
-        compliant=tuple(k == 0 for k in range(12)),
-    )
-    report = evaluate(set(range(12)), truth)  # TP=11, FP=1, FN=0
+    compliant = np.arange(12) == 0
+    report = evaluate(np.ones(12, dtype=bool), compliant)  # TP=11, FP=1, FN=0
     assert report.precision == Fraction(11, 12)
     assert report.recall == Fraction(1)
     assert report.f1 == Fraction(22, 23)
     p, r, f1 = (float(report.precision), float(report.recall), float(report.f1))
     assert abs(f1 - 2 * p * r / (p + r)) < 1e-12
-    empty = evaluate(set(), truth)
+    empty = evaluate(np.zeros(12, dtype=bool), compliant)
     assert empty.precision is None and empty.recall == 0
     _passed("criterion 7 (exact classifier metrics)", started, 1.0)
 
@@ -289,10 +286,10 @@ def test_criterion_8_corpus_scale_formats_declared(toy_relation, capsys):
     from tdt.relation import restrict_inputs
 
     started = time.perf_counter()
-    vec = inconsistency_scores(toy_relation)
-    assert scores_csv(vec).splitlines()[0] == "input_id,score"
-    assert histogram_csv(vec).splitlines()[0] == "score,count"
-    kept = [k for k, s in enumerate(vec.scores) if s < 3]
+    scores, _ = inconsistency_scores(toy_relation)
+    assert scores_csv(toy_relation.inputs, scores).splitlines()[0] == "input_id,score"
+    assert histogram_csv(scores).splitlines()[0] == "score,count"
+    kept = np.flatnonzero(scores < 3).tolist()
     restricted = restrict_inputs(toy_relation, kept)
     assert restricted.programs == toy_relation.programs
     print("[acceptance] criterion 8: corpus-scale figures declared not desk-"

@@ -516,12 +516,26 @@ def test_missing_relation_file(tmp_path, capsys):
     assert code == 2
 
 
-def test_an_output_path_that_is_a_directory_exits_one(tmp_path, capsys):
-    # an OSError other than a missing file is a runtime failure, reported in one line
-    code = main(["analyze", str(DATA / "relation_3x14.golden.json"),
-                 "--inconsistent", str(tmp_path)])
-    assert code == 1
-    assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
+# (id, arguments after the command with {tmp} for a directory holding the file
+# "file", the path the error names, and its errno text)
+UNUSABLE_PATHS = [
+    ("output-directory", ["analyze", "{golden}", "--inconsistent", "{tmp}"], "{tmp}",
+     "[Errno 21] Is a directory"),
+    ("output-under-a-file", ["analyze", "{golden}", "--weights", "{tmp}/file/w.json"],
+     "{tmp}/file/w.json", "[Errno 20] Not a directory"),
+    ("relation-directory", ["distill", "{tmp}"], "{tmp}", "[Errno 21] Is a directory"),
+]
+
+
+@pytest.mark.parametrize("argv, named, reason", [case[1:] for case in UNUSABLE_PATHS],
+                         ids=[case[0] for case in UNUSABLE_PATHS])
+def test_unusable_paths_exit_two(tmp_path, capsys, argv, named, reason):
+    # a path that cannot be a file exits 2, as a missing one does, in one line
+    (tmp_path / "file").write_text("")
+    fill = {"golden": DATA / "relation_3x14.golden.json", "tmp": tmp_path}
+    code = main([arg.format(**fill) for arg in argv])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: {reason}: {named.format(**fill)!r}\n")
 
 
 def test_outputs_are_idempotent(tmp_path, toy_json):

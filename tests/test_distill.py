@@ -87,28 +87,28 @@ def test_trace_json_shape(trio_relation):
 
 
 def test_inconsistency_scores_toy(toy_relation):
-    vec = inconsistency_scores(toy_relation)
-    assert vec.scores == TOY_SCORES
-    assert len(vec.swept) == 11  # subsets of size >= 2 out of four programs
+    scores, swept = inconsistency_scores(toy_relation)
+    assert scores.dtype == np.int64 and np.array_equal(scores, TOY_SCORES)
+    assert len(swept) == 11  # subsets of size >= 2 out of four programs
+    assert np.array_equal(swept, np.flatnonzero(region_sizes(4) >= 2))  # ascending
     # first file has a singleton accept-set: never inconsistent anywhere
-    assert vec.scores[0] == 0
+    assert scores[0] == 0
     # identical columns score identically
-    assert len({vec.scores[k] for k in (16, 17, 18, 19)}) == 1
+    assert len(set(scores[[16, 17, 18, 19]].tolist())) == 1
 
 
 def test_inconsistency_scores_match_oracle(toy_relation, trio_relation):
     for rel in (toy_relation, trio_relation):
         rows = ["".join("1" if v else "0" for v in row) for row in rel.accepts]
-        assert list(inconsistency_scores(rel).scores) == sweep_scores(rows, 2)
+        assert inconsistency_scores(rel)[0].tolist() == sweep_scores(rows, 2)
 
 
 def test_inconsistency_scores_pairs_mode(toy_relation):
-    vec = inconsistency_scores(toy_relation, mode="pairs")
-    assert vec.mode == "pairs"
-    assert len(vec.scores) == toy_relation.n
+    scores, _ = inconsistency_scores(toy_relation, mode="pairs")
+    assert len(scores) == toy_relation.n
     # pair blame also leaves singleton-accept-set files clean when no subset
     # pair outweighs them; file 1 is only accepted by A
-    assert min(vec.scores) >= 0
+    assert scores.min() >= 0
 
 
 def test_inconsistency_scores_validation(toy_relation):
@@ -119,12 +119,12 @@ def test_inconsistency_scores_validation(toy_relation):
 
 
 def test_scores_and_histogram_csv(toy_relation):
-    vec = inconsistency_scores(toy_relation)
-    lines = scores_csv(vec).splitlines()
+    scores, _ = inconsistency_scores(toy_relation)
+    lines = scores_csv(toy_relation.inputs, scores).splitlines()
     assert lines[0] == "input_id,score"
     assert lines[1] == "f01,0"
     assert len(lines) == 21
-    hist = histogram_csv(vec).splitlines()
+    hist = histogram_csv(scores).splitlines()
     assert hist[0] == "score,count"
     counts = [int(line.split(",")[1]) for line in hist[1:]]
     assert sum(counts) == 20
@@ -171,22 +171,18 @@ def test_selection_report_csv(graded_relation):
 
 
 def test_histogram_and_selection_report_text():
-    from tdt.distill import ScoreVector, ThresholdRow
+    from tdt.distill import ThresholdRow
 
-    def vector(scores):
-        return ScoreVector(inputs=tuple(f"f{k}" for k in range(len(scores))), scores=scores,
-                           swept=(3,), min_subset_size=2, mode="subset")
-
-    assert histogram_csv(vector((0, 3, 0))) == "score,count\n0,2\n3,1\n"
-    assert histogram_csv(vector(())) == "score,count\n"
+    assert histogram_csv(np.array([0, 3, 0])) == "score,count\n0,2\n3,1\n"
+    assert histogram_csv(np.zeros(0, dtype=np.int64)) == "score,count\n"
     rows = (ThresholdRow(1, 2, 1), ThresholdRow(5, 0, 0))
     assert selection_report_csv(rows) == "threshold,excluded,components\n1,2,1\n5,0,0\n"
     assert selection_report_csv(()) == "threshold,excluded,components\n"
 
 
 def test_pairs_mode_matches_pairwise_blame(toy_relation):
-    vec = inconsistency_scores(toy_relation, mode="pairs")
-    assert list(vec.scores) == oracles.pair_scores_by_blame(list(TOY_ROWS), 2)
+    scores, _ = inconsistency_scores(toy_relation, mode="pairs")
+    assert scores.tolist() == oracles.pair_scores_by_blame(list(TOY_ROWS), 2)
 
 
 def _seeded_rows(m, p, case):

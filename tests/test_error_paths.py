@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from tdt.classify import GroundTruth, evaluate
+from tdt.classify import evaluate
 from tdt.distill import select_inputs, singleton_screen
 from tdt.errors import ConfigurationError, EmptyScreenError, FormatError, ValidationError
 from tdt.features import attribute_features
@@ -63,10 +63,8 @@ CASES = [
      ValidationError, "max_removed must lie in 0..1"),
     ("display-sigma", lambda tmp: display_vector(REL, 0),
      ValidationError, "sigma must be a nonempty program subset"),
-    ("truth-lengths", lambda tmp: GroundTruth(("f", "g"), (True,)),
+    ("truth-lengths", lambda tmp: evaluate(np.ones(2, bool), np.ones(1, bool)),
      ValidationError, "labels and inputs differ in length"),
-    ("evaluate-index", lambda tmp: evaluate({2}, GroundTruth(("f", "g"), (True, False))),
-     ValidationError, "predicted index 2 out of range for n=2"),
     ("config-no-parsers", lambda tmp: _config(parsers=()),
      ValidationError, "configuration needs at least one parser"),
     ("config-parallelism", lambda tmp: _config(parallelism=0),

@@ -11,6 +11,20 @@ it stays consistent for every t in its report: a region at or above the cut
 has every superset at or above it too.  Consistency is read twice, off the
 weight vector and off the Dowker complex's covering-pair comparison, which
 ``analyze`` prints.
+
+L3: ``analyze``'s inconsistent inputs, taken as a feature column, sit at
+level 0 of ``features --strict``: every input inconsistent under the full
+program set carries it and no other input does.  ``clean[0]`` holds exactly
+when there is no inconsistent input.  ``features`` reads inconsistency off
+``consistent_regions``, ``analyze`` off ``complex_counts``.
+
+L4: the stalk over every program (``sheaf --sigma <all>``) is the ``weights``
+object of ``analyze --weights``, byte for byte, and its ``consistent`` is the
+diagram's verdict.  One projects the weight vector, the other labels it whole.
+
+L5: the entries of ``sheaf --display`` sum to n minus the stalk's ``""``
+count: the display lists every region that meets sigma, the stalk's empty
+pattern counts the inputs that meet it nowhere.
 """
 
 import contextlib
@@ -18,17 +32,22 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from tdt.cli import main
-from tdt.diagram import build_diagram, is_consistent
+from tdt.diagram import build_diagram, diagram_report, is_consistent
 from tdt.distill import distill, inconsistency_scores, select_inputs
 from tdt.dowker import build_complex, complex_counts
-from tdt.relation import column_masks, load_relation, restrict_inputs, save_relation
+from tdt.features import attribute_features
+from tdt.relation import (FeatureRelation, column_masks, load_relation, restrict_inputs,
+                          save_relation)
+from tdt.sheaf import display_vector, stalk_json
 
 from conftest import uniform_relation
 
 N = 600
+L4_UP_TO = 17  # the two 2^m-entry writers take about 1 s at m = 18 and 4 s at m = 20
 
 
 def _consistent(rel) -> bool:
@@ -37,21 +56,37 @@ def _consistent(rel) -> bool:
     return verdict
 
 
+def _inconsistent(rel) -> np.ndarray:
+    """Per input: does ``analyze --inconsistent`` list it?"""
+    core = complex_counts(build_complex(rel))[2]
+    masks = column_masks(rel)
+    return (masks != 0) & ~core[masks]
+
+
 def _quiet(argv) -> int:
     with contextlib.redirect_stdout(io.StringIO()):
         return main(argv)
 
 
+def _stdout(argv) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def _weights_text(report: str, key: str) -> str:
+    """The text of the weights object that ends a diagram report or a stalk."""
+    return report.split(f'"{key}": ', 1)[1]
+
+
 @pytest.mark.parametrize("m", range(11, 21))
 def test_l1_full_set_scores_are_the_inconsistent_inputs(m):
     rel = uniform_relation(m, N, seed=2700 + m)
-    core = complex_counts(build_complex(rel))[2]
-    masks = column_masks(rel)
-    flagged = (masks != 0) & ~core[masks]  # what analyze --inconsistent lists
+    flagged = _inconsistent(rel)
     assert flagged.any()
-    vec = inconsistency_scores(rel, min_subset_size=m)
-    assert vec.swept == ((1 << m) - 1,)
-    assert vec.scores == tuple(flagged.astype(int).tolist())
+    scores, swept = inconsistency_scores(rel, min_subset_size=m)
+    assert swept.tolist() == [(1 << m) - 1]
+    assert np.array_equal(scores, flagged.astype(np.int64))
 
 
 @pytest.mark.parametrize("m", range(11, 21))
@@ -98,3 +133,78 @@ def test_l2_through_the_command_line(tmp_path):
         selected = tmp_path / f"s{t}.json"
         assert _quiet(["select", str(distilled), "--threshold", t, "--out", str(selected)]) == 0
         assert _consistent(load_relation(selected))
+
+
+@pytest.mark.parametrize("m", range(11, 21))
+def test_l3_the_inconsistent_inputs_are_a_strict_level_0_feature(m):
+    rel = uniform_relation(m, N, seed=2700 + m)
+    for r in (rel, distill(rel).final_relation):
+        flagged = _inconsistent(r)
+        assert flagged.any() == (r is rel)
+        decoy = flagged.copy()
+        decoy[np.argmin(flagged)] = True  # one consistent input more fails the strict test
+        feats = FeatureRelation(inputs=r.inputs, features=("inconsistent", "decoy"),
+                                has_feature=np.column_stack((flagged, decoy)))
+        attribution = attribute_features(r, feats, max_removed=0, strict=True)
+        assert attribution.levels[0] == {"inconsistent"}
+        assert attribution.clean[0] == (not flagged.any())
+
+
+@pytest.mark.parametrize("m", range(11, L4_UP_TO + 1))
+def test_l4_the_stalk_over_every_program_is_the_weights_report(m):
+    rel = uniform_relation(m, N, seed=2700 + m)
+    for r in (rel, distill(rel).final_relation):
+        stalk, report = stalk_json(r, (1 << r.m) - 1), diagram_report(r)
+        assert _weights_text(stalk, "stalk") == _weights_text(report, "weights")
+        assert json.loads(stalk)["consistent"] is json.loads(report)["consistent"] \
+            is _consistent(r) is (r is not rel)
+
+
+@pytest.mark.parametrize("m", range(11, 21))
+def test_l5_the_display_vector_sums_to_the_inputs_meeting_sigma(m):
+    rel = uniform_relation(m, N, seed=2700 + m, p=0.1)  # sparse: many inputs miss sigma
+    rng = np.random.default_rng([27, m])
+    for sigma in [1, *rng.integers(1, 1 << m, 3).tolist()]:
+        missed = json.loads(stalk_json(rel, sigma))["stalk"][""]
+        assert 0 < missed < N
+        assert sum(display_vector(rel, sigma)) == N - missed
+
+
+def test_l3_through_the_command_line(tmp_path):
+    m = 12
+    rel = uniform_relation(m, N, seed=2700 + m)
+    path, inconsistent = tmp_path / "rel.json", tmp_path / "i.json"
+    save_relation(rel, path)
+    assert _quiet(["analyze", str(path), "--inconsistent", str(inconsistent)]) == 0
+    flagged = set(json.loads(inconsistent.read_text()))
+    assert flagged
+    feats, out = tmp_path / "feats.csv", tmp_path / "a.json"
+    feats.write_text("input,inconsistent\n"
+                     + "".join(f"{name},{int(name in flagged)}\n" for name in rel.inputs))
+    assert _quiet(["features", str(path), "--features", str(feats), "--strict",
+                   "--max-removed", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["levels"] == {"0": ["inconsistent"]}
+
+
+def test_l4_through_the_command_line(tmp_path):
+    m = 12
+    path, stalk, weights = tmp_path / "rel.json", tmp_path / "stalk.json", tmp_path / "w.json"
+    save_relation(uniform_relation(m, N, seed=2700 + m), path)
+    everyone = ",".join(f"p{j}" for j in range(m))
+    assert _quiet(["sheaf", str(path), "--sigma", everyone, "--out", str(stalk)]) == 0
+    printed = _stdout(["analyze", str(path), "--weights", str(weights)])
+    assert _weights_text(stalk.read_text(), "stalk") == _weights_text(weights.read_text(),
+                                                                       "weights")
+    consistent = json.loads(stalk.read_text())["consistent"]
+    assert f"diagram consistent: {consistent}\n" in printed
+
+
+def test_l5_through_the_command_line(tmp_path):
+    m = 12
+    path, stalk = tmp_path / "rel.json", tmp_path / "stalk.json"
+    save_relation(uniform_relation(m, N, seed=2700 + m, p=0.1), path)
+    printed = _stdout(["sheaf", str(path), "--sigma", "p3,p7,p11", "--out", str(stalk),
+                       "--display"])
+    missed = json.loads(stalk.read_text())["stalk"][""]
+    assert 0 < missed < N
+    assert sum(json.loads(printed)) == N - missed

@@ -6,7 +6,10 @@ every per-input answer (``analyze``'s inconsistent inputs, scores in both
 modes, feature levels) and the Betti numbers; repeating every input under a new id doubles every weight and
 keeps every answer, the distillation trace included; permuting the inputs
 permutes every per-input answer (``analyze``'s inconsistent inputs, scores in
-both modes) the same way. Projecting a diagram onto sigma and then onto tau
+both modes) the same way.  Under repetition ``select`` needs twice the
+threshold to keep both copies of what it kept, its report lists every weight
+doubled, and each classifier flags both copies of what it flagged, with the
+same precision, recall and F1. Projecting a diagram onto sigma and then onto tau
 within it equals projecting it onto their intersection. ``distill`` is not
 checked under program permutation, because its tie rule (ascending mask)
 depends on the program order.
@@ -19,9 +22,10 @@ import json
 import numpy as np
 import pytest
 
+from tdt.classify import evaluate, score_rule_classifier, vote_classifier
 from tdt.cli import main
 from tdt.diagram import build_diagram, project_diagram, region_sizes
-from tdt.distill import distill, inconsistency_scores, trace_json
+from tdt.distill import distill, inconsistency_scores, select_inputs, trace_json
 from tdt.dowker import betti_numbers, build_complex, complex_counts
 from tdt.features import attribute_features
 from tdt.relation import FeatureRelation, Relation, save_relation
@@ -58,7 +62,7 @@ def _counts(rel):
 
 
 def _pairs_scores(rel):
-    return inconsistency_scores(rel, min_subset_size=2, mode="pairs").scores
+    return inconsistency_scores(rel, min_subset_size=2, mode="pairs")[0]
 
 
 @pytest.mark.parametrize("m", range(11, 21))
@@ -79,9 +83,10 @@ def test_counts_scores_and_trace_survive_permutation_and_repetition(m):
     assert trace_json(distill(_repeated(rel))) == trace_json(trace)
     if m <= PAIRS_UP_TO:
         scores = _pairs_scores(rel)
-        assert max(scores) > 0
-        assert _pairs_scores(_permuted(rel, np.random.default_rng(m).permutation(m))) == scores
-        assert _pairs_scores(_repeated(rel)) == scores + scores
+        assert scores.max() > 0
+        permuted = _permuted(rel, np.random.default_rng(m).permutation(m))
+        assert np.array_equal(_pairs_scores(permuted), scores)
+        assert np.array_equal(_pairs_scores(_repeated(rel)), np.tile(scores, 2))
 
 
 @pytest.mark.parametrize("m", range(11, 15))
@@ -90,12 +95,49 @@ def test_subset_scores_survive_permutation_and_repetition(m):
     min_size = 2 if m == 11 else m - 2  # a full sweep costs about 3^m
 
     def scores(r):
-        return inconsistency_scores(r, min_subset_size=min_size).scores
+        return inconsistency_scores(r, min_subset_size=min_size)[0]
 
     expected = scores(rel)
-    assert max(expected) > 0
-    assert scores(_permuted(rel, np.random.default_rng(m).permutation(m))) == expected
-    assert scores(_repeated(rel)) == expected + expected
+    assert expected.max() > 0
+    assert np.array_equal(scores(_permuted(rel, np.random.default_rng(m).permutation(m))),
+                          expected)
+    assert np.array_equal(scores(_repeated(rel)), np.tile(expected, 2))
+
+
+@pytest.mark.parametrize("m", [11, 13])
+def test_repetition_doubles_selection_thresholds_and_repeats_flags(m):
+    rel = uniform_relation(m, 600, seed=1700 + m)
+    final = distill(rel).final_relation
+    twice, n = _repeated(final), final.n
+    _, base = select_inputs(final, 0)
+    weights = [row.threshold for row in base if row.threshold]  # the nonzero region weights
+    assert len(weights) > 1
+    for t in [0, *weights]:
+        kept, report = select_inputs(final, t)
+        kept_twice, report_twice = select_inputs(twice, 2 * t)
+        assert kept_twice == kept + tuple(k + n for k in kept)
+        assert [(row.threshold, row.excluded, row.components) for row in report_twice] == \
+            [(2 * row.threshold, 2 * row.excluded, row.components) for row in report]
+        _, same = select_inputs(twice, t)
+        assert [row.threshold for row in same] == sorted({2 * w for w in weights} | {t})
+    compliant = np.random.default_rng(m).random(rel.n) < 0.7
+    scores = inconsistency_scores(rel, min_subset_size=m - 2)[0]
+    scores_twice = inconsistency_scores(_repeated(rel), min_subset_size=m - 2)[0]
+    verdicts = [(vote_classifier(rel, k), vote_classifier(_repeated(rel), k)) for k in (1, 3)]
+    top = int(scores.max())
+    verdicts.append((score_rule_classifier(scores, 30, top),
+                     score_rule_classifier(scores_twice, 30, top)))
+    for flags, flags_twice in verdicts:
+        assert 0 < flags.sum() < rel.n
+        assert np.array_equal(flags_twice, np.tile(flags, 2))
+        once, doubled = evaluate(flags, compliant), evaluate(flags_twice, np.tile(compliant, 2))
+        assert (doubled.precision, doubled.recall, doubled.f1) == \
+            (once.precision, once.recall, once.f1)
+    # a dense relation's complex is contractible; a sparse one's has holes
+    sparse = uniform_relation(m, 60, seed=1700 + m, p=0.2)
+    betti = betti_numbers(build_complex(sparse), 2)
+    assert betti[1:] != (0, 0)
+    assert betti_numbers(build_complex(_repeated(sparse)), 2) == betti
 
 
 def _planted(m):
@@ -165,10 +207,10 @@ def test_per_input_answers_follow_an_input_permutation(m, tmp_path):
     assert _inconsistent_ids(shuffled, tmp_path) == [i for i in shuffled.inputs if i in flagged]
     modes = [("subset", m - 1)] + [("pairs", 2)] * (m <= PAIRS_UP_TO)
     for mode, min_size in modes:
-        scores = inconsistency_scores(rel, min_subset_size=min_size, mode=mode).scores
-        assert max(scores) > 0
-        shuffled_scores = inconsistency_scores(shuffled, min_subset_size=min_size, mode=mode)
-        assert shuffled_scores.scores == tuple(scores[k] for k in order.tolist())
+        scores, _ = inconsistency_scores(rel, min_subset_size=min_size, mode=mode)
+        assert scores.max() > 0
+        shuffled_scores, _ = inconsistency_scores(shuffled, min_subset_size=min_size, mode=mode)
+        assert np.array_equal(shuffled_scores, scores[order])
 
 
 @pytest.mark.parametrize("m", range(11, 21))

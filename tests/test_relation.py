@@ -343,9 +343,9 @@ def _check_against_oracle(path, kind):
         for order in (inputs, inputs[::-1]):
             rel = Relation(programs=("A",), inputs=tuple(order),
                            accepts=np.zeros((1, len(order)), dtype=bool))
-            truth = load_ground_truth(path, rel)
+            compliant = load_ground_truth(path, rel)
             labels = dict(zip(inputs, (row[0] for row in rows)))
-            assert truth.compliant == tuple(labels[name] for name in order)
+            assert compliant.tolist() == [labels[name] for name in order]
     return expected
 
 
@@ -444,7 +444,7 @@ def test_csv_loaders_read_crlf_files_in_bulk(tmp_path, toy_relation, toy_feature
     cases = (
         (load_relation, relation_csv(toy_relation)),
         (load_feature_relation, feature_csv(toy_features)),
-        (lambda path: load_ground_truth(path, toy_relation), truth),
+        (lambda path: load_ground_truth(path, toy_relation).tolist(), truth),
     )
 
     def no_reader(*args, **kwargs):
@@ -483,9 +483,9 @@ def test_csv_writers_quote_awkward_ids(tmp_path):
     path.write_text(feature_csv(feats))
     assert load_feature_relation(path) == feats
 
-    vec = inconsistency_scores(rel)
-    records = list(csv.reader(io.StringIO(scores_csv(vec), newline="")))
-    assert records == [["input_id", "score"], *([name, str(s)] for name, s in zip(ids, vec.scores))]
+    scores, _ = inconsistency_scores(rel)
+    records = list(csv.reader(io.StringIO(scores_csv(ids, scores), newline="")))
+    assert records == [["input_id", "score"], *([name, str(s)] for name, s in zip(ids, scores))]
 
     results = [RunResult(parser=p, input=name, accept=False, exit_status=1, timed_out=False,
                          stderr=b"k,w x" if k % 2 else b"", truncated=False, wall_time=0.0)
