@@ -23,10 +23,9 @@ _EXPORTS = {
               "consistent_core graph_dot inconsistent_inputs",
     "errors": "CapacityError ConfigurationError EmptyScreenError FormatError "
               "InconsistentDiagramError TdtError ValidationError",
-    "features": "FeatureAttribution attribute_features greedy_feature_pruning "
-                "variation_of_information",
+    "features": "attribute_features greedy_feature_pruning variation_of_information",
     "harness": "RunConfig RunResult accept_rows keyword_table load_run_config run_corpus",
-    "relation": "FeatureRelation MAX_PROGRAMS Relation column_masks load_feature_relation "
+    "relation": "MAX_PROGRAMS Relation column_masks load_feature_relation "
                 "load_relation mask_from_names names_from_mask restrict_inputs restrict_programs "
                 "save_relation",
     "sheaf": "display_vector",

@@ -250,10 +250,11 @@ def cmd_features(rel, args) -> int:
     from .features import attribution_json
     from .relation import load_feature_relation
 
-    feats = load_feature_relation(args.features)
+    features, has_feature = load_feature_relation(args.features, rel)
     text = attribution_json(
         rel,
-        feats,
+        features,
+        has_feature,
         max_removed=args.max_removed,
         strict=args.strict,
         prune_rounds=args.prune,

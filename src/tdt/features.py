@@ -13,22 +13,17 @@ measured by variation of information.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import compress
 from typing import Hashable, Iterable, Sequence
 
 from ._numpy import np
 from .diagram import inconsistent_accept_sets, region_sizes
 from .errors import ValidationError
-from .relation import FeatureRelation, Relation, column_masks
+from .relation import Relation, column_masks
 from .util import canonical_dumps
 
 
-def _check_alignment(rel: Relation, feats: FeatureRelation) -> None:
-    if rel.inputs != feats.inputs:
-        raise ValidationError("feature relation inputs do not match the relation's inputs")
-
-
-def _accept_set_flags(rel: Relation, feats: FeatureRelation):
+def _accept_set_flags(rel: Relation, has_feature: np.ndarray):
     """The distinct accept-sets, how many inputs hold each, and per accept-set
     and feature: does some input holding it lack the feature, does some carry it?
 
@@ -36,8 +31,8 @@ def _accept_set_flags(rel: Relation, feats: FeatureRelation):
     accept-set, so the relation product needs no more than these flags.
     """
     masks, inverse, counts = np.unique(column_masks(rel), return_inverse=True, return_counts=True)
-    carriers = np.empty((masks.size, feats.p), dtype=np.int64)
-    for i, column in enumerate(feats.has_feature.T):
+    carriers = np.empty((masks.size, has_feature.shape[1]), dtype=np.int64)
+    for i, column in enumerate(has_feature.T):
         carriers[:, i] = np.bincount(inverse[column], minlength=masks.size)
     return masks, counts, carriers < counts[:, None], carriers > 0
 
@@ -51,63 +46,43 @@ def _product(lacks: np.ndarray, carries: np.ndarray, inconsistent: np.ndarray,
     return out
 
 
-@dataclass(frozen=True)
-class FeatureAttribution:
-    """Full feature-attribution sweep over the program subsets of each size.
-
-    ``product[(mask, feature)]`` is the relation-product flag for that subset;
-    level r collects the features flagged for EVERY subset of size m - r; the
-    stratification assigns each feature the smallest such r (None if it reaches
-    none within the sweep).  Raw levels may overlap, the stratification is a
-    partition by construction.  ``clean[r]`` says no input is inconsistent
-    under any subset of size m - r.
-    """
-
-    features: tuple[str, ...]
-    product: dict[tuple[int, str], bool]
-    levels: dict[int, frozenset[str]]
-    stratification: dict[str, int | None]
-    clean: dict[int, bool]
-
-
-def _stratify(features: tuple[str, ...], hits: np.ndarray) -> dict[str, int | None]:
+def _stratify(hits: np.ndarray) -> list[int | None]:
     """Each feature's first level (row of ``hits``) that flags it, or None."""
-    reached = hits.any(axis=0)
-    first = hits.argmax(axis=0)
-    return {name: int(first[i]) if reached[i] else None for i, name in enumerate(features)}
+    first = hits.argmax(axis=0).tolist()
+    return [f if reached else None for f, reached in zip(first, hits.any(axis=0).tolist())]
 
 
 def attribute_features(
     rel: Relation,
-    feats: FeatureRelation,
+    has_feature: np.ndarray,
     max_removed: int | None = None,
     strict: bool = False,
-) -> FeatureAttribution:
-    """Sweep the relation product over every subset of size m-r for r = 0..max_removed."""
-    _check_alignment(rel, feats)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sweep the relation product over every subset of size m-r for r = 0..max_removed.
+
+    ``has_feature`` is the (n x p) bool matrix with rows in ``rel.inputs``
+    order.  Row r of the (levels x p) ``hits`` flags the features whose product
+    holds for EVERY subset of size m - r; raw levels may overlap.  ``clean[r]``
+    says no input is inconsistent under any subset of that size.
+    """
+    has_feature = np.asarray(has_feature, dtype=bool)
+    if has_feature.ndim != 2 or len(has_feature) != rel.n:
+        raise ValidationError(
+            f"feature matrix shape {has_feature.shape} does not match the relation's {rel.n} inputs"
+        )
     top = rel.m - 1 if max_removed is None else max_removed
     if top < 0 or top > rel.m - 1:
         raise ValidationError(f"max_removed must lie in 0..{rel.m - 1}")
-    masks, counts, lacks, carries = _accept_set_flags(rel, feats)
+    masks, counts, lacks, carries = _accept_set_flags(rel, has_feature)
     sizes = region_sizes(rel.m)
-    product: dict[tuple[int, str], bool] = {}
-    hits = np.ones((top + 1, feats.p), dtype=bool)
-    clean = [True] * (top + 1)
+    hits = np.ones((top + 1, has_feature.shape[1]), dtype=bool)
+    clean = np.ones(top + 1, dtype=bool)
     for r in range(top + 1):
         for mask in np.flatnonzero(sizes == rel.m - r).tolist():
             inconsistent = inconsistent_accept_sets(masks, counts, mask)
-            flags = _product(lacks, carries, inconsistent, strict)
-            product.update(zip([(mask, name) for name in feats.features], flags.tolist()))
-            hits[r] &= flags
+            hits[r] &= _product(lacks, carries, inconsistent, strict)
             clean[r] &= not inconsistent.any()
-    return FeatureAttribution(
-        features=feats.features,
-        product=product,
-        levels={r: frozenset(feats.features[i] for i in np.flatnonzero(row))
-                for r, row in enumerate(hits)},
-        stratification=_stratify(feats.features, hits),
-        clean=dict(enumerate(clean)),
-    )
+    return hits, clean
 
 
 def variation_of_information(
@@ -138,17 +113,11 @@ def variation_of_information(
     return abs(vi)
 
 
-def _strat_partition(strat: dict[str, int | None]) -> list[set[str]]:
-    blocks: dict[int | None, set[str]] = {}
-    for name, level in strat.items():
-        blocks.setdefault(level, set()).add(name)
+def _strat_partition(strat: list[int | None]) -> list[set[int]]:
+    blocks: dict[int | None, set[int]] = {}
+    for i, level in enumerate(strat):
+        blocks.setdefault(level, set()).add(i)
     return [blocks[key] for key in sorted(blocks, key=lambda v: (v is None, v))]
-
-
-@dataclass(frozen=True)
-class PruneStep:
-    feature: str
-    vi: float
 
 
 def _check_rounds(rounds: int, p: int) -> None:
@@ -157,31 +126,26 @@ def _check_rounds(rounds: int, p: int) -> None:
 
 
 def greedy_feature_pruning(
-    attribution: FeatureAttribution, rounds: int
-) -> tuple[PruneStep, ...]:
+    hits: np.ndarray, clean: np.ndarray, rounds: int
+) -> list[tuple[int, float]]:
     """Repeatedly blank out the feature whose removal least disturbs the stratification.
 
     Removal zeroes the feature's column (the ground set of features is fixed),
     so each round compares the stratification partitions before and after by
     variation of information and drops the minimizer, ties to the lowest
-    feature index.
+    feature index.  Each step is the removed feature's index and that distance.
     """
-    features = attribution.features
-    _check_rounds(rounds, len(features))
-    if rounds == 0:
-        return ()
+    p = hits.shape[1]
+    _check_rounds(rounds, p)
     # A zeroed column's flag under a subset is that subset's ``clean`` flag,
-    # so the attribution's levels give every candidate's levels.
-    levels = range(len(attribution.levels))
-    hits = np.array([[name in attribution.levels[r] for name in features] for r in levels])
-    clean = np.array([[attribution.clean[r]] for r in levels])
+    # so :func:`attribute_features`' levels give every candidate's levels.
 
-    def partition(zeroed: np.ndarray) -> list[set[str]]:
-        return _strat_partition(_stratify(features, np.where(zeroed, clean, hits)))
+    def partition(zeroed: np.ndarray) -> list[set[int]]:
+        return _strat_partition(_stratify(np.where(zeroed, clean[:, None], hits)))
 
-    indices = np.arange(len(features))
-    zeroed = np.zeros(len(features), dtype=bool)
-    steps: list[PruneStep] = []
+    indices = np.arange(p)
+    zeroed = np.zeros(p, dtype=bool)
+    steps: list[tuple[int, float]] = []
     for _ in range(rounds):
         before = partition(zeroed)
         vi, index = min(
@@ -189,23 +153,24 @@ def greedy_feature_pruning(
             for i in np.flatnonzero(~zeroed).tolist()
         )
         zeroed[index] = True
-        steps.append(PruneStep(feature=features[index], vi=vi))
-    return tuple(steps)
+        steps.append((index, vi))
+    return steps
 
 
 def attribution_json(
     rel: Relation,
-    feats: FeatureRelation,
+    features: tuple[str, ...],
+    has_feature: np.ndarray,
     max_removed: int | None = None,
     strict: bool = False,
     prune_rounds: int = 0,
 ) -> str:
-    _check_rounds(prune_rounds, feats.p)  # a bad count fails before the sweep
-    attribution = attribute_features(rel, feats, max_removed=max_removed, strict=strict)
-    pruning = greedy_feature_pruning(attribution, prune_rounds)
+    _check_rounds(prune_rounds, len(features))  # a bad count fails before the sweep
+    hits, clean = attribute_features(rel, has_feature, max_removed=max_removed, strict=strict)
+    pruning = greedy_feature_pruning(hits, clean, prune_rounds)
     payload = {
-        "levels": {str(r): sorted(members) for r, members in attribution.levels.items()},
-        "stratification": {name: attribution.stratification[name] for name in feats.features},
-        "pruning": [{"removed": s.feature, "vi": s.vi} for s in pruning],
+        "levels": {str(r): sorted(compress(features, row)) for r, row in enumerate(hits.tolist())},
+        "stratification": dict(zip(features, _stratify(hits))),
+        "pruning": [{"removed": features[i], "vi": vi} for i, vi in pruning],
     }
     return canonical_dumps(payload)

@@ -61,6 +61,11 @@ class RunConfig:
                 raise ValidationError(f"parser {p.name!r}: unknown policy {p.policy!r}")
             if "{input}" not in p.command:
                 raise ValidationError(f"parser {p.name!r}: command lacks an {{input}} placeholder")
+        seen: set[str] = set()  # the keyword CSV's columns, which name features
+        for column in (f"{p.name}:{kw}" for p in self.parsers for kw in p.keywords):
+            if column in seen:
+                raise ValidationError(f"duplicate keyword column {column!r}")
+            seen.add(column)
         # the selector waits at most 2^31 - 1 ms; JSON's NaN and Infinity fail this too
         if not 0 < self.timeout_secs <= MAX_TIMEOUT_SECS:
             raise ValidationError(f"timeout_secs must be a number > 0 and <= {MAX_TIMEOUT_SECS}")

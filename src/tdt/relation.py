@@ -75,51 +75,6 @@ class Relation:
         return f"Relation({self.m} programs x {self.n} inputs)"
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureRelation:
-    """Boolean matrix between named inputs (rows) and named features (columns)."""
-
-    inputs: tuple[str, ...]
-    features: tuple[str, ...]
-    has_feature: np.ndarray  # bool, shape (n, p)
-
-    def __post_init__(self):
-        inputs = tuple(self.inputs)
-        features = tuple(self.features)
-        matrix = np.asarray(self.has_feature, dtype=bool)
-        if matrix.ndim != 2 or matrix.shape != (len(inputs), len(features)):
-            raise ValidationError(
-                f"feature matrix shape {matrix.shape} does not match "
-                f"{len(inputs)} inputs x {len(features)} features"
-            )
-        if len(set(inputs)) != len(inputs):
-            raise ValidationError("duplicate input identifiers")
-        if len(set(features)) != len(features):
-            raise ValidationError("duplicate feature identifiers")
-        matrix = matrix.copy()
-        matrix.flags.writeable = False
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "has_feature", matrix)
-
-    @property
-    def n(self) -> int:
-        return len(self.inputs)
-
-    @property
-    def p(self) -> int:
-        return len(self.features)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FeatureRelation):
-            return NotImplemented
-        return (
-            self.inputs == other.inputs
-            and self.features == other.features
-            and np.array_equal(self.has_feature, other.has_feature)
-        )
-
-
 # ---------------------------------------------------------------------------
 # mask helpers
 
@@ -370,10 +325,17 @@ def relation_pgm(rel: Relation) -> str:
 # feature relation CSV
 
 
-def load_feature_relation(path) -> FeatureRelation:
-    """CSV with header ``input,<feat...>`` and 0/1 cells."""
+def load_feature_relation(path, rel: Relation) -> tuple[tuple[str, ...], np.ndarray]:
+    """CSV with header ``input,<feat...>`` and 0/1 cells: the feature names and
+    the bool (n, p) matrix, whose rows must be ``rel.inputs`` in order."""
     features, inputs, matrix = read_01_csv(
         path, lambda features: None, lambda _, cell: f"cell {cell!r}, expected 0 or 1"
     )
-    return FeatureRelation(inputs=tuple(inputs), features=tuple(features), has_feature=matrix)
-
+    aligned = inputs == list(rel.inputs)  # equal ids are distinct
+    if not aligned and len(set(inputs)) != len(inputs):
+        raise ValidationError("duplicate input identifiers")
+    if len(set(features)) != len(features):
+        raise ValidationError("duplicate feature identifiers")
+    if not aligned:
+        raise ValidationError("feature relation inputs do not match the relation's inputs")
+    return tuple(features), matrix

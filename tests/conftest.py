@@ -7,7 +7,7 @@ import pytest
 
 from tdt.diagram import project_diagram
 from tdt.dowker import DowkerComplex
-from tdt.relation import FeatureRelation, Relation, relation_csv
+from tdt.relation import Relation, relation_csv
 
 import oracles
 
@@ -126,9 +126,9 @@ def stalk(weights, m, sigma):
     return dict(zip(patterns, project_diagram(weights, m, sigma).tolist()))
 
 
-def feature_csv(feats):
-    """A feature relation in its CSV format: the relation CSV of its transpose."""
-    return relation_csv(Relation(feats.features, feats.inputs, feats.has_feature.T))
+def feature_csv(inputs, features, has_feature):
+    """A feature file: the relation CSV of the (inputs x features) matrix's transpose."""
+    return relation_csv(Relation(features, inputs, has_feature.T))
 
 
 @pytest.fixture
@@ -166,15 +166,11 @@ def graded_relation():
 
 @pytest.fixture
 def toy_features(toy_relation):
-    # "x" marks exactly the toy's inconsistent files, "y" only file 10,
-    # "z" nothing at all.
+    # The names and the (inputs x features) matrix: "x" marks exactly the
+    # toy's inconsistent files, "y" only file 10, "z" nothing at all.
     inconsistent = {9, 12, 16, 17, 18, 19}
     matrix = np.zeros((toy_relation.n, 3), dtype=bool)
     for k in inconsistent:
         matrix[k, 0] = True
     matrix[9, 1] = True
-    return FeatureRelation(
-        inputs=toy_relation.inputs,
-        features=("x", "y", "z"),
-        has_feature=matrix,
-    )
+    return ("x", "y", "z"), matrix

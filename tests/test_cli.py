@@ -389,11 +389,11 @@ def test_sheaf_to_file(tmp_path, graded_json):
     assert payload["consistent"] is True
 
 
-def test_features_subcommand(tmp_path, toy_json, toy_features):
+def test_features_subcommand(tmp_path, toy_json, toy_relation, toy_features):
     from conftest import feature_csv
 
     feats_csv = tmp_path / "feats.csv"
-    feats_csv.write_text(feature_csv(toy_features))
+    feats_csv.write_text(feature_csv(toy_relation.inputs, *toy_features))
     out = tmp_path / "attribution.json"
     code = main(["features", str(toy_json), "--features", str(feats_csv),
                  "--out", str(out), "--prune", "1"])
@@ -612,7 +612,7 @@ NOT_UTF8 = {
     "relation-json": ("rel.json", load_relation,
                       '{"programs": ["A"], "inputs": ["' + "x" * 10000 + '@"], "rows": ["1"]}'),
     "relation-csv": ("rel.csv", load_relation, "input,A\n" + "x,1\n" * 3000 + "@,1\n"),
-    "features-csv": ("feats.csv", load_feature_relation,
+    "features-csv": ("feats.csv", lambda path: load_feature_relation(path, None),
                      "input,f\n" + "x,1\n" * 3000 + "@,1\n"),
     "truth-csv": ("truth.csv", lambda path: load_ground_truth(path, None),
                   "input,compliant\n" + "".join(f"x{k},1\n" for k in range(2000)) + "@,1\n"),
@@ -637,7 +637,8 @@ def test_loaders_reject_bytes_that_are_not_utf8(tmp_path, name):
 _LONG_ID = "x" * 200_000
 FIELD_TOO_LARGE = {
     "relation-csv": ("rel.csv", load_relation, f"input,A\ny,1\n{_LONG_ID},1\n"),
-    "features-csv": ("feats.csv", load_feature_relation, f"input,f\ny,1\n{_LONG_ID},1\n"),
+    "features-csv": ("feats.csv", lambda path: load_feature_relation(path, None),
+                     f"input,f\ny,1\n{_LONG_ID},1\n"),
     "truth-csv": ("truth.csv", lambda path: load_ground_truth(path, None),
                   f"input,compliant\ny,1\n{_LONG_ID},1\n"),
 }
@@ -661,8 +662,8 @@ def test_csv_loaders_reject_fields_over_the_csv_limit(tmp_path, name):
 QUOTED_NEWLINE = {
     "relation-csv": ("rel.csv", load_relation, 'input,A\n"a\nb",1\nc,x\n',
                      "column 'A' is 'x', expected 0 or 1"),
-    "features-csv": ("feats.csv", load_feature_relation, 'input,f\n"a\nb",1\nc,x\n',
-                     "cell 'x', expected 0 or 1"),
+    "features-csv": ("feats.csv", lambda path: load_feature_relation(path, None),
+                     'input,f\n"a\nb",1\nc,x\n', "cell 'x', expected 0 or 1"),
     "truth-csv": ("truth.csv", lambda path: load_ground_truth(path, None),
                   'input,compliant\n"a\nb",1\nc,x\n', "cell 'x', expected 0 or 1"),
 }

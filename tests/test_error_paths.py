@@ -11,14 +11,13 @@ from tdt.distill import select_inputs, singleton_screen
 from tdt.errors import ConfigurationError, EmptyScreenError, FormatError, ValidationError
 from tdt.features import attribute_features
 from tdt.harness import ParserSpec, RunConfig, _resolve_commands, load_run_config, run_corpus
-from tdt.relation import FeatureRelation, Relation, load_relation, restrict_inputs, \
+from tdt.relation import Relation, load_feature_relation, load_relation, restrict_inputs, \
     validate_mask
 from tdt.sheaf import display_vector
 
 from conftest import relation_from_masks
 
 REL = relation_from_masks([0b01, 0b11, 0b10], m=2)
-FEATS = FeatureRelation(inputs=REL.inputs, features=("x",), has_feature=np.ones((3, 1)))
 PASS = f"{sys.executable} -c pass {{input}}"
 
 
@@ -37,10 +36,17 @@ def _file(tmp_path, name, text):
 CASES = [
     ("relation-ndim", lambda tmp: Relation(("A",), ("f",), np.zeros(1, bool)),
      ValidationError, "accept matrix must be two-dimensional"),
-    ("feature-shape", lambda tmp: FeatureRelation(("f",), ("x", "y"), np.zeros((1, 1), bool)),
-     ValidationError, "feature matrix shape (1, 1) does not match 1 inputs x 2 features"),
-    ("feature-duplicates", lambda tmp: FeatureRelation(("f",), ("x", "x"), np.zeros((1, 2))),
+    ("feature-shape", lambda tmp: attribute_features(REL, np.zeros((1, 1), bool)),
+     ValidationError, "feature matrix shape (1, 1) does not match the relation's 3 inputs"),
+    ("feature-duplicates",
+     lambda tmp: load_feature_relation(_file(tmp, "f.csv", "input,x,x\nc,0,1\nb,1,1\n"), REL),
      ValidationError, "duplicate feature identifiers"),
+    ("feature-duplicate-inputs",
+     lambda tmp: load_feature_relation(_file(tmp, "f.csv", "input,x\ng1,1\ng1,0\ng3,1\n"), REL),
+     ValidationError, "duplicate input identifiers"),
+    ("feature-alignment",
+     lambda tmp: load_feature_relation(_file(tmp, "f.csv", "input,x\ng1,1\ng3,0\ng2,1\n"), REL),
+     ValidationError, "feature relation inputs do not match the relation's inputs"),
     ("validate-mask", lambda tmp: validate_mask(REL, 0b100),
      ValidationError, "mask 0x4 sets bits outside the 2 programs"),
     ("restrict-inputs", lambda tmp: restrict_inputs(REL, [0, 3]),
@@ -59,7 +65,7 @@ CASES = [
      "every program rejects a majority of the corpus ('a\\nb': 0/1 accepted, 'C': 0/1 accepted)"),
     ("select-threshold", lambda tmp: select_inputs(REL, -1),
      ValidationError, "threshold must be >= 0"),
-    ("attribute-max-removed", lambda tmp: attribute_features(REL, FEATS, max_removed=2),
+    ("attribute-max-removed", lambda tmp: attribute_features(REL, np.ones((3, 1)), max_removed=2),
      ValidationError, "max_removed must lie in 0..1"),
     ("display-sigma", lambda tmp: display_vector(REL, 0),
      ValidationError, "sigma must be a nonempty program subset"),
@@ -71,6 +77,10 @@ CASES = [
      ValidationError, "parallelism must be >= 1"),
     ("config-stderr-cap", lambda tmp: _config(stderr_cap_bytes=-1),
      ValidationError, "stderr_cap_bytes must be >= 0"),
+    ("config-keyword-columns",  # the keyword CSV would name column 'A:b:c' twice
+     lambda tmp: _config(parsers=(ParserSpec("A", PASS, keywords=("b:c",)),
+                                  ParserSpec("A:b", PASS, keywords=("c",)))),
+     ValidationError, "duplicate keyword column 'A:b:c'"),
     ("config-parser-entry",
      lambda tmp: load_run_config(_file(tmp, "run.json", '{"parsers": [5], "corpus": "c"}')),
      FormatError, "{tmp}/run.json: parsers[0] must be an object"),

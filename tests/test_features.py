@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,95 +7,95 @@ from tdt.diagram import inconsistent_accept_sets
 from tdt.errors import ValidationError
 from tdt.features import (
     attribute_features,
+    attribution_json,
     greedy_feature_pruning,
     variation_of_information,
 )
-from tdt.relation import FeatureRelation
+from tdt.relation import restrict_programs
 
 from conftest import relation_from_masks
 
 FULL = 0b1111
 
 
-def _product_at(rel, feats, subset, strict=False):
-    """The relation product's flags at one subset, read off the full sweep's table."""
-    product = attribute_features(rel, feats, strict=strict).product
-    return [product[(subset, name)] for name in feats.features]
+def _product_at(rel, has_feature, subset, strict=False):
+    """The relation product's flags at one subset: level 0 of the sweep over
+    the relation restricted to that subset."""
+    hits, _ = attribute_features(restrict_programs(rel, subset), has_feature, max_removed=0,
+                                 strict=strict)
+    return hits[0].tolist()
+
+
+def _strata(hits):
+    """Each feature's first level that flags it, or None, read off the hits."""
+    return [next((r for r, row in enumerate(hits.tolist()) if row[i]), None)
+            for i in range(hits.shape[1])]
 
 
 def test_relation_product_full_sweep(toy_relation, toy_features):
     # "x" marks exactly the inconsistent files; "y" misses file 13; "z" marks nothing
-    assert _product_at(toy_relation, toy_features, FULL) == [True, False, False]
-    assert _product_at(toy_relation, toy_features, FULL, strict=True) == [True, False, False]
+    _, has = toy_features
+    assert _product_at(toy_relation, has, FULL) == [True, False, False]
+    assert _product_at(toy_relation, has, FULL, strict=True) == [True, False, False]
 
 
 def test_relation_product_empty_conjunction(graded_relation):
-    feats = FeatureRelation(
-        inputs=graded_relation.inputs,
-        features=("anything",),
-        has_feature=np.zeros((graded_relation.n, 1), dtype=bool),
-    )
+    has = np.zeros((graded_relation.n, 1), dtype=bool)
     # the graded relation is fully consistent, so no input is inconsistent
-    assert _product_at(graded_relation, feats, 0b111) == [True]
+    assert _product_at(graded_relation, has, 0b111) == [True]
 
 
 def test_relation_product_strict_implies_plain(toy_relation, toy_features):
-    plain = attribute_features(toy_relation, toy_features).product
-    strict = attribute_features(toy_relation, toy_features, strict=True).product
-    assert len(plain) == len(strict) == 15 * 3
-    assert all(plain[key] for key, flag in strict.items() if flag)
+    _, has = toy_features
+    for mask in range(1, 16):
+        plain = _product_at(toy_relation, has, mask)
+        strict = _product_at(toy_relation, has, mask, strict=True)
+        assert all(p for p, s in zip(plain, strict) if s)
 
 
 def test_relation_product_alignment_check(toy_relation):
-    feats = FeatureRelation(
-        inputs=("other",), features=("x",), has_feature=np.zeros((1, 1), dtype=bool)
-    )
-    with pytest.raises(ValidationError):
-        attribute_features(toy_relation, feats)
+    for has in (np.zeros((1, 1), dtype=bool), np.zeros(toy_relation.n, dtype=bool)):
+        with pytest.raises(ValidationError, match="does not match the relation's 20 inputs"):
+            attribute_features(toy_relation, has)
 
 
 def test_feature_strata_toy(toy_relation, toy_features):
-    attribution = attribute_features(toy_relation, toy_features)
-    levels, strat = attribution.levels, attribution.stratification
-    assert levels[0] == frozenset({"x"})
-    assert levels[1] == frozenset()
-    assert levels[2] == frozenset()
-    assert levels[3] == frozenset({"x", "y", "z"})
-    assert strat == {"x": 0, "y": 3, "z": 3}
+    names, has = toy_features
+    hits, clean = attribute_features(toy_relation, has)
+    assert hits.tolist() == [[True, False, False], [False] * 3, [False] * 3, [True] * 3]
+    assert clean.tolist() == [False, False, False, True]
+    payload = json.loads(attribution_json(toy_relation, names, has))
+    assert payload["levels"] == {"0": ["x"], "1": [], "2": [], "3": ["x", "y", "z"]}
+    assert payload["stratification"] == {"x": 0, "y": 3, "z": 3}
 
 
 def test_feature_strata_truncated_sweep(toy_relation, toy_features):
-    attribution = attribute_features(toy_relation, toy_features, max_removed=1)
-    levels, strat = attribution.levels, attribution.stratification
-    assert set(levels) == {0, 1}
-    assert strat == {"x": 0, "y": None, "z": None}
+    names, has = toy_features
+    hits, clean = attribute_features(toy_relation, has, max_removed=1)
+    assert hits.shape == (2, 3) and clean.shape == (2,)
+    payload = json.loads(attribution_json(toy_relation, names, has, max_removed=1))
+    assert payload["stratification"] == {"x": 0, "y": None, "z": None}
 
 
 def test_feature_strata_all_consistent(graded_relation):
-    feats = FeatureRelation(
-        inputs=graded_relation.inputs,
-        features=("f0", "f1"),
-        has_feature=np.zeros((graded_relation.n, 2), dtype=bool),
-    )
-    attribution = attribute_features(graded_relation, feats)
-    levels, strat = attribution.levels, attribution.stratification
-    assert levels[0] == frozenset({"f0", "f1"})
-    assert strat == {"f0": 0, "f1": 0}
+    hits, clean = attribute_features(graded_relation, np.zeros((graded_relation.n, 2), bool))
+    assert hits[0].tolist() == [True, True]
+    assert _strata(hits) == [0, 0]
+    assert clean.all()
 
 
 def test_raw_levels_overlap_is_reported_not_asserted(toy_relation, toy_features):
-    levels = attribute_features(toy_relation, toy_features).levels
+    hits, _ = attribute_features(toy_relation, toy_features[1])
     overlaps = [
         (r, s)
-        for r in levels
-        for s in levels
-        if r < s and levels[r] & levels[s]
+        for r in range(len(hits))
+        for s in range(len(hits))
+        if r < s and (hits[r] & hits[s]).any()
     ]
     if overlaps:
         print(f"note: raw attribution levels overlap at {overlaps}")
     # the stratification itself is a partition regardless
-    strat = attribute_features(toy_relation, toy_features).stratification
-    assert set(strat) == {"x", "y", "z"}
+    assert all(level is not None for level in _strata(hits))
 
 
 def test_vi_identical_is_zero():
@@ -143,97 +145,75 @@ def test_pruning_removes_silent_feature_first(toy_relation):
     matrix = np.zeros((toy_relation.n, 2), dtype=bool)
     for k in (9, 12, 16, 17, 18, 19):
         matrix[k, 0] = True
-    feats = FeatureRelation(
-        inputs=toy_relation.inputs, features=("marker", "silent"), has_feature=matrix
-    )
-    steps = greedy_feature_pruning(attribute_features(toy_relation, feats), rounds=2)
-    assert steps[0].feature == "silent"
-    assert steps[0].vi == 0.0
-    assert steps[1].feature == "marker"
+    steps = greedy_feature_pruning(*attribute_features(toy_relation, matrix), rounds=2)
+    assert steps[0] == (1, 0.0)
+    assert steps[1][0] == 0
 
 
 def test_pruning_zero_rounds(toy_relation, toy_features):
-    assert greedy_feature_pruning(attribute_features(toy_relation, toy_features), 0) == ()
+    assert greedy_feature_pruning(*attribute_features(toy_relation, toy_features[1]), 0) == []
 
 
 def test_pruning_first_removal_matches_exhaustive_search(toy_relation):
     rng = np.random.default_rng(7)
     matrix = rng.random((toy_relation.n, 6)) < 0.4
-    feats = FeatureRelation(
-        inputs=toy_relation.inputs,
-        features=tuple(f"k{i}" for i in range(6)),
-        has_feature=matrix,
-    )
 
-    def partition(feature_rel):
-        strat = attribute_features(toy_relation, feature_rel).stratification
+    def partition(has):
         blocks = {}
-        for name, level in strat.items():
-            blocks.setdefault(level, set()).add(name)
+        for i, level in enumerate(_strata(attribute_features(toy_relation, has)[0])):
+            blocks.setdefault(level, set()).add(i)
         return list(blocks.values())
 
-    before = partition(feats)
+    before = partition(matrix)
     candidates = []
-    for i, name in enumerate(feats.features):
-        blanked = feats.has_feature.copy()
+    for i in range(6):
+        blanked = matrix.copy()
         blanked[:, i] = False
-        after = partition(
-            FeatureRelation(
-                inputs=feats.inputs, features=feats.features, has_feature=blanked
-            )
-        )
-        candidates.append((variation_of_information(before, after), i, name))
-    best_vi, _, best_name = min(candidates)
-    steps = greedy_feature_pruning(attribute_features(toy_relation, feats), rounds=1)
-    assert steps[0].feature == best_name
-    assert steps[0].vi == pytest.approx(best_vi)
+        candidates.append((variation_of_information(before, partition(blanked)), i))
+    best_vi, best = min(candidates)
+    steps = greedy_feature_pruning(*attribute_features(toy_relation, matrix), rounds=1)
+    assert steps[0][0] == best
+    assert steps[0][1] == pytest.approx(best_vi)
 
 
 def test_pruning_round_bounds(toy_relation, toy_features):
     with pytest.raises(ValidationError):
-        greedy_feature_pruning(attribute_features(toy_relation, toy_features), rounds=4)
+        greedy_feature_pruning(*attribute_features(toy_relation, toy_features[1]), rounds=4)
 
 
 def test_attribution_product_table(toy_relation, toy_features):
     from tdt.dowker import inconsistent_inputs
-    from tdt.relation import restrict_programs
 
-    attribution = attribute_features(toy_relation, toy_features)
-    assert attribution.product[(FULL, "x")] is True
-    assert attribution.product[(FULL, "y")] is False
+    _, has = toy_features
+    assert _product_at(toy_relation, has, FULL)[:2] == [True, False]
     # empty-conjunction convention: rs(X, .) is all-true wherever inc(X) is empty
-    for (mask, name), flag in attribution.product.items():
+    for mask in range(1, 16):
         if not inconsistent_inputs(restrict_programs(toy_relation, mask)):
-            assert flag is True
+            assert _product_at(toy_relation, has, mask) == [True] * 3
 
 
-def _reference_pruning(rel, feats, rounds, max_removed, strict):
+def _reference_pruning(rel, has_feature, rounds, max_removed, strict):
     """Greedy pruning by a full attribute_features sweep per candidate and round."""
 
-    def partition(columns):
-        strat = attribute_features(rel, columns, max_removed=max_removed, strict=strict)
+    def partition(removed):
+        matrix = has_feature.copy()
+        matrix[:, sorted(removed)] = False
+        hits, _ = attribute_features(rel, matrix, max_removed=max_removed, strict=strict)
         blocks = {}
-        for name, level in strat.stratification.items():
-            blocks.setdefault(level, set()).add(name)
+        for i, level in enumerate(_strata(hits)):
+            blocks.setdefault(level, set()).add(i)
         return [blocks[key] for key in sorted(blocks, key=lambda v: (v is None, v))]
-
-    def blank(names):
-        matrix = feats.has_feature.copy()
-        for i, name in enumerate(feats.features):
-            if name in names:
-                matrix[:, i] = False
-        return FeatureRelation(inputs=feats.inputs, features=feats.features, has_feature=matrix)
 
     removed, steps = set(), []
     for _ in range(rounds):
-        before = partition(blank(removed))
+        before = partition(removed)
         vi, index = min(
-            (variation_of_information(before, partition(blank(removed | {name}))), i)
-            for i, name in enumerate(feats.features)
-            if name not in removed
+            (variation_of_information(before, partition(removed | {i})), i)
+            for i in range(has_feature.shape[1])
+            if i not in removed
         )
-        removed.add(feats.features[index])
-        steps.append((feats.features[index], vi))
+        removed.add(index)
+        steps.append((index, vi))
     return steps
 
 
@@ -250,29 +230,24 @@ def test_pruning_and_attribution_match_reference_sweeps():
         rel = relation_from_masks(
             [sum(1 << j for j in range(m) if rng.random() < density) for _ in range(n)], m=m
         )
-        feats = FeatureRelation(
-            inputs=rel.inputs,
-            features=tuple(f"k{i}" for i in range(p)),
-            has_feature=np.array([[rng.random() < 0.5 for _ in range(p)] for _ in range(n)]),
-        )
+        has = np.array([[rng.random() < 0.5 for _ in range(p)] for _ in range(n)])
         max_removed = rng.choice((None, rng.randrange(m)))
         strict = rng.random() < 0.5
-        attribution = attribute_features(rel, feats, max_removed=max_removed, strict=strict)
-        steps = greedy_feature_pruning(attribution, p)
-        assert [(s.feature, s.vi) for s in steps] == _reference_pruning(
-            rel, feats, p, max_removed, strict
-        )
+        hits, clean = attribute_features(rel, has, max_removed=max_removed, strict=strict)
+        steps = greedy_feature_pruning(hits, clean, p)
+        assert steps == _reference_pruning(rel, has, p, max_removed, strict)
         rows = ["".join("1" if v else "0" for v in row) for row in rel.accepts]
-        columns = feats.has_feature.T.tolist()
+        columns = has.T.tolist()
         top = m - 1 if max_removed is None else max_removed
+        assert hits.shape == (top + 1, p)
         for r in range(top + 1):
             level = np.ones(p, dtype=bool)
             for mask in range(1, 1 << m):
                 if bin(mask).count("1") == m - r:
                     flags = oracles.relation_product(rows, columns, mask, strict)
-                    assert [attribution.product[(mask, f"k{i}")] for i in range(p)] == flags
+                    assert _product_at(rel, has, mask, strict) == flags
                     level &= flags
-            assert attribution.levels[r] == {f"k{i}" for i in np.flatnonzero(level)}
+            assert hits[r].tolist() == level.tolist()
 
 
 def test_attribution_matches_the_per_input_oracle():
@@ -294,26 +269,17 @@ def test_attribution_matches_the_per_input_oracle():
                 column.append(not column[0] if column is columns[0] else column[0])
             rel = relation_from_masks(masks, m=m)
             rows = ["".join("1" if mask >> j & 1 else "0" for mask in masks) for j in range(m)]
-            feats = FeatureRelation(
-                inputs=rel.inputs,
-                features=tuple(f"k{i}" for i in range(p)),
-                has_feature=np.array(columns, dtype=bool).T,
-            )
+            has = np.array(columns, dtype=bool).T
             top = rng.randrange(m)
-            product, levels, first, clean = oracles.attribution(rows, columns, top, strict)
-            attribution = attribute_features(rel, feats, max_removed=top, strict=strict)
-            assert attribution.product == {
-                (mask, f"k{i}"): flag for (mask, i), flag in product.items()
-            }
-            assert attribution.levels == {
-                r: frozenset(f"k{i}" for i in members) for r, members in levels.items()
-            }
-            assert attribution.stratification == {f"k{i}": r for i, r in enumerate(first)}
-            assert attribution.clean == clean
-            every = attribute_features(rel, feats, strict=strict).product  # every subset
-            for mask in range(1, 1 << m):
+            _, levels, first, clean = oracles.attribution(rows, columns, top, strict)
+            hits, swept_clean = attribute_features(rel, has, max_removed=top, strict=strict)
+            assert [set(np.flatnonzero(row).tolist()) for row in hits] == \
+                [levels[r] for r in range(top + 1)]
+            assert _strata(hits) == first
+            assert swept_clean.tolist() == [clean[r] for r in range(top + 1)]
+            for mask in range(1, 1 << m):  # every subset, as level 0 of its restriction
                 expected = oracles.relation_product(rows, columns, mask, strict)
-                assert [every[(mask, f"k{i}")] for i in range(p)] == expected
+                assert _product_at(rel, has, mask, strict) == expected
                 bad = oracles.inconsistent_input_indices(
                     [row for j, row in enumerate(rows) if mask >> j & 1]
                 )
@@ -332,8 +298,8 @@ def test_attribution_json_sweeps_each_subset_once(monkeypatch, toy_relation, toy
         return inconsistent_accept_sets(masks, counts, sigma)
 
     monkeypatch.setattr(tdt.features, "inconsistent_accept_sets", counted)
-    tdt.features.attribution_json(toy_relation, toy_features, prune_rounds=3)
+    tdt.features.attribution_json(toy_relation, *toy_features, prune_rounds=3)
     assert sorted(calls) == list(range(1, 16))
     calls.clear()
-    tdt.features.attribution_json(toy_relation, toy_features, max_removed=1, prune_rounds=2)
+    tdt.features.attribution_json(toy_relation, *toy_features, max_removed=1, prune_rounds=2)
     assert sorted(calls) == [0b0111, 0b1011, 0b1101, 0b1110, 0b1111]

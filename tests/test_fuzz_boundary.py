@@ -1,11 +1,14 @@
 """Hypothesis fuzzing of the file boundary: the relation JSON loader and the
 run configuration loader give their result or a ``TdtError`` for any JSON
 value, and ``cli.main`` answers any relation file, feature file or truth file
-with exit 0, or with exit 2 and one ``error:`` line, never a traceback."""
+with exit 0, or with exit 2 and one ``error:`` line, never a traceback.  It
+answers any run configuration over a missing corpus with exit 2, before any
+parser starts."""
 
 import contextlib
 import io
 import json
+import subprocess
 
 import pytest
 from hypothesis import given, settings
@@ -213,3 +216,22 @@ def test_run_config_loader_loads_or_raises_tdt_error(tmp_path_factory, payload):
     assert (cfg.corpus, cfg.glob, cfg.timeout_secs, cfg.parallelism, cfg.stderr_cap_bytes) == (
         payload["corpus"], payload.get("glob", "*"), payload.get("timeout_secs", 30.0),
         payload.get("parallelism", 1), payload.get("stderr_cap_bytes", DEFAULT_STDERR_CAP))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(run_config_payloads())
+def test_cli_answers_any_run_config_over_a_missing_corpus_with_one_error_line(
+        tmp_path_factory, payload):
+    tmp = tmp_path_factory.mktemp("run")
+    if isinstance(payload, dict) and isinstance(payload.get("corpus"), str):
+        payload["corpus"] = str(tmp / "missing")
+    path, out = tmp / "run.json", tmp / "rel.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a parser process started")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(subprocess, "Popen", no_process)
+        assert _answer(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert sorted(tmp.iterdir()) == [path]

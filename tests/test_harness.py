@@ -359,6 +359,36 @@ def test_keyword_table_needs_keywords(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("keywords, column", [
+    ({"A": ["parse error", "parse error"]}, "A:parse error"),
+    ({"A": ["b:c"], "A:b": ["c"]}, "A:b:c"),
+], ids=["one-parser", "across-parsers"])
+def test_repeated_keyword_columns_fail_before_any_parser_runs(tmp_path, capsys, keywords, column):
+    """A keyword CSV naming a column twice would be a feature file that ``tdt
+    features`` rejects, so ``run`` refuses the configuration before any parser
+    runs, with or without ``--keywords-out``, and writes no file."""
+    from tdt.cli import main
+
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "corpus" / "f1").write_text("x")
+    marker = tmp_path / "ran"
+    touch = f"import pathlib; pathlib.Path({str(marker)!r}).touch()"
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "parsers": [{"name": name, "command": f'{sys.executable} -c "{touch}" {{input}}',
+                     "keywords": kws} for name, kws in keywords.items()],
+        "corpus": str(tmp_path / "corpus"),
+    }))
+    out = tmp_path / "out"
+    out.mkdir()
+    for extra in ([], ["--keywords-out", str(out / "kw.csv")]):
+        assert main(["run", "--config", str(cfg_path), "--out", str(out / "rel.json"), *extra]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {cfg_path}: duplicate keyword column {column!r}\n")
+    assert not marker.exists()
+    assert list(out.iterdir()) == []
+
+
 def test_keyword_table_csv(pattern_run):
     inputs, results = pattern_run
     # the stub writes "parse error" on each input it rejects, and on no other

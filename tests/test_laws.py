@@ -40,8 +40,7 @@ from tdt.diagram import build_diagram, diagram_report, is_consistent
 from tdt.distill import distill, inconsistency_scores, select_inputs
 from tdt.dowker import build_complex, complex_counts
 from tdt.features import attribute_features
-from tdt.relation import (FeatureRelation, column_masks, load_relation, restrict_inputs,
-                          save_relation)
+from tdt.relation import column_masks, load_relation, restrict_inputs, save_relation
 from tdt.sheaf import display_vector, stalk_json
 
 from conftest import uniform_relation
@@ -143,11 +142,10 @@ def test_l3_the_inconsistent_inputs_are_a_strict_level_0_feature(m):
         assert flagged.any() == (r is rel)
         decoy = flagged.copy()
         decoy[np.argmin(flagged)] = True  # one consistent input more fails the strict test
-        feats = FeatureRelation(inputs=r.inputs, features=("inconsistent", "decoy"),
-                                has_feature=np.column_stack((flagged, decoy)))
-        attribution = attribute_features(r, feats, max_removed=0, strict=True)
-        assert attribution.levels[0] == {"inconsistent"}
-        assert attribution.clean[0] == (not flagged.any())
+        hits, clean = attribute_features(r, np.column_stack((flagged, decoy)), max_removed=0,
+                                         strict=True)
+        assert hits.tolist() == [[True, False]]
+        assert clean.tolist() == [not flagged.any()]
 
 
 @pytest.mark.parametrize("m", range(11, L4_UP_TO + 1))

@@ -28,7 +28,7 @@ from tdt.diagram import build_diagram, project_diagram, region_sizes
 from tdt.distill import distill, inconsistency_scores, select_inputs, trace_json
 from tdt.dowker import betti_numbers, build_complex, complex_counts
 from tdt.features import attribute_features
-from tdt.relation import FeatureRelation, Relation, save_relation
+from tdt.relation import Relation, save_relation
 from tdt.sheaf import display_vector, stalk_json
 
 from conftest import uniform_relation
@@ -141,7 +141,8 @@ def test_repetition_doubles_selection_thresholds_and_repeats_flags(m):
 
 
 def _planted(m):
-    """Feature q is carried exactly by the inputs every program accepts; program 0
+    """Feature q (column 0; r, column 1, is random) is carried exactly by the
+    inputs every program accepts; program 0
     rejects every other input, and the other programs accept the heavier rest. So q
     marks every input inconsistent in the full relation, and strict mode, which
     also asks that no consistent input carry q, drops q from the levels below."""
@@ -152,20 +153,19 @@ def _planted(m):
     rel = Relation(programs=tuple(f"p{j}" for j in range(m)),
                    inputs=tuple(f"i{k}" for k in range(n)), accepts=accepts)
     has = np.column_stack((np.arange(n) < carriers, np.random.default_rng(m).random(n) < 0.5))
-    return rel, FeatureRelation(inputs=rel.inputs, features=("q", "r"), has_feature=has)
+    return rel, has
 
 
 @pytest.mark.parametrize("m", range(11, 15))
 def test_feature_levels_survive_permutation(m):
-    rel, feats = _planted(m)
+    rel, has = _planted(m)
     permuted = _permuted(rel, np.random.default_rng(m).permutation(m))
 
     def answer(r, strict):
-        a = attribute_features(r, feats, max_removed=2, strict=strict)
-        return a.levels, a.stratification, a.clean
+        return tuple(a.tolist() for a in attribute_features(r, has, max_removed=2, strict=strict))
 
     plain, strict = answer(rel, False), answer(rel, True)
-    assert plain[1] == {"q": 0, "r": None}
+    assert plain[0][0][0] and not any(row[1] for row in plain[0])  # q at level 0, r at none
     assert plain[0] != strict[0]
     assert answer(permuted, False) == plain
     assert answer(permuted, True) == strict

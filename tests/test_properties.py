@@ -20,7 +20,6 @@ from tdt.dowker import (
 from tdt.errors import EmptyScreenError
 from tdt.features import attribute_features, variation_of_information
 from tdt.relation import (
-    FeatureRelation,
     column_masks,
     load_relation,
     restrict_programs,
@@ -185,15 +184,12 @@ def test_strict_product_implies_plain(rel, data):
     bits = data.draw(
         st.lists(st.booleans(), min_size=rel.n * p, max_size=rel.n * p)
     )
-    feats = FeatureRelation(
-        inputs=rel.inputs,
-        features=tuple(f"k{i}" for i in range(p)),
-        has_feature=np.array(bits, dtype=bool).reshape(rel.n, p),
-    )
-    plain = attribute_features(rel, feats).product
-    strict = attribute_features(rel, feats, strict=True).product
-    assert plain.keys() == strict.keys()
-    assert all(plain[key] for key, flag in strict.items() if flag)
+    has = np.array(bits, dtype=bool).reshape(rel.n, p)
+    for mask in range(1, 1 << rel.m):  # the product at a subset is level 0 of its restriction
+        sub = restrict_programs(rel, mask)
+        plain, _ = attribute_features(sub, has, max_removed=0)
+        strict, _ = attribute_features(sub, has, max_removed=0, strict=True)
+        assert not (strict & ~plain).any()
 
 
 @COMMON

@@ -228,10 +228,22 @@ def test_pgm_export(trio_relation):
     assert relation_pgm(relation_from_masks([], m=2)) == "P2\n0 2\n255\n\n\n"
 
 
-def test_feature_relation_csv_round_trip(tmp_path, toy_features):
+def _features(path, rel):
+    """The feature loader's names and matrix (as lists) for ``path`` against ``rel``."""
+    features, has_feature = load_feature_relation(path, rel)
+    return features, has_feature.tolist()
+
+
+def _on(inputs):
+    """A one-program relation on ``inputs``, for the feature loader to align to."""
+    return Relation(("A",), tuple(inputs), np.zeros((1, len(inputs)), dtype=bool))
+
+
+def test_feature_relation_csv_round_trip(tmp_path, toy_relation, toy_features):
+    names, has = toy_features
     path = tmp_path / "feats.csv"
-    path.write_text(feature_csv(toy_features))
-    assert load_feature_relation(path) == toy_features
+    path.write_text(feature_csv(toy_relation.inputs, names, has))
+    assert _features(path, toy_relation) == (names, has.tolist())
 
 
 def test_relation_validation():
@@ -286,7 +298,7 @@ def test_csv_loaders_match_per_cell_oracle(tmp_path):
             csv.writer(fh, lineterminator="\n").writerows(records)
 
         expected = read_01_csv(path, kind)
-        load = load_relation if kind == "relation" else load_feature_relation
+        load = load_relation if kind == "relation" else lambda path: _features(path, _on(()))
         if expected[0] == "error":
             errors += 1
             with pytest.raises(FormatError) as excinfo:
@@ -294,13 +306,13 @@ def test_csv_loaders_match_per_cell_oracle(tmp_path):
             assert str(excinfo.value) == expected[1]
             continue
         _, cols, inputs, rows = expected
-        loaded = load(path)
         if kind == "relation":
+            loaded = load(path)
             assert loaded.programs == tuple(cols) and loaded.inputs == tuple(inputs)
             assert loaded.accepts.T.tolist() == rows
         else:
-            assert loaded.features == tuple(cols) and loaded.inputs == tuple(inputs)
-            assert loaded.has_feature.reshape(len(rows), p).tolist() == rows
+            features, has = load_feature_relation(path, _on(inputs))
+            assert features == tuple(cols) and has.reshape(len(rows), p).tolist() == rows
     assert 40 < errors < 130
 
 
@@ -311,7 +323,7 @@ def _check_against_oracle(path, kind):
     from oracles import read_01_csv
 
     expected = read_01_csv(path, kind)
-    load = {"relation": load_relation, "feature": load_feature_relation,
+    load = {"relation": load_relation, "feature": lambda path: _features(path, _on(())),
             "truth": lambda path: load_ground_truth(path, None)}[kind]
     if expected[0] == "error":
         with pytest.raises(FormatError) as excinfo:
@@ -327,9 +339,12 @@ def _check_against_oracle(path, kind):
         assert (rel.programs, rel.inputs) == (tuple(columns), tuple(inputs))
         assert rel.accepts.T.tolist() == rows
     elif kind == "feature":
-        feats = load(path)
-        assert (feats.features, feats.inputs) == (tuple(columns), tuple(inputs))
-        assert feats.has_feature.reshape(len(rows), len(columns)).tolist() == rows
+        features, has = load_feature_relation(path, _on(inputs))
+        assert features == tuple(columns)
+        assert has.reshape(len(rows), len(columns)).tolist() == rows
+        if len(inputs) > 1:  # the same ids in another order do not align
+            with pytest.raises(ValidationError, match="inputs do not match the relation's"):
+                load_feature_relation(path, _on(inputs[::-1]))
     elif len(set(inputs)) < len(inputs):
         first = next(name for k, name in enumerate(inputs) if name in inputs[:k])
         distinct = tuple(dict.fromkeys(inputs))
@@ -443,7 +458,8 @@ def test_csv_loaders_read_crlf_files_in_bulk(tmp_path, toy_relation, toy_feature
                                           for k, name in enumerate(toy_relation.inputs))
     cases = (
         (load_relation, relation_csv(toy_relation)),
-        (load_feature_relation, feature_csv(toy_features)),
+        (lambda path: _features(path, toy_relation),
+         feature_csv(toy_relation.inputs, *toy_features)),
         (lambda path: load_ground_truth(path, toy_relation).tolist(), truth),
     )
 
@@ -467,7 +483,6 @@ def test_csv_writers_quote_awkward_ids(tmp_path):
 
     from tdt.distill import inconsistency_scores, scores_csv
     from tdt.harness import RunResult, keyword_table
-    from tdt.relation import FeatureRelation
 
     ids = ("plain", *AWKWARD_IDS)
     masks = [3, 1, 2, 0, 3, 1, 2, 0, 3]
@@ -477,11 +492,9 @@ def test_csv_writers_quote_awkward_ids(tmp_path):
     save_relation(rel, path)
     assert load_relation(path) == rel
 
-    feats = FeatureRelation(inputs=ids, features=("f,1", 'g"'),
-                            has_feature=rel.accepts.T)
     path = tmp_path / "feats.csv"
-    path.write_text(feature_csv(feats))
-    assert load_feature_relation(path) == feats
+    path.write_text(feature_csv(ids, ("f,1", 'g"'), rel.accepts.T))
+    assert _features(path, rel) == (("f,1", 'g"'), rel.accepts.T.tolist())
 
     scores, _ = inconsistency_scores(rel)
     records = list(csv.reader(io.StringIO(scores_csv(ids, scores), newline="")))

@@ -175,10 +175,9 @@ EXPORTS = {
               "consistent_core graph_dot inconsistent_inputs",
     "errors": "CapacityError ConfigurationError EmptyScreenError FormatError "
               "InconsistentDiagramError TdtError ValidationError",
-    "features": "FeatureAttribution attribute_features greedy_feature_pruning "
-                "variation_of_information",
+    "features": "attribute_features greedy_feature_pruning variation_of_information",
     "harness": "RunConfig RunResult accept_rows keyword_table load_run_config run_corpus",
-    "relation": "FeatureRelation MAX_PROGRAMS Relation column_masks load_feature_relation "
+    "relation": "MAX_PROGRAMS Relation column_masks load_feature_relation "
                 "load_relation mask_from_names names_from_mask restrict_inputs restrict_programs "
                 "save_relation",
     "sheaf": "display_vector",
@@ -207,7 +206,7 @@ def test_public_names_resolve_lazily_and_are_listed():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["loaded"] == []
-    assert all(result["resolved"]) and len(result["resolved"]) == 51 + 9
+    assert all(result["resolved"]) and len(result["resolved"]) == 49 + 9
     names = {name for names in EXPORTS.values() for name in names.split()}
     assert names | set(EXPORTS) <= set(result["dir"])
     assert result["version"] == "0.1.0"
