@@ -61,11 +61,11 @@ def main() -> None:
     print("\nscore histogram:")
     print(histogram_csv(scores), end="")
 
-    trace = distill(rel)
+    _, trace = distill(rel)
     print("distillation: screened "
-          f"{[r.program for r in trace.initial_removals] or 'nothing'}, "
-          f"stepwise removals {[s.removed for s in trace.steps] or 'none'}, "
-          f"survivors {list(trace.final_programs)}")
+          f"{trace['screened'] or 'nothing'}, "
+          f"stepwise removals {[s['removed'] for s in trace['steps']] or 'none'}, "
+          f"survivors {trace['final']}")
 
     print("\nDOT rendering of the weighted Dowker graph:")
     print(graph_dot(graph), end="")

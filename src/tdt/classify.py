@@ -6,7 +6,6 @@ arithmetic and rendered as decimals only at the edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 
@@ -14,17 +13,6 @@ from ._numpy import np
 from .errors import FormatError, ValidationError
 from .relation import Relation, read_01_csv
 from .util import canonical_dumps
-
-
-@dataclass(frozen=True)
-class ClassifierReport:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-    precision: Fraction | None
-    recall: Fraction | None
-    f1: Fraction | None
 
 
 def vote_classifier(rel: Relation, reject_threshold: int) -> np.ndarray:
@@ -39,8 +27,10 @@ def score_rule_classifier(scores: np.ndarray, below: int, equal: int) -> np.ndar
     return (scores < below) | (scores == equal)
 
 
-def evaluate(predicted: np.ndarray, compliant: np.ndarray) -> ClassifierReport:
-    """Precision/recall/F1 of per-input non-compliant flags against compliance labels.
+def evaluate(predicted: np.ndarray, compliant: np.ndarray) -> dict:
+    """Precision/recall/F1 of per-input non-compliant flags against compliance labels:
+    ``{"counts": {"tp", "fp", "fn", "tn"}, "precision", "recall", "f1"}``, each
+    metric an exact Fraction.
 
     Zero-denominator metrics are reported as None, never 0.
     """
@@ -55,15 +45,8 @@ def evaluate(predicted: np.ndarray, compliant: np.ndarray) -> ClassifierReport:
     f1 = None
     if precision is not None and recall is not None and precision + recall > 0:
         f1 = 2 * precision * recall / (precision + recall)
-    return ClassifierReport(
-        tp=tp,
-        fp=fp,
-        fn=fn,
-        tn=tn,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-    )
+    return {"counts": {"tp": tp, "fp": fp, "fn": fn, "tn": tn},
+            "precision": precision, "recall": recall, "f1": f1}
 
 
 def load_ground_truth(path, rel: Relation) -> np.ndarray:
@@ -96,16 +79,9 @@ def load_ground_truth(path, rel: Relation) -> np.ndarray:
     return flags
 
 
-def _render(value: Fraction | None) -> float | None:
-    return None if value is None else float(value)
-
-
-def report_json(report: ClassifierReport, inputs: tuple[str, ...], predicted: np.ndarray) -> str:
-    payload = {
-        "flagged": list(compress(inputs, predicted.tolist())),
-        "counts": {"tp": report.tp, "fp": report.fp, "fn": report.fn, "tn": report.tn},
-        "precision": _render(report.precision),
-        "recall": _render(report.recall),
-        "f1": _render(report.f1),
-    }
-    return canonical_dumps(payload)
+def report_json(report: dict, inputs: tuple[str, ...], predicted: np.ndarray) -> str:
+    """The :func:`evaluate` report with its metrics as floats, and the flagged ids."""
+    metrics = {label: None if report[label] is None else float(report[label])
+               for label in ("precision", "recall", "f1")}
+    return canonical_dumps({**report, **metrics,
+                            "flagged": list(compress(inputs, predicted.tolist()))})

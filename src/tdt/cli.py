@@ -184,19 +184,18 @@ def cmd_analyze(rel, args) -> int:
 
 
 def cmd_distill(rel, args) -> int:
-    from .distill import distill, trace_json
+    from .distill import distill
     from .relation import save_relation
 
-    trace = distill(rel)
+    final, trace = distill(rel)
     if args.trace:
-        write_text(args.trace, trace_json(trace))
+        write_text(args.trace, canonical_dumps(trace))
     if args.out:
-        save_relation(trace.final_relation, args.out)
-    screened = ", ".join(r.program for r in trace.initial_removals) or "none"
-    stepped = ", ".join(s.removed for s in trace.steps) or "none"
-    print(f"screened out: {screened}")
-    print(f"removed stepwise: {stepped}")
-    print(f"surviving programs: {', '.join(trace.final_programs)}")
+        save_relation(final, args.out)
+    stepped = [step["removed"] for step in trace["steps"]]
+    print(f"screened out: {', '.join(trace['screened']) or 'none'}")
+    print(f"removed stepwise: {', '.join(stepped) or 'none'}")
+    print(f"surviving programs: {', '.join(trace['final'])}")
     return 0
 
 
@@ -212,7 +211,7 @@ def cmd_score(rel, args) -> int:
     if args.hist:
         write_text(args.hist, histogram_csv(scores))
     if args.restrict_below is not None:
-        kept = (scores < args.restrict_below).nonzero()[0].tolist()
+        kept = (scores < args.restrict_below).nonzero()[0]
         restricted = restrict_inputs(rel, kept)
         if args.restricted_out:
             save_relation(restricted, args.restricted_out)
@@ -288,7 +287,7 @@ def cmd_classify(rel, args) -> int:
         if args.out:
             write_text(args.out, report_json(report, rel.inputs, predicted))
         for label in ("precision", "recall", "f1"):
-            value = getattr(report, label)
+            value = report[label]
             print(f"{label}: " + ("undefined" if value is None else f"{float(value):.4f}"))
     elif args.out:
         write_text(args.out, canonical_dumps(list(compress(rel.inputs, predicted.tolist()))))

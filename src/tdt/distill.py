@@ -10,8 +10,7 @@ restriction it is inconsistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 from typing import Literal
 
 from ._numpy import np
@@ -27,55 +26,22 @@ from .diagram import (
 )
 from .errors import EmptyScreenError, InconsistentDiagramError, ValidationError
 from .relation import Relation, column_masks, mask_from_names, restrict_programs
-from .util import bits, canonical_dumps, csv_text
+from .util import bits, csv_text
 
 
-@dataclass(frozen=True)
-class ScreenRemoval:
-    program: str
-    accepted: int
-    rejected: int
-
-
-@dataclass(frozen=True)
-class DistillStep:
-    region: tuple[str, ...]   # deficient region chosen this round
-    face: tuple[str, ...]     # its heaviest facet
-    removed: str              # the program separating the two
-
-
-@dataclass(frozen=True)
-class DistillTrace:
-    initial_removals: tuple[ScreenRemoval, ...]
-    steps: tuple[DistillStep, ...]
-    final_programs: tuple[str, ...]
-    final_relation: Relation
-
-
-@dataclass(frozen=True)
-class ThresholdRow:
-    threshold: int
-    excluded: int
-    components: int
-
-
-def singleton_screen(rel: Relation) -> tuple[Relation, tuple[ScreenRemoval, ...]]:
-    """Keep the programs whose one-program diagram is consistent (accepts >= rejects)."""
+def singleton_screen(rel: Relation) -> tuple[Relation, list[str]]:
+    """Keep the programs whose one-program diagram is consistent (accepts >= rejects);
+    returns the screened relation and the names screened out, in program order."""
     if rel.n < 1:
         raise ValidationError("singleton screen needs a non-empty corpus")
-    removed = []
-    keep = 0
-    for j, name in enumerate(rel.programs):
-        accepted = int(rel.accepts[j].sum())
-        rejected = rel.n - accepted
-        if accepted >= rejected:
-            keep |= 1 << j
-        else:
-            removed.append(ScreenRemoval(program=name, accepted=accepted, rejected=rejected))
-    if keep == 0:
-        detail = ", ".join(f"{r.program!r}: {r.accepted}/{rel.n} accepted" for r in removed)
+    accepted = rel.accepts.sum(axis=1)
+    kept = 2 * accepted >= rel.n
+    if not kept.any():
+        detail = ", ".join(f"{name!r}: {a}/{rel.n} accepted"
+                           for name, a in zip(rel.programs, accepted.tolist()))
         raise EmptyScreenError(f"every program rejects a majority of the corpus ({detail})")
-    return restrict_programs(rel, keep), tuple(removed)
+    return (restrict_programs(rel, mask_from_names(rel, compress(rel.programs, kept))),
+            list(compress(rel.programs, ~kept)))
 
 
 def _pick_deficient_region(weights: np.ndarray, m: int) -> int | None:
@@ -95,11 +61,14 @@ def _pick_heaviest_facet(weights: np.ndarray, region: int) -> int:
     return min((region & ~(1 << j) for j in bits(region)), key=lambda f: (-weights[f], f))
 
 
-def distill(rel: Relation) -> DistillTrace:
+def distill(rel: Relation) -> tuple[Relation, dict]:
     """Screen singletons, then drop one program per round until the diagram is consistent.
 
     Each round projects the current diagram off the dropped program; the relation
-    is restricted once, to the programs left at the end.
+    is restricted once, to the programs left at the end.  Returns that relation
+    and the trace ``tdt distill --trace`` writes: the ``screened`` names, the
+    ``steps`` (each a deficient ``region``, its heaviest ``face`` and the program
+    ``removed`` between them) and the ``final`` names.
     """
     screened, removed = singleton_screen(rel)
     names = list(screened.programs)  # the program of each bit of the diagram
@@ -108,31 +77,14 @@ def distill(rel: Relation) -> DistillTrace:
     while (region := _pick_deficient_region(weights, len(names))) is not None:
         face = _pick_heaviest_facet(weights, region)
         removed_index = (region & ~face).bit_length() - 1
-        steps.append(DistillStep(region=tuple(names[j] for j in bits(region)),
-                                 face=tuple(names[j] for j in bits(face)),
-                                 removed=names[removed_index]))
+        steps.append({"region": [names[j] for j in bits(region)],
+                      "face": [names[j] for j in bits(face)],
+                      "removed": names[removed_index]})
         weights = project_diagram(weights, len(names),
                                   ((1 << len(names)) - 1) & ~(1 << removed_index))
         del names[removed_index]
     final = restrict_programs(screened, mask_from_names(screened, names))
-    return DistillTrace(
-        initial_removals=removed,
-        steps=tuple(steps),
-        final_programs=final.programs,
-        final_relation=final,
-    )
-
-
-def trace_json(trace: DistillTrace) -> str:
-    payload = {
-        "screened": [r.program for r in trace.initial_removals],
-        "steps": [
-            {"region": list(s.region), "face": list(s.face), "removed": s.removed}
-            for s in trace.steps
-        ],
-        "final": list(trace.final_programs),
-    }
-    return canonical_dumps(payload)
+    return final, {"screened": removed, "steps": steps, "final": list(final.programs)}
 
 
 def inconsistency_scores(
@@ -192,15 +144,14 @@ def histogram_csv(scores: np.ndarray) -> str:
     return csv_text(["score", "count"], zip(values.tolist(), counts.tolist()))
 
 
-def select_inputs(
-    rel: Relation, threshold: int
-) -> tuple[tuple[int, ...], tuple[ThresholdRow, ...]]:
-    """Keep the inputs whose region weight reaches the threshold.
+def select_inputs(rel: Relation, threshold: int) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """Keep the inputs whose region weight reaches the threshold: their indices, ascending.
 
     Requires a consistent diagram (distill first), so the weights form a
     filtration and the cut is a sublevel selection.  The report lists, for
-    every candidate threshold, how many inputs it would exclude and how many
-    connected components the surviving complex has.
+    every candidate threshold, a (threshold, excluded, components) row: how
+    many inputs it would exclude and how many connected components the
+    surviving complex has.
     """
     if threshold < 0:
         raise ValidationError("threshold must be >= 0")
@@ -210,20 +161,16 @@ def select_inputs(
             "the diagram is inconsistent; distill the relation before selecting inputs"
         )
     input_weights = weights[column_masks(rel)]
-    kept = tuple(np.flatnonzero(input_weights >= threshold).tolist())
+    kept = np.flatnonzero(input_weights >= threshold)
     candidates = sorted(set(weights[weights > 0].tolist()) | {threshold})
     excluded = np.searchsorted(np.sort(input_weights), candidates)  # inputs below each cut
     # Consistent weights never decrease along inclusion, so the full region is the
     # heaviest: the nonempty regions reaching a cut include it whenever they are not
     # empty, and their complex is then the full simplex, one component.
     top = int(weights[-1])
-    report = tuple(
-        ThresholdRow(threshold=t, excluded=int(e), components=int(t <= top))
-        for t, e in zip(candidates, excluded.tolist())
-    )
+    report = [(t, e, int(t <= top)) for t, e in zip(candidates, excluded.tolist())]
     return kept, report
 
 
-def selection_report_csv(report: tuple[ThresholdRow, ...]) -> str:
-    return csv_text(["threshold", "excluded", "components"],
-                    ((r.threshold, r.excluded, r.components) for r in report))
+def selection_report_csv(report: list[tuple[int, int, int]]) -> str:
+    return csv_text(["threshold", "excluded", "components"], report)

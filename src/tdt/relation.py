@@ -132,16 +132,20 @@ def restrict_programs(rel: Relation, keep: int) -> Relation:
     )
 
 
-def restrict_inputs(rel: Relation, keep: Iterable[int]) -> Relation:
-    """Column restriction to the given input indices (kept in ascending order)."""
-    indices = sorted(set(keep))
-    if indices and (indices[0] < 0 or indices[-1] >= rel.n):
-        k = next(k for k in indices if not 0 <= k < rel.n)
+def restrict_inputs(rel: Relation, keep: np.ndarray) -> Relation:
+    """Column restriction to the input indices ``keep``: ascending, without repeats."""
+    keep = np.asarray(keep)
+    if keep.shape == (0,):  # an empty list reads as float
+        keep = keep.astype(np.int64)
+    if keep.ndim != 1 or keep.dtype.kind != "i" or not (np.diff(keep) > 0).all():
+        raise ValidationError("input indices must be an ascending integer array without repeats")
+    if len(keep) and (keep[0] < 0 or keep[-1] >= rel.n):
+        k = keep[0] if keep[0] < 0 else keep[-1]
         raise ValidationError(f"input index {k} out of range for n={rel.n}")
     return Relation(
         programs=rel.programs,
-        inputs=tuple(map(rel.inputs.__getitem__, indices)),
-        accepts=rel.accepts[:, indices] if indices else rel.accepts[:, :0],
+        inputs=tuple(map(rel.inputs.__getitem__, keep.tolist())),
+        accepts=rel.accepts[:, keep],
     )
 
 

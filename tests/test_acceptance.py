@@ -70,15 +70,15 @@ def test_criterion_2_three_parser_fixture(trio_relation):
     assert tuple(diag) == (1, 2, 3, 1, 2, 3, 1, 1)
     assert deficient_regions(diag, 3) == {A | B, B | C, A | B | C}
     screened, removed = singleton_screen(trio_relation)
-    assert [r.program for r in removed] == ["B"]
+    assert removed == ["B"]
     assert screened.programs == ("A", "C")
     pair = build_diagram(screened)
     assert tuple(pair) == (4, 3, 3, 4)
     assert deficient_regions(pair, 2) == {0b01, 0b10}
-    trace = distill(trio_relation)
-    assert len(trace.final_programs) == 1
-    assert trace.final_programs[0] in ("A", "C")
-    final = build_diagram(trace.final_relation)
+    distilled, trace = distill(trio_relation)
+    assert distilled.programs in (("A",), ("C",))
+    assert trace["final"] == list(distilled.programs)
+    final = build_diagram(distilled)
     assert tuple(final) == (7, 7)
     assert is_consistent(final, 1)
     _passed("criterion 2 (3x14 screen/deficiency/distill)", started, 1.0)
@@ -162,7 +162,7 @@ def test_criterion_5b_subdiagram_lemma():
             rel = _random_relation(rng, min_n=1)
             if not is_consistent(build_diagram(rel), rel.m):
                 try:
-                    rel = distill(rel).final_relation
+                    rel = distill(rel)[0]
                 except EmptyScreenError:
                     continue
             assert is_consistent(build_diagram(rel), rel.m)
@@ -219,16 +219,15 @@ def test_criterion_5f_distill_terminates_consistent():
         for _ in range(500):
             rel = _random_relation(rng, min_n=1)
             try:
-                trace = distill(rel)
+                final, trace = distill(rel)
             except EmptyScreenError:
                 accepted = rel.accepts.sum(axis=1)
                 assert all(2 * a < rel.n for a in accepted)
                 continue
-            final = trace.final_relation
             assert is_consistent(build_diagram(final), final.m)
-            assert len(trace.steps) <= rel.m
-            removed = len(trace.initial_removals) + len(trace.steps)
-            assert len(trace.final_programs) + removed == rel.m
+            assert len(trace["steps"]) <= rel.m
+            removed = len(trace["screened"]) + len(trace["steps"])
+            assert final.m + removed == rel.m
 
 
 def test_criterion_5_total_time_budget():
@@ -268,13 +267,13 @@ def test_criterion_7_classifier_formulas():
     started = time.perf_counter()
     compliant = np.arange(12) == 0
     report = evaluate(np.ones(12, dtype=bool), compliant)  # TP=11, FP=1, FN=0
-    assert report.precision == Fraction(11, 12)
-    assert report.recall == Fraction(1)
-    assert report.f1 == Fraction(22, 23)
-    p, r, f1 = (float(report.precision), float(report.recall), float(report.f1))
+    assert report["precision"] == Fraction(11, 12)
+    assert report["recall"] == Fraction(1)
+    assert report["f1"] == Fraction(22, 23)
+    p, r, f1 = (float(report["precision"]), float(report["recall"]), float(report["f1"]))
     assert abs(f1 - 2 * p * r / (p + r)) < 1e-12
     empty = evaluate(np.zeros(12, dtype=bool), compliant)
-    assert empty.precision is None and empty.recall == 0
+    assert empty["precision"] is None and empty["recall"] == 0
     _passed("criterion 7 (exact classifier metrics)", started, 1.0)
 
 
@@ -289,7 +288,7 @@ def test_criterion_8_corpus_scale_formats_declared(toy_relation, capsys):
     scores, _ = inconsistency_scores(toy_relation)
     assert scores_csv(toy_relation.inputs, scores).splitlines()[0] == "input_id,score"
     assert histogram_csv(scores).splitlines()[0] == "score,count"
-    kept = np.flatnonzero(scores < 3).tolist()
+    kept = np.flatnonzero(scores < 3)
     restricted = restrict_inputs(toy_relation, kept)
     assert restricted.programs == toy_relation.programs
     print("[acceptance] criterion 8: corpus-scale figures declared not desk-"

@@ -66,27 +66,26 @@ def test_evaluate_exact_fractions():
     compliant = np.arange(12) == 11  # 11 non-compliant, 1 compliant
     predicted = flags(12, range(12))  # flag everything: 11 TP, 1 FP, 0 FN
     report = evaluate(predicted, compliant)
-    assert (report.tp, report.fp, report.fn, report.tn) == (11, 1, 0, 0)
-    assert report.precision == Fraction(11, 12)
-    assert report.recall == Fraction(1)
-    assert report.f1 == Fraction(22, 23)
+    assert report == {"counts": {"tp": 11, "fp": 1, "fn": 0, "tn": 0},
+                      "precision": Fraction(11, 12), "recall": Fraction(1),
+                      "f1": Fraction(22, 23)}
 
 
 def test_evaluate_perfect_prediction():
     report = evaluate(flags(3, {1, 2}), np.array([True, False, False]))
-    assert report.precision == report.recall == report.f1 == Fraction(1)
+    assert report["precision"] == report["recall"] == report["f1"] == Fraction(1)
 
 
 def test_evaluate_undefined_metrics():
     report = evaluate(flags(2, ()), np.array([False, False]))
-    assert report.precision is None
-    assert report.recall == Fraction(0)
-    assert report.f1 is None
+    assert report["precision"] is None
+    assert report["recall"] == Fraction(0)
+    assert report["f1"] is None
 
 
 def test_evaluate_f1_identity_in_floats():
     report = evaluate(flags(10, {0, 1, 2, 3, 7}), np.arange(10) >= 7)
-    p, r, f1 = float(report.precision), float(report.recall), float(report.f1)
+    p, r, f1 = float(report["precision"]), float(report["recall"]), float(report["f1"])
     assert abs(f1 - 2 * p * r / (p + r)) < 1e-12
 
 
@@ -95,7 +94,7 @@ def test_evaluate_permutation_invariant():
     shuffled = compliant[::-1]  # inputs d, c, b, a
     r1 = evaluate(flags(4, {0, 2}), compliant)
     r2 = evaluate(flags(4, {1, 3}), shuffled)
-    assert (r1.tp, r1.fp, r1.fn, r1.tn) == (r2.tp, r2.fp, r2.fn, r2.tn)
+    assert r1 == r2
 
 
 def test_load_ground_truth(tmp_path, trio_relation):

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdt.classify import load_ground_truth
+from tdt.classify import evaluate, load_ground_truth, vote_classifier
 from tdt.cli import main
+from tdt.distill import distill
 from tdt.errors import FormatError
 from tdt.harness import load_run_config
 from tdt.relation import Relation, load_feature_relation, load_relation, save_relation
@@ -312,7 +313,7 @@ def test_analyze_escapes_dot_labels(tmp_path, capsys):
     )
 
 
-def test_distill_subcommand(tmp_path, trio_json, capsys):
+def test_distill_subcommand(tmp_path, trio_relation, trio_json, capsys):
     trace = tmp_path / "trace.json"
     out = tmp_path / "distilled.json"
     code = main(["distill", str(trio_json), "--trace", str(trace), "--out", str(out)])
@@ -321,6 +322,7 @@ def test_distill_subcommand(tmp_path, trio_json, capsys):
     assert payload["screened"] == ["B"]
     final = load_relation(out)
     assert final.m == 1 and final.programs[0] in ("A", "C")
+    assert (final, payload) == distill(trio_relation)  # the trace file is the returned trace
     assert "screened out: B" in capsys.readouterr().out
 
 
@@ -443,7 +445,8 @@ def test_classify_vote(tmp_path, trio_relation, trio_json, capsys):
                  "--truth", str(truth_csv), "--out", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
-    assert set(payload["counts"]) == {"tp", "fp", "fn", "tn"}
+    truth = load_ground_truth(truth_csv, trio_relation)
+    assert payload["counts"] == evaluate(vote_classifier(trio_relation, 3), truth)["counts"]
     text = capsys.readouterr().out
     assert "precision" in text
 

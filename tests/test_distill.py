@@ -14,10 +14,10 @@ from tdt.distill import (
     select_inputs,
     selection_report_csv,
     singleton_screen,
-    trace_json,
 )
 from tdt.errors import EmptyScreenError, InconsistentDiagramError, ValidationError
-from tdt.relation import restrict_inputs
+from tdt.relation import column_masks, restrict_inputs
+from tdt.util import canonical_dumps
 
 from conftest import TOY_ROWS, relation_from_masks, relation_from_rows
 import oracles
@@ -30,37 +30,37 @@ TOY_SCORES = (0, 0, 0, 0, 0, 0, 1, 1, 1, 3, 1, 1, 4, 0, 0, 0, 3, 3, 3, 3)
 def test_singleton_screen_trio(trio_relation):
     kept, removed = singleton_screen(trio_relation)
     assert kept.programs == ("A", "C")
-    assert [(r.program, r.accepted, r.rejected) for r in removed] == [("B", 6, 8)]
+    assert removed == ["B"]
 
 
 def test_singleton_screen_keeps_everything():
     rel = relation_from_rows(("1111", "1111"))
     kept, removed = singleton_screen(rel)
-    assert kept.programs == rel.programs and removed == ()
+    assert kept.programs == rel.programs and removed == []
 
 
 def test_singleton_screen_all_removed():
     rel = relation_from_masks([0, 0, 0], m=2)
-    with pytest.raises(EmptyScreenError):
+    with pytest.raises(EmptyScreenError, match=r"\('A': 0/3 accepted, 'B': 0/3 accepted\)"):
         singleton_screen(rel)
 
 
 def test_distill_trio(trio_relation):
-    trace = distill(trio_relation)
-    assert [r.program for r in trace.initial_removals] == ["B"]
-    assert len(trace.steps) == 1
-    assert trace.steps[0].removed in ("A", "C")
-    assert len(trace.final_programs) == 1
-    assert trace.final_programs[0] in ("A", "C")
-    diag = build_diagram(trace.final_relation)
+    final, trace = distill(trio_relation)
+    assert trace["screened"] == ["B"]
+    assert len(trace["steps"]) == 1
+    assert trace["steps"][0]["removed"] in ("A", "C")
+    assert trace["final"] == list(final.programs)
+    assert final.programs in (("A",), ("C",))
+    diag = build_diagram(final)
     assert tuple(diag) == (7, 7)
     assert is_consistent(diag, 1)
 
 
 def test_distill_consistent_input_is_untouched(graded_relation):
-    trace = distill(graded_relation)
-    assert trace.initial_removals == () and trace.steps == ()
-    assert trace.final_programs == graded_relation.programs
+    final, trace = distill(graded_relation)
+    assert trace["screened"] == [] and trace["steps"] == []
+    assert final == graded_relation and trace["final"] == list(graded_relation.programs)
 
 
 def test_distill_random_relations_end_consistent():
@@ -70,16 +70,15 @@ def test_distill_random_relations_end_consistent():
         masks = [rng.randrange(0, 32) for _ in range(n)]
         rel = relation_from_masks(masks, m=5)
         try:
-            trace = distill(rel)
+            final, trace = distill(rel)
         except EmptyScreenError:
             continue
-        final = trace.final_relation
         assert is_consistent(build_diagram(final), final.m)
-        assert len(trace.steps) <= 5
+        assert len(trace["steps"]) <= 5
 
 
 def test_trace_json_shape(trio_relation):
-    payload = json.loads(trace_json(distill(trio_relation)))
+    payload = json.loads(canonical_dumps(distill(trio_relation)[1]))
     assert payload["screened"] == ["B"]
     assert set(payload) == {"screened", "steps", "final"}
     step = payload["steps"][0]
@@ -138,10 +137,12 @@ def test_select_inputs_graded(graded_relation):
     assert len(kept900) == 900
     kept0, _ = select_inputs(graded_relation, 0)
     assert len(kept0) == 1000
-    by_threshold = {row.threshold: row for row in report}
-    assert by_threshold[20].excluded == 10
-    assert by_threshold[900].excluded == 100
-    assert all(row.components == 1 for row in report)
+    weights = build_diagram(graded_relation)[column_masks(graded_relation)]
+    assert kept.dtype == np.int64 and np.array_equal(kept, np.flatnonzero(weights >= 20))
+    rows = {threshold: (excluded, components) for threshold, excluded, components in report}
+    assert rows[20][0] == 10
+    assert rows[900][0] == 100
+    assert all(components == 1 for _, components in rows.values())
 
 
 def test_select_inputs_monotone(graded_relation):
@@ -171,13 +172,11 @@ def test_selection_report_csv(graded_relation):
 
 
 def test_histogram_and_selection_report_text():
-    from tdt.distill import ThresholdRow
-
     assert histogram_csv(np.array([0, 3, 0])) == "score,count\n0,2\n3,1\n"
     assert histogram_csv(np.zeros(0, dtype=np.int64)) == "score,count\n"
-    rows = (ThresholdRow(1, 2, 1), ThresholdRow(5, 0, 0))
+    rows = [(1, 2, 1), (5, 0, 0)]
     assert selection_report_csv(rows) == "threshold,excluded,components\n1,2,1\n5,0,0\n"
-    assert selection_report_csv(()) == "threshold,excluded,components\n"
+    assert selection_report_csv([]) == "threshold,excluded,components\n"
 
 
 def test_pairs_mode_matches_pairwise_blame(toy_relation):
@@ -231,10 +230,10 @@ def test_distill_matches_restrict_and_rebuild_oracle(m):
                 "steps": [{"region": r, "face": f, "removed": x} for r, f, x in oracle_steps],
                 "final": final_names,
             }
-            trace = distill(rel)
-            assert trace_json(trace) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
-            assert trace.final_relation == relation_from_rows(final_rows, programs=final_names)
-            steps += len(trace.steps)
+            final, trace = distill(rel)
+            assert canonical_dumps(trace) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            assert final == relation_from_rows(final_rows, programs=final_names)
+            steps += len(trace["steps"])
     assert steps >= (m > 1)
     assert m < 9 or (tie_by_deficiency and tie_by_mask)
 
@@ -249,6 +248,6 @@ def test_distill_builds_the_diagram_once(monkeypatch):
     # the package's ``distill`` attribute is the function, so fetch the module itself
     monkeypatch.setattr(importlib.import_module("tdt.distill"), "build_diagram", counting)
     names, rows = _seeded_rows(7, 0.5, 2)
-    trace = distill(relation_from_rows(rows, programs=names))
-    assert len(trace.steps) >= 3
-    assert built == [len(trace.steps) + len(trace.final_programs)]  # once, before any step
+    final, trace = distill(relation_from_rows(rows, programs=names))
+    assert len(trace["steps"]) >= 3
+    assert built == [len(trace["steps"]) + final.m]  # once, before any step

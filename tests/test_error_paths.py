@@ -51,6 +51,12 @@ CASES = [
      ValidationError, "mask 0x4 sets bits outside the 2 programs"),
     ("restrict-inputs", lambda tmp: restrict_inputs(REL, [0, 3]),
      ValidationError, "input index 3 out of range for n=3"),
+    ("restrict-inputs-set", lambda tmp: restrict_inputs(REL, {0, 1}),
+     ValidationError, "input indices must be an ascending integer array without repeats"),
+    ("restrict-inputs-unsorted", lambda tmp: restrict_inputs(REL, [1, 0]),
+     ValidationError, "input indices must be an ascending integer array without repeats"),
+    ("restrict-inputs-repeated", lambda tmp: restrict_inputs(REL, [1, 1]),
+     ValidationError, "input indices must be an ascending integer array without repeats"),
     ("json-row-count",
      lambda tmp: load_relation(_file(tmp, "r.json", '{"programs": ["A", "B"], "inputs": [], '
                                                     '"rows": [""]}')),

@@ -2,12 +2,13 @@
 run configuration loader give their result or a ``TdtError`` for any JSON
 value, and ``cli.main`` answers any relation file, feature file or truth file
 with exit 0, or with exit 2 and one ``error:`` line, never a traceback.  It
-answers any run configuration over a missing corpus with exit 2, before any
-parser starts."""
+answers any run configuration over a missing corpus, and any valid one over
+an empty corpus, with exit 2, before any parser starts."""
 
 import contextlib
 import io
 import json
+import os
 import subprocess
 
 import pytest
@@ -235,3 +236,34 @@ def test_cli_answers_any_run_config_over_a_missing_corpus_with_one_error_line(
         patch.setattr(subprocess, "Popen", no_process)
         assert _answer(["run", "--config", str(path), "--out", str(out)]) == 2
     assert sorted(tmp.iterdir()) == [path]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.data())
+def test_cli_answers_any_valid_run_config_over_an_empty_corpus_with_one_error_line(
+        tmp_path_factory, data):
+    """The first of up to 40 drawn configurations that loads (about one in twenty
+    does; most examples find one) fails at its glob: nothing starts or is written."""
+    tmp = tmp_path_factory.mktemp("empty")
+    corpus, marker, tool = tmp / "corpus", tmp / "started", tmp / "tool"
+    corpus.mkdir()
+    tool.write_text(f"#!/bin/sh\ntouch '{marker}'\n")  # the parsers' "tool" marks each start
+    tool.chmod(0o755)
+    path, out = tmp / "run.json", tmp / "rel.json"
+    for _ in range(40):
+        payload = data.draw(run_config_payloads())
+        if isinstance(payload, dict) and isinstance(payload.get("corpus"), str):
+            payload["corpus"] = str(corpus)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        try:
+            load_run_config(path)
+        except TdtError:
+            continue
+        break
+    else:
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PATH", f"{tmp}:{os.environ['PATH']}")
+        assert _answer(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert sorted(tmp.iterdir()) == [corpus, path, tool]  # no marker, no relation file
+    assert not any(corpus.iterdir())

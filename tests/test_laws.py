@@ -92,12 +92,12 @@ def test_l1_full_set_scores_are_the_inconsistent_inputs(m):
 def test_l2_distill_then_every_selection_is_consistent(m):
     rel = uniform_relation(m, N, seed=2700 + m)
     assert not _consistent(rel)
-    final = distill(rel).final_relation
+    final = distill(rel)[0]
     assert _consistent(final)
     _, report = select_inputs(final, 0)
     assert len(report) > 1
     for row in report:
-        kept, _ = select_inputs(final, row.threshold)
+        kept, _ = select_inputs(final, row[0])
         assert _consistent(restrict_inputs(final, kept))
 
 
@@ -137,7 +137,7 @@ def test_l2_through_the_command_line(tmp_path):
 @pytest.mark.parametrize("m", range(11, 21))
 def test_l3_the_inconsistent_inputs_are_a_strict_level_0_feature(m):
     rel = uniform_relation(m, N, seed=2700 + m)
-    for r in (rel, distill(rel).final_relation):
+    for r in (rel, distill(rel)[0]):
         flagged = _inconsistent(r)
         assert flagged.any() == (r is rel)
         decoy = flagged.copy()
@@ -151,7 +151,7 @@ def test_l3_the_inconsistent_inputs_are_a_strict_level_0_feature(m):
 @pytest.mark.parametrize("m", range(11, L4_UP_TO + 1))
 def test_l4_the_stalk_over_every_program_is_the_weights_report(m):
     rel = uniform_relation(m, N, seed=2700 + m)
-    for r in (rel, distill(rel).final_relation):
+    for r in (rel, distill(rel)[0]):
         stalk, report = stalk_json(r, (1 << r.m) - 1), diagram_report(r)
         assert _weights_text(stalk, "stalk") == _weights_text(report, "weights")
         assert json.loads(stalk)["consistent"] is json.loads(report)["consistent"] \

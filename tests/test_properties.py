@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdt.cli import main
 from tdt.diagram import build_diagram, deficient_regions, is_consistent, project_diagram
 from tdt.distill import distill, inconsistency_scores, select_inputs
 from tdt.dowker import (
@@ -20,7 +21,9 @@ from tdt.dowker import (
 from tdt.errors import EmptyScreenError
 from tdt.features import attribute_features, variation_of_information
 from tdt.relation import (
+    Relation,
     column_masks,
+    load_feature_relation,
     load_relation,
     restrict_programs,
     save_relation,
@@ -33,12 +36,23 @@ from oracles import masks_from_rows, restrict_stalk, skeleton_components
 COMMON = settings(max_examples=60, deadline=None, derandomize=True)
 
 
+# ids with the characters a CSV writer must quote, and non-ASCII letters
+AWKWARD_IDS = st.text(st.sampled_from(',"\r\n') | st.characters(categories=("L",)),
+                      min_size=1, max_size=4)
+
+
 @st.composite
-def relations(draw, max_m=5, max_n=30, min_n=0, min_m=1):
+def relations(draw, max_m=5, max_n=30, min_n=0, min_m=1, names=None):
+    """A relation; with a ``names`` strategy, its program and input ids are drawn from it."""
     m = draw(st.integers(min_m, max_m))
     n = draw(st.integers(min_n, max_n))
     masks = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=n, max_size=n))
-    return relation_from_masks(masks, m=m)
+    rel = relation_from_masks(masks, m=m)
+    if names is not None:
+        programs = draw(st.lists(names, min_size=m, max_size=m, unique=True))
+        inputs = draw(st.lists(names, min_size=n, max_size=n, unique=True))
+        rel = Relation(tuple(programs), tuple(inputs), rel.accepts)
+    return rel
 
 
 @st.composite
@@ -54,7 +68,7 @@ def blocks_of(labels):
 
 
 @COMMON
-@given(relations())
+@given(relations() | relations(names=AWKWARD_IDS))
 def test_round_trip_json(tmp_path_factory, rel):
     path = tmp_path_factory.mktemp("rt") / "rel.json"
     save_relation(rel, path)
@@ -62,11 +76,51 @@ def test_round_trip_json(tmp_path_factory, rel):
 
 
 @COMMON
-@given(relations())
+@given(relations() | relations(names=AWKWARD_IDS))
 def test_round_trip_csv(tmp_path_factory, rel):
     path = tmp_path_factory.mktemp("rt") / "rel.csv"
     save_relation(rel, path)
     assert load_relation(path) == rel
+
+
+# Two stub parsers: the first echoes its file to stderr, where the keywords are
+# matched, so it accepts only an empty file; the second accepts a file holding "x".
+ECHO, GREP = """sh -c 'cat "$0" >&2' {input}""", "grep -q x {input}"
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.lists(AWKWARD_IDS, min_size=1, max_size=3, unique=True),
+       st.lists(AWKWARD_IDS, min_size=2, max_size=2, unique=True),
+       st.lists(AWKWARD_IDS, min_size=1, max_size=2, unique=True), st.data())
+def test_run_outputs_round_trip_awkward_ids(tmp_path_factory, files, parsers, keywords, data):
+    """Input ids (file names), parser names and keywords with awkward characters:
+    ``run --out x.csv`` loads as the JSON run's relation, and ``--keywords-out``
+    as its feature relation."""
+    tmp = tmp_path_factory.mktemp("run")
+    corpus = tmp / "corpus"
+    corpus.mkdir()
+    texts = {}
+    for name in files:
+        texts[name] = data.draw(st.lists(st.sampled_from(["x", "é", *keywords]), max_size=3)
+                                .map("".join))
+        (corpus / name).write_bytes(texts[name].encode())
+    config = tmp / "run.json"
+    config.write_text(json.dumps({
+        "parsers": [{"name": parsers[0], "command": ECHO, "keywords": keywords},
+                    {"name": parsers[1], "command": GREP, "policy": "exit-zero"}],
+        "corpus": str(corpus), "parallelism": 1}))
+    for out in ("rel.json", "rel.csv"):
+        assert main(["run", "--config", str(config), "--out", str(tmp / out),
+                     "--keywords-out", str(tmp / "kw.csv")]) == 0
+    rel = load_relation(tmp / "rel.json")
+    assert load_relation(tmp / "rel.csv") == rel
+    inputs = sorted(files)
+    assert (rel.programs, rel.inputs) == (tuple(parsers), tuple(inputs))
+    assert rel.accepts.tolist() == [[not texts[f] for f in inputs],
+                                     ["x" in texts[f] for f in inputs]]
+    features, has_feature = load_feature_relation(tmp / "kw.csv", rel)
+    assert features == tuple(f"{parsers[0]}:{kw}" for kw in keywords)
+    assert has_feature.tolist() == [[kw in texts[f] for kw in keywords] for f in inputs]
 
 
 @COMMON
@@ -230,10 +284,9 @@ def test_scores_invariant_under_relabeling(rel, data):
 @given(relations(max_m=4, max_n=25, min_n=1), st.data())
 def test_select_monotone_after_distill(rel, data):
     try:
-        trace = distill(rel)
+        survivor, _ = distill(rel)
     except EmptyScreenError:
         return
-    survivor = trace.final_relation
     lo = data.draw(st.integers(0, 5))
     hi = lo + data.draw(st.integers(0, 5))
     kept_lo, _ = select_inputs(survivor, lo)

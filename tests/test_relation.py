@@ -177,7 +177,7 @@ def test_restrict_programs_rejects_empty(toy_relation):
 
 
 def test_restrict_inputs_picks_inconsistent_cols(toy_relation):
-    sub = restrict_inputs(toy_relation, {9, 12, 16, 17, 18, 19})
+    sub = restrict_inputs(toy_relation, np.array([9, 12, 16, 17, 18, 19]))
     assert sub.n == 6
     assert sub.programs == toy_relation.programs
     assert column_masks(sub).tolist() == [0b0101, 0b0110, 0b1101, 0b1101, 0b1101, 0b1101]
@@ -185,7 +185,7 @@ def test_restrict_inputs_picks_inconsistent_cols(toy_relation):
 
 def test_restrict_inputs_identity_and_empty(toy_relation):
     assert restrict_inputs(toy_relation, range(20)) == toy_relation
-    emptied = restrict_inputs(toy_relation, set())
+    emptied = restrict_inputs(toy_relation, [])
     assert emptied.n == 0 and emptied.m == 4
 
 

@@ -168,9 +168,9 @@ def test_analyze_loads_the_dowker_layer(launcher):
 # What ``tdt`` exported when its __init__ imported every module eagerly, less the
 # names deleted since, plus ``accept_rows``.
 EXPORTS = {
-    "classify": "ClassifierReport evaluate load_ground_truth score_rule_classifier vote_classifier",
+    "classify": "evaluate load_ground_truth score_rule_classifier vote_classifier",
     "diagram": "build_diagram deficient_regions is_consistent project_diagram",
-    "distill": "DistillTrace distill inconsistency_scores select_inputs singleton_screen",
+    "distill": "distill inconsistency_scores select_inputs singleton_screen",
     "dowker": "DowkerComplex DowkerGraph betti_numbers build_complex build_graph "
               "consistent_core graph_dot inconsistent_inputs",
     "errors": "CapacityError ConfigurationError EmptyScreenError FormatError "
@@ -206,7 +206,7 @@ def test_public_names_resolve_lazily_and_are_listed():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["loaded"] == []
-    assert all(result["resolved"]) and len(result["resolved"]) == 49 + 9
+    assert all(result["resolved"]) and len(result["resolved"]) == 47 + 9
     names = {name for names in EXPORTS.values() for name in names.split()}
     assert names | set(EXPORTS) <= set(result["dir"])
     assert result["version"] == "0.1.0"
